@@ -103,6 +103,10 @@ def sign_partition(D: Orientation, anchor_part: int) -> dict[int, SignPartition]
     Returns one SignPartition per non-anchor part, keyed by part index.
     """
     topo = D.topology
+    if not 0 <= anchor_part < len(topo.parts):
+        raise AnalysisError(
+            f"anchor part index {anchor_part} out of range for {len(topo.parts)} parts"
+        )
     if topo.parts[anchor_part] != 3:
         raise AnchorNotSize3(
             f"anchor part {anchor_part + 1} has size {topo.parts[anchor_part]}, need 3"

@@ -38,6 +38,10 @@ class BadFamily(ValueError):
     pass
 
 
+class BadRange(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class ClaimRecord:
     claim_id: str
@@ -194,6 +198,9 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     lo, hi = q_range if q_range is not None else _DEFAULT_RANGES[family]
     c_lo, c_hi, builder = _CONSTRUCTIVE[family]
     lo = max(lo, c_lo)  # the classification starts at the constructive range
+    if lo > hi:
+        # an empty table would pass vacuously
+        raise BadRange(f"q range {lo}..{hi} of family {family} selects no claims")
     p_mid = 3 if family == "33q" else 4
     for q in range(lo, hi + 1):
         if c_lo <= q <= c_hi:

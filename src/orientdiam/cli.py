@@ -23,7 +23,7 @@ from .analysis import (
     sign_condition_violations,
     sign_partition,
 )
-from .claims import BadFamily, verify_claims
+from .claims import BadFamily, BadRange, verify_claims
 from .cnf import export_cnf
 from .constructions import (
     ConstructionError,
@@ -185,7 +185,6 @@ def _search_config(args) -> SearchConfig:
         time_budget=args.budget_seconds,
         symmetry_breaking=not args.no_symmetry,
         use_case_split=not args.no_case_split,
-        thread_count=args.threads,
     )
 
 
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "dot"), default="text")
     common.add_argument("--seed", type=int, default=0,
                         help="reserved; every procedure is deterministic")
-    common.add_argument("--threads", type=int, default=1)
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget-seconds", type=float, default=600.0)
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, GraphError, AnalysisError, ConstructionError, SearchError,
-            BadFamily, json.JSONDecodeError, OSError) as exc:
+            BadFamily, BadRange, json.JSONDecodeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -333,11 +333,26 @@ def dumps(D: Orientation, completion_log=None) -> str:
     return stable_json_dumps(doc)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python would read as 1/0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json_dict(doc: dict) -> Orientation:
     if not isinstance(doc, dict) or "parts" not in doc or "arcs" not in doc:
         raise ParseError("orientation JSON must contain 'parts' and 'arcs'")
-    topology = make_complete_multipartite(doc["parts"])
-    return orient(topology, [tuple(a) for a in doc["arcs"]])
+    parts, arcs = doc["parts"], doc["arcs"]
+    if not isinstance(parts, list) or not all(_is_int(p) for p in parts):
+        raise ParseError(f"'parts' must be a list of integers, got {parts!r}")
+    if not isinstance(arcs, list):
+        raise ParseError(f"'arcs' must be a list of [u, v] pairs, got {arcs!r}")
+    topology = make_complete_multipartite(parts)
+    n = topology.n_vertices
+    for arc in arcs:
+        if not (isinstance(arc, list) and len(arc) == 2
+                and all(_is_int(x) and 0 <= x < n for x in arc)):
+            raise ParseError(f"arc {arc!r} is not a pair of vertex ids in 0..{n - 1}")
+    return orient(topology, [tuple(a) for a in arcs])
 
 
 def loads(text: str) -> Orientation:

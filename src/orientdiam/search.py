@@ -18,11 +18,17 @@ three exact facts:
     target) -- a covering constraint.
 
 Chosen profiles are explored in a fixed total order, which doubles as the
-row-ordering symmetry break inside L; block orientations are enumerated up
-to part-internal relabelings and global arc reversal.  The verdict is sound
-both ways: Exists re-validates its witness with the exact diameter routine,
-and None means every block orientation was either enumerated or discarded
-as the image of an enumerated one under that symmetry group.
+row-ordering symmetry break inside L.  The kernel keeps its candidate set as
+one integer bitmask over profile indices: the antichain is a clique of the
+incomparability graph, so a child's candidates are the parent's ANDed with
+the later profiles incomparable to the one just chosen.  A node is pruned
+when fewer candidates remain than profiles are still needed, or when the
+cover masks of all candidates together cannot reach every cover pair.
+Block orientations are enumerated up to part-internal relabelings and
+global arc reversal.  The verdict is sound both ways: Exists re-validates
+its witness with the exact diameter routine, and None means every block
+orientation was either enumerated or discarded as the image of an
+enumerated one under that symmetry group.
 
 Brute-force oracles over full orientation spaces back the decision
 procedure on every topology small enough to enumerate.
@@ -30,6 +36,7 @@ procedure on every topology small enough to enumerate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -74,13 +81,14 @@ class SearchConfig:
     time_budget: float = 600.0
     symmetry_breaking: bool = True
     use_case_split: bool = True
-    thread_count: int = 1
 
     def __post_init__(self):
-        if self.node_budget <= 0 or self.time_budget <= 0:
-            raise SearchError("budgets must be positive")
-        if self.thread_count < 1:
-            raise SearchError("thread_count must be >= 1")
+        # NaN fails every comparison, so it would never trip the deadline
+        if self.node_budget <= 0 or not 0 < self.time_budget < math.inf:
+            raise SearchError(
+                f"budgets must be positive and finite, got {self.node_budget} nodes"
+                f" and {self.time_budget} seconds"
+            )
 
 
 @dataclass(frozen=True)
@@ -200,32 +208,33 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     if count < q or not frame.feasible:
         return None
     all_needed = (1 << len(frame.cover_pairs)) - 1
-    # OR of cover masks from each suffix, for infeasibility pruning
-    suffix = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
+    # later[i]: bitmask of the profiles after i that are incomparable with it
+    later = []
+    for i, pr in enumerate(profiles):
+        row = 0
+        for j in range(i + 1, count):
+            other = profiles[j]
+            if pr & ~other and other & ~pr:
+                row |= 1 << j
+        later.append(row)
     chosen: list[int] = []
 
-    def extend(start: int, covered: int):
-        if not budget.tick(len(chosen)):
+    def extend(cand: int, covered: int):
+        depth = len(chosen)
+        if not budget.tick(depth):
             return None
-        if len(chosen) == q:
+        if depth == q:
             return list(chosen) if covered == all_needed else None
-        if count - start < q - len(chosen):
+        if cand.bit_count() < q - depth:
             return None
-        if (all_needed & ~covered) & ~suffix[start]:
+        reach = covered
+        for idx in _bit_members(cand):
+            reach |= masks[idx]
+        if reach != all_needed:
             return None
-        for idx in range(start, count):
-            pr = profiles[idx]
-            incomparable = True
-            for c in chosen:
-                if not (pr & ~c) or not (c & ~pr):
-                    incomparable = False
-                    break
-            if not incomparable:
-                continue
-            chosen.append(pr)
-            found = extend(idx + 1, covered | masks[idx])
+        for idx in _bit_members(cand):
+            chosen.append(profiles[idx])
+            found = extend(cand & later[idx], covered | masks[idx])
             if found is not None:
                 return found
             chosen.pop()
@@ -233,7 +242,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
                 return None
         return None
 
-    return extend(0, 0)
+    return extend((1 << count) - 1, 0)
 
 
 def _block_symmetry_generators(rest_parts, bedges):

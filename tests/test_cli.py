@@ -70,6 +70,33 @@ class TestConstructAndDiameter:
         assert "ParseError" in err and "line" in err
 
 
+# Malformed files and arguments: each must exit 2 with an error line, never
+# trace back (exit 1 means a failed claim) or be read as something else.
+MALFORMED = [
+    ("diameter", '{"parts":[1,1,1],"arcs":[[0,"a"]]}'),
+    ("diameter", '{"parts":[1,1,1],"arcs":[[0,3,9]]}'),
+    ("diameter", '{"parts":[1,1,1],"arcs":[[0,7],[1,2],[2,0]]}'),
+    ("diameter", '{"parts":"ab","arcs":[]}'),
+    ("diameter", '{"parts":[true,2],"arcs":[[0,1],[0,2]]}'),
+    ("analyze --anchor 7", None),
+    ("analyze --anchor -1", None),
+]
+
+
+@pytest.mark.parametrize("command,text", MALFORMED)
+def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    if text is None:
+        # every part has three vertices, so -1 would pass the size check
+        run(capsys, "construct", "--parts", "3,3,3", "--out", str(path))
+    else:
+        path.write_text(text)
+    argv = command.split() + ["--file", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 class TestAnalyze:
     def test_text_report(self, capsys, tmp_path):
         path = tmp_path / "d6.json"
@@ -101,11 +128,17 @@ class TestDecide:
 
     def test_refutation(self, capsys):
         code, out, _ = run(capsys, "decide", "--parts", "3,3,7",
-                           "--budget-seconds", "600", "--threads", "2")
+                           "--budget-seconds", "600")
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "none"
         assert len(doc["stats"]["cases_enumerated"]) == 10
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_budget_is_exit_2(self, capsys, seconds):
+        code, _, err = run(capsys, "decide", "--parts", "3,3,3", "--budget-seconds", seconds)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestSmallCommands:
@@ -176,3 +209,11 @@ class TestVerifyClaims:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify-claims", "--family", "33q", "--q-range", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("q_range", ["9..3", "1..2"])
+    def test_empty_range_is_exit_2(self, capsys, q_range):
+        # 1..2 lies wholly below the family's first q, so it selects nothing too
+        code, out, err = run(capsys, "verify-claims", "--family", "33q", "--q-range", q_range)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import time
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import orientdiam as od
 from orientdiam.search import (
@@ -11,6 +17,9 @@ from orientdiam.search import (
     TooLarge,
     TooManyEdges,
     Verdict,
+    _antichain_cover,
+    _BlockFrame,
+    _Budget,
 )
 
 # every complete multipartite topology with at most 16 edges that the
@@ -26,6 +35,44 @@ SMALL_TOPOLOGIES = [
     (2, 4),
     (3, 3),
 ]
+
+# The first K(3,4,11) witness in the kernel's search order (ascending profile
+# index, pruning only subtrees without a solution).  A kernel change that
+# reorders the search, and so changes the witnesses, shows up here.
+_K3411_ARCS = (
+    (0, 3), (0, 4), (0, 6), (0, 14), (0, 16), (0, 17), (1, 3), (1, 4), (1, 5), (1, 13),
+    (1, 15), (1, 17), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11), (2, 12), (2, 13),
+    (2, 14), (2, 15), (2, 16), (2, 17), (3, 2), (3, 9), (3, 11), (3, 12), (3, 15),
+    (3, 16), (4, 2), (4, 8), (4, 10), (4, 12), (4, 13), (4, 14), (5, 0), (5, 2),
+    (5, 7), (5, 10), (5, 11), (6, 1), (6, 2), (6, 7), (6, 8), (6, 9), (7, 0), (7, 1),
+    (7, 3), (7, 4), (8, 0), (8, 1), (8, 3), (8, 5), (9, 0), (9, 1), (9, 4), (9, 5),
+    (10, 0), (10, 1), (10, 3), (10, 6), (11, 0), (11, 1), (11, 4), (11, 6), (12, 0),
+    (12, 1), (12, 5), (12, 6), (13, 0), (13, 3), (13, 5), (13, 6), (14, 1), (14, 3),
+    (14, 5), (14, 6), (15, 0), (15, 4), (15, 5), (15, 6), (16, 1), (16, 4), (16, 5),
+    (16, 6), (17, 3), (17, 4), (17, 5), (17, 6),
+)
+
+
+@st.composite
+def block_frames(draw):
+    """The kernel's input for a random orientation of a small block."""
+    rest_parts = draw(
+        st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ps: sum(ps) <= 5)
+    )
+    part_of = [i for i, p in enumerate(rest_parts) for _ in range(p)]
+    m = len(part_of)
+    bedges = [(a, b) for a in range(m) for b in range(a + 1, m) if part_of[a] != part_of[b]]
+    bits = draw(st.integers(0, (1 << len(bedges)) - 1))
+    return _BlockFrame(m, bedges, bits)
+
+
+def _is_antichain(chosen) -> bool:
+    return all(x & ~y and y & ~x for x, y in itertools.combinations(chosen, 2))
+
+
+def _covers(chosen, cover_pairs) -> bool:
+    return all(any(not (pr >> a) & 1 and (pr >> b) & 1 for pr in chosen)
+               for a, b in cover_pairs)
 
 
 class TestDecide:
@@ -68,8 +115,11 @@ class TestDecide:
             SearchConfig(node_budget=0)
         with pytest.raises(SearchError):
             SearchConfig(time_budget=-1.0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_non_finite_time_budget_rejected(self, seconds):
         with pytest.raises(SearchError):
-            SearchConfig(thread_count=0)
+            SearchConfig(time_budget=seconds)
 
     def test_case_split_exhaustiveness(self):
         outcome = od.decide_diameter2((3, 3, 7))
@@ -83,11 +133,10 @@ class TestDecide:
         assert a.verdict == b.verdict
         assert a.witness.arcs() == b.witness.arcs()
 
-    def test_thread_count_does_not_change_result(self):
-        a = od.decide_diameter2((3, 3, 5), SearchConfig(thread_count=1))
-        b = od.decide_diameter2((3, 3, 5), SearchConfig(thread_count=8))
-        assert a.verdict == b.verdict
-        assert a.witness.arcs() == b.witness.arcs()
+    def test_k3411_witness_is_frozen(self):
+        outcome = od.decide_diameter2((3, 4, 11))
+        assert outcome.verdict is Verdict.EXISTS
+        assert tuple(outcome.witness.arcs()) == _K3411_ARCS
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_symmetry_breaking_preserves_verdicts(self, parts):
@@ -126,6 +175,21 @@ class TestDecide:
                     assert od.diameter(outcome.witness) <= 2
                 checked += 1
         assert checked == 73
+
+
+class TestKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(block_frames(), st.integers(1, 4))
+    def test_agrees_with_brute_force(self, frame, q):
+        found = _antichain_cover(frame, q, _Budget(SearchConfig(), time.monotonic()))
+        exists = any(_is_antichain(c) and _covers(c, frame.cover_pairs)
+                     for c in itertools.combinations(frame.profiles, q))
+        assert (found is not None) == exists
+        if found is not None:
+            assert len(set(found)) == q
+            assert set(found) <= set(frame.profiles)
+            assert _is_antichain(found)
+            assert _covers(found, frame.cover_pairs)
 
 
 class TestBruteForce:
