@@ -14,7 +14,7 @@ from orientdiam.claims import verify_claims
 def main() -> int:
     worst = 0
     for family in ("33q", "34q", "baselines"):
-        report = verify_claims(family)
+        report = verify_claims(family, cnf_dir=".")
         print(f"== {family} ==")
         print(report.to_text())
         for path in report.cnf_emitted:

@@ -162,12 +162,13 @@ def _search_claim(family: str, parts, q: int, expected: int, cfg, cnf_dir):
 
 
 def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
-                  cnf_dir: str | None = ".") -> ClaimReport:
+                  cnf_dir: str | None = None) -> ClaimReport:
     """Run one claim family and return the report.
 
     For 33q/34q the constructive range is built and measured; values past it
-    go through decide_diameter2, where an Unknown verdict emits the DIMACS
-    instance for an external solver instead of failing outright.
+    go through decide_diameter2, where an Unknown verdict is reported as
+    unknown and, when cnf_dir is given, its DIMACS instance is written there
+    for an external solver.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")

@@ -3,9 +3,14 @@
 Subcommands: construct, diameter, analyze, decide, enumerate, brute-force,
 export-cnf, verify-claims.  Orientations travel as canonical JSON
 ({"parts": [...], "arcs": [[u,v], ...]}, arcs sorted), optionally with a
-completion_log section describing choices a constructor made.  Exit codes:
-0 success / all claims pass, 1 failed claim, 2 usage or data error,
-3 a claim ended Unknown (budget).
+completion_log section describing choices a constructor made.
+
+--format exists only where it changes the output: text (default) or json
+for diameter, analyze, brute-force and verify-claims; json (default) or dot
+for construct.  decide, enumerate and export-cnf each have one fixed output.
+
+Exit codes: 0 success / all claims pass, 1 failed claim, 2 usage or data
+error, 3 a claim ended Unknown (budget).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .graphcore import (
     diameter,
     dumps,
     loads,
+    make_complete_multipartite,
     stable_json_dumps,
     to_dot,
     to_json_dict,
@@ -49,7 +55,6 @@ from .search import (
     decide_diameter2,
     enumerate_diameter2,
 )
-from .graphcore import make_complete_multipartite
 
 USAGE_ERROR = 2
 
@@ -74,8 +79,7 @@ def _read_orientation(path: str):
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    D = loads(text)  # raises ParseError with line/column on malformed JSON
-    return D, json.loads(text)
+    return loads(text)  # raises ParseError with line/column on malformed JSON
 
 
 def _emit(text: str, out_path: str | None):
@@ -120,7 +124,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_diameter(args) -> int:
-    D, _ = _read_orientation(args.file)
+    D = _read_orientation(args.file)
     d = diameter(D)
     if args.format == "json":
         _emit(stable_json_dumps({"parts": list(D.topology.parts),
@@ -131,7 +135,7 @@ def cmd_diameter(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    D, _ = _read_orientation(args.file)
+    D = _read_orientation(args.file)
     partitions = sign_partition(D, args.anchor)
     try:
         violations = sign_condition_violations(D, args.anchor)
@@ -184,7 +188,6 @@ def _search_config(args) -> SearchConfig:
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
         symmetry_breaking=not args.no_symmetry,
-        use_case_split=not args.no_case_split,
     )
 
 
@@ -248,7 +251,7 @@ def cmd_verify_claims(args) -> int:
             q_range = (int(lo), int(hi))
         except ValueError:
             raise CliError(f"--q-range expects LO..HI, got {args.q_range!r}")
-    report = verify_claims(args.family, q_range=q_range, cfg=_search_config(args))
+    report = verify_claims(args.family, q_range=q_range, cfg=_search_config(args), cnf_dir=".")
     if args.format == "json":
         _emit(report.to_json(), None)
     else:
@@ -265,55 +268,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; every procedure is deterministic")
+    text_or_json = argparse.ArgumentParser(add_help=False)
+    text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget-seconds", type=float, default=600.0)
     budget.add_argument("--budget-nodes", type=int, default=1_000_000_000)
     budget.add_argument("--no-symmetry", action="store_true")
-    budget.add_argument("--no-case-split", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build a known orientation family")
+    p = sub.add_parser("construct", help="build a known orientation family")
     p.add_argument("--parts", required=True)
     p.add_argument("--scheme", choices=("paper", "middle-layer", "tournament"), default="paper")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("diameter", parents=[common], help="measure an orientation file")
+    p = sub.add_parser("diameter", parents=[text_or_json], help="measure an orientation file")
     p.add_argument("--file", required=True)
     p.set_defaults(func=cmd_diameter)
 
-    p = sub.add_parser("analyze", parents=[common], help="sign classes and case signature")
+    p = sub.add_parser("analyze", parents=[text_or_json], help="sign classes and case signature")
     p.add_argument("--file", required=True)
     p.add_argument("--anchor", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("decide", parents=[common, budget], help="decide diameter-2 orientability")
+    p = sub.add_parser("decide", parents=[budget], help="decide diameter-2 orientability")
     p.add_argument("--parts", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list all diameter-2 orientations")
+    p = sub.add_parser("enumerate", help="list all diameter-2 orientations")
     p.add_argument("--parts", required=True)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("brute-force", parents=[common], help="exact oriented diameter by enumeration")
+    p = sub.add_parser("brute-force", parents=[text_or_json], help="exact oriented diameter by enumeration")
     p.add_argument("--parts", required=True)
     p.set_defaults(func=cmd_brute_force)
 
-    p = sub.add_parser("export-cnf", parents=[common], help="emit the DIMACS encoding")
+    p = sub.add_parser("export-cnf", help="emit the DIMACS encoding")
     p.add_argument("--parts", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_cnf)
 
-    p = sub.add_parser("verify-claims", parents=[common, budget], help="re-verify a claim family")
+    p = sub.add_parser("verify-claims", parents=[text_or_json, budget], help="re-verify a claim family")
     p.add_argument("--family", required=True, choices=("33q", "34q", "baselines"))
     p.add_argument("--q-range", default=None)
     p.set_defaults(func=cmd_verify_claims)

@@ -162,9 +162,3 @@ def decode_model(parts, true_vars) -> Orientation:
     for i, (u, v) in enumerate(topology.edges(), start=1):
         arcs.append((u, v) if i in truthy else (v, u))
     return orient(topology, arcs)
-
-
-def clause_iter(parts):
-    """Yield the clauses without materializing a file (testing hook)."""
-    b, _, _ = encode_diameter2(parts)
-    return list(b.clauses)

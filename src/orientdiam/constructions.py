@@ -4,8 +4,7 @@ Each family comes from an explicit recipe: sign classes fix every arc
 between the anchor triple and the large part, a handful of 4-cycles and a
 middle-layer bipartite block fix the rest.  Where a recipe leaves a choice
 open (the direction of a 4-cycle, say), the builder makes a fixed canonical
-choice, and if that ever failed the promised diameter it would fall back to
-a bounded completion search over only the ambiguous arcs.  Every construct
+choice and records it in the recipe's completion log.  Every construct
 function measures the diameter of what it built and refuses to return an
 orientation that misses its promise.
 """
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphcore import (
-    GraphTopology,
     Orientation,
     diameter,
     induced_suborientation,
@@ -76,28 +74,11 @@ def _four_cycle(a, b, c, d):
     return [(a, b), (b, c), (c, d), (d, a)]
 
 
-def _verified(topology: GraphTopology, arcs, want: int, context: str) -> Orientation:
-    D = orient(topology, arcs)
+def _verified(D: Orientation, want: int, context: str) -> Orientation:
     got = diameter(D)
     if got != want:
         raise ConstructionError(f"{context}: built diameter {got}, promised {want}")
     return D
-
-
-def _complete_with_search(topology, fixed_arcs, ambiguous_edges, want, context):
-    """Bounded completion over ambiguous edges, first success wins.
-
-    Fallback for under-specified recipes; at most 2^len(ambiguous_edges)
-    candidates are tried, in lexicographic order.
-    """
-    for bits in range(1 << len(ambiguous_edges)):
-        arcs = list(fixed_arcs)
-        for i, (u, v) in enumerate(ambiguous_edges):
-            arcs.append((u, v) if not (bits >> i) & 1 else (v, u))
-        D = orient(topology, arcs)
-        if diameter(D) == want:
-            return D, bits
-    raise ConstructionError(f"{context}: no completion of {len(ambiguous_edges)} ambiguous arcs works")
 
 
 def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
@@ -108,7 +89,7 @@ def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
     if q == 3:
         topo = make_complete_multipartite([3, 3, 3])
         log.append("q=3 base case: fixed witness table, found once by decide_diameter2")
-        D = _verified(topo, _K333_ARCS, 2, "K(3,3,3)")
+        D = _verified(orient(topo, _K333_ARCS), 2, "K(3,3,3)")
         return D, ConstructionRecipe("K33q", 3, tuple(log))
     if q == 4:
         topo = make_complete_multipartite([3, 3, 4])
@@ -121,38 +102,30 @@ def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
         arcs += [(6, y1), (7, y1), (y1, 8), (y1, 9)]
         arcs += [(6, y2), (8, y2), (y2, 7), (y2, 9)]
         arcs += [(z, y3) for z in (6, 7, 8, 9)]
-        D = _verified(topo, arcs, 2, "K(3,3,4)")
+        D = _verified(orient(topo, arcs), 2, "K(3,3,4)")
         return D, ConstructionRecipe("K33q", 4, tuple(log))
     if q == 5:
         D6, recipe6 = build_33q(6)
         # drop the unique all-minus vertex (the last one)
-        D = induced_suborientation(D6, range(11))
+        D = _verified(induced_suborientation(D6, range(11)), 2, "K(3,3,5)")
         log.extend(recipe6.completion_log)
         log.append("q=5: restriction of the q=6 orientation without its all-minus vertex")
-        got = diameter(D)
-        if got != 2:
-            raise ConstructionError(f"K(3,3,5): built diameter {got}, promised 2")
         return D, ConstructionRecipe("K33q", 5, tuple(log))
     # q == 6
     topo = make_complete_multipartite([3, 3, 6])
     x1, x2, x3, y1, y2, y3 = range(6)
     # z classes: 6:+++ | 7,8:+-- | 9,10:-+- | 11:---
-    fixed = [(y2, x1), (y2, x2), (y3, x1), (y3, x2),
+    arcs = [(y2, x1), (y2, x2), (y3, x1), (y3, x2),
              (x1, y1), (x2, y1), (y1, x3), (x3, y2), (x3, y3)]
-    fixed += _sign_class_arcs(
+    arcs += _sign_class_arcs(
         (x1, x2, x3),
         [(6, "+++"), (7, "+--"), (8, "+--"), (9, "-+-"), (10, "-+-"), (11, "---")],
     )
-    fixed += [(6, y1)] + [(y1, z) for z in (7, 8, 9, 10, 11)]
-    fixed += [(6, y2), (6, y3), (y2, 11), (y3, 11)]
-    cycles = _four_cycle(y2, 7, y3, 8) + _four_cycle(y2, 9, y3, 10)
-    try:
-        D = _verified(topo, fixed + cycles, 2, "K(3,3,6)")
-        log.append("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes")
-    except ConstructionError:
-        ambiguous = [(y, z) for y in (y2, y3) for z in (7, 8, 9, 10)]
-        D, bits = _complete_with_search(topo, fixed, ambiguous, 2, "K(3,3,6)")
-        log.append(f"q=6: canonical 4-cycles failed; completion search chose pattern {bits:#x}")
+    arcs += [(6, y1)] + [(y1, z) for z in (7, 8, 9, 10, 11)]
+    arcs += [(6, y2), (6, y3), (y2, 11), (y3, 11)]
+    arcs += _four_cycle(y2, 7, y3, 8) + _four_cycle(y2, 9, y3, 10)
+    D = _verified(orient(topo, arcs), 2, "K(3,3,6)")
+    log.append("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes")
     return D, ConstructionRecipe("K33q", 6, tuple(log))
 
 
@@ -190,7 +163,7 @@ def _build_34_10() -> tuple[Orientation, list[str]]:
     arcs += _four_cycle(y1, z3, y2, z4)
     arcs += _four_cycle(y3, z5, y4, z6)
     arcs += _four_cycle(y3, z7, y4, z8)
-    D = _verified(topo, arcs, 2, "K(3,4,10)")
+    D = _verified(orient(topo, arcs), 2, "K(3,4,10)")
     return D, ["q=10: fully explicit recipe, four listed 4-cycles"]
 
 
@@ -199,28 +172,23 @@ def _build_34_11() -> tuple[Orientation, list[str]]:
     x1, x2, x3 = 0, 1, 2
     y1, y2, y3, y4 = 3, 4, 5, 6
     # z classes: 7:+++ | 8,9:++- | 10,11:+-+ | 12..17:+--
-    fixed = [(y, x1) for y in (y1, y2, y3, y4)]
-    fixed += [(y4, x2), (x2, y1), (x2, y2), (x2, y3)]
-    fixed += [(y1, x3), (x3, y2), (x3, y3), (x3, y4)]
+    arcs = [(y, x1) for y in (y1, y2, y3, y4)]
+    arcs += [(y4, x2), (x2, y1), (x2, y2), (x2, y3)]
+    arcs += [(y1, x3), (x3, y2), (x3, y3), (x3, y4)]
     assignment = [(7, "+++"), (8, "++-"), (9, "++-"), (10, "+-+"), (11, "+-+")]
     assignment += [(z, "+--") for z in range(12, 18)]
-    fixed += _sign_class_arcs((x1, x2, x3), assignment)
-    fixed += [(7, y) for y in (y1, y2, y3, y4)]
-    fixed += [(z, y) for z in (8, 9, 10, 11) for y in (y1, y4)]
+    arcs += _sign_class_arcs((x1, x2, x3), assignment)
+    arcs += [(7, y) for y in (y1, y2, y3, y4)]
+    arcs += [(z, y) for z in (8, 9, 10, 11) for y in (y1, y4)]
     # middle layer between V2 and the six +-- vertices: distinct 2-subsets
     # in lexicographic order of (y-index pair, z-index)
     log = ["q=11: V2 <-> +-- block is the middle-layer K(4,6) orientation, subsets in lex order"]
     for z, S in zip(range(12, 18), itertools.combinations((y1, y2, y3, y4), 2)):
         for y in (y1, y2, y3, y4):
-            fixed.append((z, y) if y in S else (y, z))
-    cycles = _four_cycle(y2, 8, y3, 9) + _four_cycle(y2, 10, y3, 11)
-    try:
-        D = _verified(topo, fixed + cycles, 2, "K(3,4,11)")
-        log.append("q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
-    except ConstructionError:
-        ambiguous = [(y, z) for y in (y2, y3) for z in (8, 9, 10, 11)]
-        D, bits = _complete_with_search(topo, fixed, ambiguous, 2, "K(3,4,11)")
-        log.append(f"q=11: canonical 4-cycles failed; completion search chose pattern {bits:#x}")
+            arcs.append((z, y) if y in S else (y, z))
+    arcs += _four_cycle(y2, 8, y3, 9) + _four_cycle(y2, 10, y3, 11)
+    D = _verified(orient(topo, arcs), 2, "K(3,4,11)")
+    log.append("q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
     return D, log
 
 
@@ -236,10 +204,7 @@ def build_34q(q: int) -> tuple[Orientation, ConstructionRecipe]:
         return D10, ConstructionRecipe("K34q", 10, tuple(log))
     deleted = _D10_DELETIONS[q]
     keep = [v for v in range(17) if v not in deleted]
-    D = induced_suborientation(D10, keep)
-    got = diameter(D)
-    if got != 2:
-        raise ConstructionError(f"K(3,4,{q}): built diameter {got}, promised 2")
+    D = _verified(induced_suborientation(D10, keep), 2, f"K(3,4,{q})")
     log.append(f"q={q}: restriction of the q=10 orientation, deleted vertices {deleted}")
     return D, ConstructionRecipe("K34q", q, tuple(log))
 
@@ -264,12 +229,12 @@ def middle_layer_bipartite(p: int, q: int) -> Orientation:
     """
     if p < 1 or q < 1:
         raise ConstructionError(f"need positive part sizes, got ({p},{q})")
+    topo = make_complete_multipartite([p, q])  # caps p + q before comb runs
     limit = comb(p, p // 2)
     if q > limit:
         raise ThresholdExceeded(
             f"K({p},{q}) exceeds the antichain capacity C({p},{p // 2}) = {limit}"
         )
-    topo = make_complete_multipartite([p, q])
     arcs = []
     subsets = itertools.combinations(range(p), p // 2)
     for i, S in zip(range(q), subsets):
@@ -298,25 +263,16 @@ def complete_graph_orientation(n: int) -> Orientation:
         return [(i, (i + d) % m) for i in range(m) for d in range(1, (m - 1) // 2 + 1)]
 
     if n % 2 == 1:
-        return _verified(topo, rotational_arcs(n), want, f"K({n})")
+        return _verified(orient(topo, rotational_arcs(n)), want, f"K({n})")
     if n == 4:
-        skeleton = rotational_arcs(4)
-        antipodal = [(0, 2), (1, 3)]
-        best = None
-        for bits in range(4):
-            arcs = skeleton + [
-                (u, v) if not (bits >> i) & 1 else (v, u)
-                for i, (u, v) in enumerate(antipodal)
-            ]
-            d = diameter(orient(topo, arcs))
-            if best is None or d < best[0]:
-                best = (d, arcs)
-        if best[0] != want:
-            raise ConstructionError(f"K(4): best completion has diameter {best[0]}")
-        return orient(topo, best[1])
+        completions = [
+            orient(topo, rotational_arcs(4) + [a, b])
+            for b in ((1, 3), (3, 1)) for a in ((0, 2), (2, 0))
+        ]
+        return _verified(min(completions, key=diameter), want, "K(4)")
     arcs = rotational_arcs(n - 1)
     v = n - 1
     dominating = {0, (n - 2) // 2}
     for u in range(n - 1):
         arcs.append((v, u) if u in dominating else (u, v))
-    return _verified(topo, arcs, want, f"K({n})")
+    return _verified(orient(topo, arcs), want, f"K({n})")

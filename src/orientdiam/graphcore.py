@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 
 INFINITE = math.inf
 
+# Far above any graph the exact routines can handle; checked before any
+# per-vertex table is allocated.
+MAX_VERTICES = 4096
+
 Distance = int | float
 
 
@@ -50,6 +54,10 @@ class MissingEdge(GraphError):
 
 
 class EmptyKeep(GraphError):
+    pass
+
+
+class TooManyVertices(GraphError):
     pass
 
 
@@ -109,6 +117,8 @@ def make_complete_multipartite(parts: list[int] | tuple[int, ...]) -> GraphTopol
         raise EmptyParts("need at least one part")
     if any(p < 1 for p in parts):
         raise ZeroPart(f"all part sizes must be >= 1, got {parts}")
+    if sum(parts) > MAX_VERTICES:
+        raise TooManyVertices(f"{sum(parts)} vertices exceed the cap of {MAX_VERTICES}")
     part_of = []
     for i, p in enumerate(parts):
         part_of.extend([i] * p)
@@ -216,39 +226,50 @@ def distance(D: Orientation, u: int, v: int):
     return INFINITE
 
 
+def _diameter_below(out, bound, sources=None):
+    """Largest BFS depth from `sources` (default: every vertex) if it is < bound.
+
+    out is one out-neighbor bitmask per vertex.  Returns None as soon as some
+    distance reaches bound; an unreachable vertex counts as >= any bound.
+    """
+    n = len(out)
+    full = (1 << n) - 1
+    worst = 0
+    for u in range(n) if sources is None else sources:
+        seen = 1 << u
+        frontier = seen
+        d = 0
+        while frontier and seen != full:
+            nxt = 0
+            rem = frontier
+            while rem:
+                low = rem & -rem
+                nxt |= out[low.bit_length() - 1]
+                rem ^= low
+            nxt &= ~seen
+            if nxt:
+                d += 1
+                if d >= bound:
+                    return None
+            seen |= nxt
+            frontier = nxt
+        if seen != full:
+            return None
+        if d > worst:
+            worst = d
+    return worst
+
+
 def eccentricity(D: Orientation, u: int):
     """Max distance from u to any vertex; INFINITE if some vertex is unreachable."""
-    n = D.n_vertices
-    out = D.out_adj
-    seen = 1 << u
-    frontier = seen
-    full = (1 << n) - 1
-    d = 0
-    while frontier and seen != full:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= out[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~seen
-        if nxt:
-            d += 1
-        seen |= nxt
-        frontier = nxt
-    return d if seen == full else INFINITE
+    d = _diameter_below(D.out_adj, INFINITE, (u,))
+    return INFINITE if d is None else d
 
 
 def diameter(D: Orientation):
     """Max distance over all ordered pairs; INFINITE iff not strongly connected."""
-    best = 0
-    for u in range(D.n_vertices):
-        ecc = eccentricity(D, u)
-        if ecc == INFINITE:
-            return INFINITE
-        if ecc > best:
-            best = ecc
-    return best
+    d = _diameter_below(D.out_adj, INFINITE)
+    return INFINITE if d is None else d
 
 
 def is_strong(D: Orientation) -> bool:

@@ -46,6 +46,7 @@ from .graphcore import (
     INFINITE,
     GraphTopology,
     Orientation,
+    _diameter_below,
     diameter,
     make_complete_multipartite,
     orient,
@@ -80,7 +81,6 @@ class SearchConfig:
     node_budget: int = 1_000_000_000
     time_budget: float = 600.0
     symmetry_breaking: bool = True
-    use_case_split: bool = True
 
     def __post_init__(self):
         # NaN fails every comparison, so it would never trip the deadline
@@ -114,24 +114,29 @@ def _bit_members(mask: int):
         mask ^= low
 
 
+def _out_masks(n: int, edges, bits: int) -> list[int]:
+    """Out-neighbor masks of n vertices; edge i runs low -> high iff bit i is set."""
+    out = [0] * n
+    for i, (a, b) in enumerate(edges):
+        if (bits >> i) & 1:
+            out[a] |= 1 << b
+        else:
+            out[b] |= 1 << a
+    return out
+
+
 class _BlockFrame:
     """Everything the per-block profile search needs, precomputed."""
 
-    __slots__ = ("bout", "bin", "profiles", "cover_pairs", "cover_masks", "feasible")
+    __slots__ = ("bout", "profiles", "cover_pairs", "cover_masks", "feasible")
 
     def __init__(self, m: int, bedges, bits: int):
-        bout = [0] * m
-        for i, (a, b) in enumerate(bedges):
-            if (bits >> i) & 1:
-                bout[a] |= 1 << b
-            else:
-                bout[b] |= 1 << a
+        bout = _out_masks(m, bedges, bits)
         bin_ = [0] * m
         for a in range(m):
             for b in _bit_members(bout[a]):
                 bin_[b] |= 1 << a
         self.bout = bout
-        self.bin = bin_
         full = (1 << m) - 1
         profiles = []
         for pr in range(1 << m):
@@ -303,13 +308,6 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     return reps
 
 
-def _block_case_signature(bout, rest_parts):
-    """Raw (i,j,k) of a [3, p] block: anchor out-degrees into the second part."""
-    p = rest_parts[1]
-    v2_mask = ((1 << p) - 1) << 3
-    return tuple((bout[x] & v2_mask).bit_count() for x in range(3))
-
-
 def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether the complete multipartite graph admits a diameter-2 orientation.
 
@@ -347,27 +345,32 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         )
 
     reps = _block_representatives(rest_parts, bedges, cfg.symmetry_breaking)
-    track_cases = len(sizes) == 3 and big == 2 and sizes[0] == 3
     budget = _Budget(cfg, start)
     cases_seen: set[tuple[int, int, int]] = set()
-
-    frames: list[tuple[tuple[int, int, int] | None, int]] = []
-    for bits in reps:
-        if track_cases:
-            bout_probe = [0] * m
-            for i, (a, b) in enumerate(bedges):
-                if (bits >> i) & 1:
-                    bout_probe[a] |= 1 << b
-                else:
-                    bout_probe[b] |= 1 << a
-            case = canonicalize_case(_block_case_signature(bout_probe, rest_parts), rest_parts[1])
-        else:
-            case = None
-        frames.append((case, bits))
-    if cfg.use_case_split and track_cases:
-        frames.sort()
+    if len(rest_parts) == 2 and 3 in rest_parts:
+        # blocks go in case order: (i,j,k) are the out-degrees of the size-3
+        # anchor part into the other part, read off bits through one
+        # (slot mask, flip mask) pair per anchor vertex
+        lo = 0 if rest_parts[0] == 3 else rest_parts[0]  # first anchor vertex
+        p = m - 3
+        probes = []
+        for x in range(lo, lo + 3):
+            slot = flip = 0
+            for i, edge in enumerate(bedges):
+                if x in edge:
+                    slot |= 1 << i
+                    if x == edge[1]:  # bit set means the arc runs into x
+                        flip |= 1 << i
+            probes.append((slot, flip))
+        frames = sorted(
+            (canonicalize_case(tuple(((bits ^ f) & s).bit_count() for s, f in probes), p), bits)
+            for bits in reps
+        )
+    else:
+        frames = [(None, bits) for bits in reps]
 
     blocks_explored = 0
+    witness = None
     for case, bits in frames:
         if not budget.tick(0):
             break
@@ -378,19 +381,11 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
-        if chosen is None:
-            continue
-        witness = _assemble_witness(topology, big, rest_parts, frame.bout, chosen)
-        if not diameter(witness) <= 2:  # soundness gate; never expected to fire
-            raise SearchError("internal error: candidate witness failed re-validation")
-        stats = SearchStats(
-            nodes=budget.nodes,
-            max_depth=budget.max_depth,
-            wall_time=time.monotonic() - start,
-            blocks_explored=blocks_explored,
-            cases_enumerated=tuple(sorted(cases_seen)),
-        )
-        return SearchOutcome(Verdict.EXISTS, witness, stats)
+        if chosen is not None:
+            witness = _assemble_witness(topology, big, rest_parts, frame.bout, chosen)
+            if not diameter(witness) <= 2:  # soundness gate; never expected to fire
+                raise SearchError("internal error: candidate witness failed re-validation")
+            break
 
     stats = SearchStats(
         nodes=budget.nodes,
@@ -399,6 +394,8 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         blocks_explored=blocks_explored,
         cases_enumerated=tuple(sorted(cases_seen)),
     )
+    if witness is not None:
+        return SearchOutcome(Verdict.EXISTS, witness, stats)
     if budget.exhausted:
         return SearchOutcome(Verdict.UNKNOWN, None, stats)
     return SearchOutcome(Verdict.NONE, None, stats)
@@ -429,45 +426,6 @@ def _assemble_witness(topology, big, rest_parts, bout, chosen_profiles) -> Orien
 # Brute-force oracles.
 # ---------------------------------------------------------------------------
 
-def _masks_for(topology: GraphTopology, edges, bits: int):
-    out = [0] * topology.n_vertices
-    for i, (a, b) in enumerate(edges):
-        if (bits >> i) & 1:
-            out[b] |= 1 << a
-        else:
-            out[a] |= 1 << b
-    return out
-
-
-def _diameter_below(n: int, out, bound):
-    """Exact diameter if it is < bound, else None.  Infinite counts as >= bound."""
-    full = (1 << n) - 1
-    worst = 0
-    for u in range(n):
-        seen = 1 << u
-        frontier = seen
-        d = 0
-        while frontier and seen != full:
-            nxt = 0
-            rem = frontier
-            while rem:
-                low = rem & -rem
-                nxt |= out[low.bit_length() - 1]
-                rem ^= low
-            nxt &= ~seen
-            if nxt:
-                d += 1
-                if d >= bound:
-                    return None
-            seen |= nxt
-            frontier = nxt
-        if seen != full:
-            return None
-        if d > worst:
-            worst = d
-    return worst
-
-
 def brute_force_min_diameter(topology: GraphTopology):
     """Minimum diameter over all strong orientations, by full enumeration.
 
@@ -482,9 +440,9 @@ def brute_force_min_diameter(topology: GraphTopology):
         return 0
     best = INFINITE
     bound = n  # any strong orientation has diameter <= n-1
-    for bits in range(1 << len(edges)):
-        out = _masks_for(topology, edges, bits)
-        d = _diameter_below(n, out, bound)
+    # counting down starts with every edge low -> high, as enumerate_diameter2 does
+    for bits in range((1 << len(edges)) - 1, -1, -1):
+        d = _diameter_below(_out_masks(n, edges, bits), bound)
         if d is not None:
             best = d
             bound = d
@@ -505,9 +463,9 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
         raise TooManyEdges(f"{len(edges)} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")
     n = topology.n_vertices
     found = []
-    for bits in range(1 << len(edges)):
-        out = _masks_for(topology, edges, bits)
-        if n >= 2 and _diameter_below(n, out, 3) == 2:
+    for bits in range((1 << len(edges)) - 1, -1, -1):
+        out = _out_masks(n, edges, bits)
+        if n >= 2 and _diameter_below(out, 3) == 2:
             found.append(Orientation(topology=topology, out_adj=tuple(out)))
             if limit is not None and len(found) >= limit:
                 break

@@ -60,6 +60,13 @@ class TestExitCodes:
         assert len(report.cnf_emitted) == 1
         assert os.path.exists(report.cnf_emitted[0])
 
+    def test_no_cnf_written_without_cnf_dir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        report = verify_claims("33q", q_range=(7, 7), cfg=SearchConfig(node_budget=1))
+        assert report.exit_code == 3
+        assert report.cnf_emitted == ()
+        assert list(tmp_path.glob("*.cnf")) == []
+
     def test_all_pass_gives_exit_0(self):
         assert verify_claims("baselines").exit_code == 0
 

@@ -8,6 +8,7 @@ import pytest
 
 import orientdiam as od
 from orientdiam.cli import main
+from orientdiam.graphcore import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -78,6 +79,7 @@ MALFORMED = [
     ("diameter", '{"parts":[1,1,1],"arcs":[[0,7],[1,2],[2,0]]}'),
     ("diameter", '{"parts":"ab","arcs":[]}'),
     ("diameter", '{"parts":[true,2],"arcs":[[0,1],[0,2]]}'),
+    ("diameter", f'{{"parts":[{MAX_VERTICES + 1}],"arcs":[]}}'),
     ("analyze --anchor 7", None),
     ("analyze --anchor -1", None),
 ]
@@ -95,6 +97,32 @@ def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_vertex_cap_is_exit_2(capsys):
+    code, _, err = run(capsys, "decide", "--parts", f"3,3,{MAX_VERTICES - 5}")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+# Options a subcommand does not honour are rejected, not silently ignored.
+REJECTED = [
+    "decide --parts 3,3,3 --seed 1",
+    "decide --parts 3,3,3 --no-case-split",
+    "decide --parts 3,3,3 --format json",
+    "enumerate --parts 1,1,1 --format json",
+    "export-cnf --parts 1,1,1 --out x.cnf --format text",
+    "diameter --file x.json --format dot",
+    "brute-force --parts 1,1,1 --format dot",
+    "construct --parts 3,3,3 --format text",
+]
+
+
+@pytest.mark.parametrize("command", REJECTED)
+def test_unsupported_option_is_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
 
 
 class TestAnalyze:

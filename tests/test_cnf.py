@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 import orientdiam as od
-from orientdiam.cnf import clause_iter, encode_diameter2, export_cnf, decode_model
+from orientdiam.cnf import encode_diameter2, export_cnf, decode_model
 
 
 def parse_dimacs(path):
@@ -145,11 +145,11 @@ class TestSemantics:
                 D = decode_model((2, 2, 2), true_vars)
                 assert od.diameter(D) == 2
 
-    def test_clause_iter_matches_export(self, tmp_path):
+    def test_export_matches_encoded_clauses(self, tmp_path):
         path = tmp_path / "x.cnf"
         export_cnf((1, 1, 2), path)
         _, _, clauses = parse_dimacs(path)
-        assert clauses == [tuple(cl) for cl in clause_iter((1, 1, 2))]
+        assert clauses == [tuple(cl) for cl in encode_diameter2((1, 1, 2))[0].clauses]
 
 
 def dpll(n_vars, clauses):

@@ -115,6 +115,11 @@ class TestMiddleLayer:
         with pytest.raises(ThresholdExceeded):
             od.middle_layer_bipartite(4, 7)
 
+    def test_vertex_cap_comes_before_the_capacity(self):
+        # C(p, p/2) for a huge p would take unbounded time and memory
+        with pytest.raises(od.graphcore.TooManyVertices):
+            od.middle_layer_bipartite(od.graphcore.MAX_VERTICES, 1)
+
     def test_out_set_family_is_equal_size_antichain(self):
         for p, q in ((2, 2), (3, 3), (4, 6), (5, 10), (4, 4)):
             D = od.middle_layer_bipartite(p, q)

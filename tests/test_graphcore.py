@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import orientdiam as od
 from orientdiam.graphcore import (
+    MAX_VERTICES,
     DoubleOrientation,
     EmptyKeep,
     EmptyParts,
@@ -15,7 +16,9 @@ from orientdiam.graphcore import (
     MissingEdge,
     ParseError,
     SelfLoop,
+    TooManyVertices,
     ZeroPart,
+    _diameter_below,
     dumps,
     eccentricity,
     loads,
@@ -61,6 +64,11 @@ class TestTopology:
     def test_zero_part_rejected(self):
         with pytest.raises(ZeroPart):
             od.make_complete_multipartite([3, 0, 2])
+
+    def test_vertex_cap(self):
+        assert od.make_complete_multipartite([MAX_VERTICES - 1, 1]).n_vertices == MAX_VERTICES
+        with pytest.raises(TooManyVertices):
+            od.make_complete_multipartite([MAX_VERTICES, 1])
 
 
 class TestOrient:
@@ -217,6 +225,13 @@ class TestProperties:
                     continue
                 if not (D.out_adj[u] >> v) & 1 and not (D.out_adj[u] & ins[v]):
                     assert od.distance(D, u, v) not in (1, 2)
+
+    @given(orientations(), st.data())
+    def test_diameter_below_matches_distance(self, D, data):
+        n = D.n_vertices
+        bound = data.draw(st.integers(1, n + 1))
+        worst = max(od.distance(D, u, v) for u in range(n) for v in range(n))
+        assert _diameter_below(D.out_adj, bound) == (worst if worst < bound else None)
 
     @given(orientations())
     def test_eccentricity_consistent(self, D):

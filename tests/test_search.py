@@ -53,6 +53,14 @@ _K3411_ARCS = (
 )
 
 
+# The first three diameter-2 orientations of K(2,2,2) in enumeration order.
+_K222_FIRST_THREE = [
+    ((0, 2), (0, 3), (1, 3), (1, 4), (2, 1), (2, 5), (3, 4), (3, 5), (4, 0), (4, 2), (5, 0), (5, 1)),
+    ((0, 3), (0, 4), (1, 2), (1, 3), (2, 0), (2, 5), (3, 4), (3, 5), (4, 1), (4, 2), (5, 0), (5, 1)),
+    ((0, 2), (0, 3), (1, 3), (1, 5), (2, 1), (2, 4), (3, 4), (3, 5), (4, 0), (4, 1), (5, 0), (5, 2)),
+]
+
+
 @st.composite
 def block_frames(draw):
     """The kernel's input for a random orientation of a small block."""
@@ -127,6 +135,12 @@ class TestDecide:
         outcome = od.decide_diameter2((3, 4, 12))
         assert outcome.stats.cases_enumerated == od.canonical_case_classes(4)
 
+    @pytest.mark.parametrize("parts,p", [((7, 3, 3), 3), ((12, 3, 4), 4), ((4, 12, 3), 4)])
+    def test_case_coverage_does_not_depend_on_listing(self, parts, p):
+        outcome = od.decide_diameter2(parts)
+        assert outcome.verdict is Verdict.NONE
+        assert outcome.stats.cases_enumerated == od.canonical_case_classes(p)
+
     def test_determinism_across_identical_runs(self):
         a = od.decide_diameter2((3, 3, 5))
         b = od.decide_diameter2((3, 3, 5))
@@ -143,12 +157,6 @@ class TestDecide:
         with_sym = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=True))
         without = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=False))
         assert with_sym.verdict == without.verdict
-
-    @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
-    def test_case_split_preserves_verdicts(self, parts):
-        on = od.decide_diameter2(parts, SearchConfig(use_case_split=True))
-        off = od.decide_diameter2(parts, SearchConfig(use_case_split=False))
-        assert on.verdict == off.verdict
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -247,7 +255,7 @@ class TestEnumerate:
 
     def test_limit(self):
         topo = od.make_complete_multipartite((2, 2, 2))
-        assert len(od.enumerate_diameter2(topo, limit=3)) == 3
+        assert [tuple(D.arcs()) for D in od.enumerate_diameter2(topo, limit=3)] == _K222_FIRST_THREE
 
     def test_deterministic_order(self):
         topo = od.make_complete_multipartite((2, 2, 2))
