@@ -4,11 +4,13 @@
 K(3,3,7) and K(3,4,12) are the first sizes past the diameter-2 thresholds;
 the search proves no diameter-2 orientation exists, and the DIMACS export
 gives an independent route through any external SAT solver (both instances
-should come back UNSAT).
+should come back UNSAT).  Returns 1 unless both verdicts are None and each
+covers every canonical case class.
 """
 
 import sys
 
+from orientdiam.analysis import canonical_case_classes
 from orientdiam.cnf import export_cnf
 from orientdiam.search import SearchConfig, decide_diameter2
 
@@ -22,11 +24,12 @@ def main() -> int:
         print(f"K{parts}: verdict={outcome.verdict.value}")
         print(f"  nodes={s.nodes} blocks={s.blocks_explored} max_depth={s.max_depth} "
               f"wall={s.wall_time:.3f}s")
-        print(f"  canonical cases covered: {len(s.cases_enumerated)}")
+        classes = canonical_case_classes(parts[1])
+        print(f"  covers {len(s.cases_enumerated)} of {len(classes)} canonical cases")
         name = f"k{'_'.join(str(p) for p in parts)}.cnf"
         stats = export_cnf(parts, name)
         print(f"  wrote {name}: {stats.variables} vars, {stats.clauses} clauses")
-        ok &= outcome.verdict.value == "none"
+        ok &= outcome.verdict.value == "none" and s.cases_enumerated == classes
     return 0 if ok else 1
 
 

@@ -11,6 +11,11 @@ that every diameter-2 orientation of a complete tripartite graph satisfies:
   * the two parts cannot both have a nonempty all-plus class, nor both a
     nonempty all-minus class.
 
+The case signature (i, j, k) of a (3, p, q) orientation lists the anchor
+vertices' out-degrees into the case part.  Its anchor is the first part of
+size 3, which is also the anchor `analyze` uses when --anchor is not given;
+the case part is the smaller of the other two, the earlier one on ties.
+
 The bipartite side of the story: inside an orientation of K(p, q') every
 ordered pair on the q'-side is within distance 2 exactly when the q'-side
 out-neighborhood family is an antichain, whose size Sperner's theorem caps
@@ -38,10 +43,6 @@ class AnchorNotSize3(AnalysisError):
 
 
 class DiameterNotTwo(AnalysisError):
-    pass
-
-
-class FirstPartNotSize3(AnalysisError):
     pass
 
 
@@ -171,7 +172,7 @@ def sign_condition_violations(D: Orientation, anchor_part: int = 0) -> list[str]
 
 @dataclass(frozen=True)
 class CaseSignature:
-    """Out-degrees of the anchor triple into the second part, normalized.
+    """Out-degrees of the anchor triple into the case part, normalized.
 
     raw is (i, j, k) as read off the orientation; canonical is the
     lexicographically smallest representative under sorting and the global
@@ -189,17 +190,23 @@ def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
     return min(direct, reversed_)
 
 
+def first_size3_part(parts) -> int:
+    """Index of the first part of size 3: the default anchor."""
+    if 3 not in parts:
+        raise AnchorNotSize3(f"no part of size 3 in {tuple(parts)}")
+    return parts.index(3)
+
+
 def case_signature(D: Orientation) -> CaseSignature:
-    """Classify a (3, p, q) orientation by its anchor-to-second-part degrees."""
+    """Classify a (3, p, q) orientation by the case rule in the module docstring."""
     topo = D.topology
-    if len(topo.parts) != 3 or topo.parts[0] != 3:
-        raise FirstPartNotSize3(f"need parts (3, p, q), got {topo.parts}")
-    p = topo.parts[1]
-    v2 = topo.part_vertices(1)
-    v2_mask = 0
-    for y in v2:
-        v2_mask |= 1 << y
-    raw = tuple((D.out_adj[x] & v2_mask).bit_count() for x in topo.part_vertices(0))
+    if len(topo.parts) != 3:
+        raise AnchorNotSize3(f"need parts (3, p, q), got {topo.parts}")
+    anchor = first_size3_part(topo.parts)
+    case_part = min((i for i in range(3) if i != anchor), key=lambda i: (topo.parts[i], i))
+    mask = sum(1 << y for y in topo.part_vertices(case_part))
+    raw = tuple((D.out_adj[x] & mask).bit_count() for x in topo.part_vertices(anchor))
+    p = topo.parts[case_part]
     return CaseSignature(raw=raw, canonical=canonicalize_case(raw, p), p=p)
 
 

@@ -25,6 +25,7 @@ from .analysis import (
     DiameterNotTwo,
     SIGN_LABELS,
     case_signature,
+    first_size3_part,
     sign_condition_violations,
     sign_partition,
 )
@@ -136,9 +137,10 @@ def cmd_diameter(args) -> int:
 
 def cmd_analyze(args) -> int:
     D = _read_orientation(args.file)
-    partitions = sign_partition(D, args.anchor)
+    anchor = first_size3_part(D.topology.parts) if args.anchor is None else args.anchor
+    partitions = sign_partition(D, anchor)
     try:
-        violations = sign_condition_violations(D, args.anchor)
+        violations = sign_condition_violations(D, anchor)
         verdict = "pass" if not violations else "violated"
     except DiameterNotTwo:
         violations, verdict = None, "not-applicable (diameter exceeds 2)"
@@ -151,7 +153,7 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         doc = {
             "parts": list(D.topology.parts),
-            "anchor": args.anchor,
+            "anchor": anchor,
             "sign_classes": {
                 f"part{pi + 1}": {label: list(sp.classes[label]) for label in SIGN_LABELS}
                 for pi, sp in sorted(partitions.items())
@@ -165,7 +167,7 @@ def cmd_analyze(args) -> int:
         _emit(stable_json_dumps(doc), None)
         return 0
     topo = D.topology
-    print(f"sign partition of K{tuple(topo.parts)} anchored at part {args.anchor + 1}")
+    print(f"sign partition of K{tuple(topo.parts)} anchored at part {anchor + 1}")
     header = "class    " + "".join(f"part{pi + 1:<4}" for pi in sorted(partitions))
     print(header)
     for label in SIGN_LABELS:
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[text_or_json], help="sign classes and case signature")
     p.add_argument("--file", required=True)
-    p.add_argument("--anchor", type=int, default=0)
+    p.add_argument("--anchor", type=int)  # default: the first part of size 3
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("decide", parents=[budget], help="decide diameter-2 orientability")

@@ -280,8 +280,8 @@ def is_strong(D: Orientation) -> bool:
 def has_diameter_at_most_2(D: Orientation) -> bool:
     """Specialized test: each ordered pair needs a direct arc or a 2-path.
 
-    This is the inner loop of the search procedures; it avoids full BFS by
-    checking out(u) against in(v) word-parallel.
+    The independent diameter-<=2 check that tests and the benchmark hold
+    witnesses to; it avoids BFS by checking out(u) against in(v) word-parallel.
     """
     n = D.n_vertices
     out = D.out_adj

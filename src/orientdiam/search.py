@@ -24,11 +24,13 @@ incomparability graph, so a child's candidates are the parent's ANDed with
 the later profiles incomparable to the one just chosen.  A node is pruned
 when fewer candidates remain than profiles are still needed, or when the
 cover masks of all candidates together cannot reach every cover pair.
-Block orientations are enumerated up to part-internal relabelings and
-global arc reversal.  The verdict is sound both ways: Exists re-validates
-its witness with the exact diameter routine, and None means every block
-orientation was either enumerated or discarded as the image of an
-enumerated one under that symmetry group.
+Blocks run in ascending code order over the least code of each orbit under
+part-internal relabelings and global arc reversal (every code with symmetry
+breaking off).  The verdict is sound both ways: Exists re-validates its
+witness with the exact diameter routine, and None means every block
+orientation was enumerated or is the image of an enumerated one.  With a
+size-3 part outside L, cases_enumerated holds the canonical cases of the
+blocks explored: all blocks for None, those up to the witness for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
 procedure on every topology small enough to enumerate.
@@ -250,46 +252,27 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     return extend((1 << count) - 1, 0)
 
 
-def _block_symmetry_generators(rest_parts, bedges):
-    """Index/flip action of each symmetry generator on the block edge list.
-
-    Generators: adjacent transpositions inside each part, plus global arc
-    reversal.  Each entry maps edge slot i to (slot j, flip) meaning bit i
-    lands in slot j, xored with flip.
-    """
-    m = sum(rest_parts)
-    edge_index = {e: i for i, e in enumerate(bedges)}
-    gens = []
-    offset = 0
-    for p in rest_parts:
-        for t in range(offset, offset + p - 1):
-            perm = list(range(m))
-            perm[t], perm[t + 1] = perm[t + 1], perm[t]
-            action = []
-            for (a, b) in bedges:
-                na, nb = perm[a], perm[b]
-                flip = 1 if na > nb else 0
-                action.append((edge_index[(min(na, nb), max(na, nb))], flip))
-            gens.append(action)
-        offset += p
-    gens.append([(i, 1) for i in range(len(bedges))])  # reversal
-    return gens
-
-
-def _apply_action(bits: int, action) -> int:
-    out = 0
-    for i, (j, flip) in enumerate(action):
-        out |= (((bits >> i) & 1) ^ flip) << j
-    return out
-
-
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
-    """Orbit representatives of block orientations (or all of them)."""
-    n_bits = len(bedges)
-    total = 1 << n_bits
+    """Least code of every block orbit in ascending order (or every code).
+
+    Each generator is an XOR mask and a list of delta swaps.  Global reversal
+    flips every bit.  An adjacent transposition t <-> t+1 inside a part flips
+    no arc, since every other endpoint lies below t or above t+1; it trades
+    the bits of the slots of (t, c) and (t+1, c), one swap per slot distance.
+    """
+    total = 1 << len(bedges)
     if not symmetry_breaking:
         return list(range(total))
-    gens = _block_symmetry_generators(rest_parts, bedges)
+    slot = {e: i for i, e in enumerate(bedges)}
+    gens = [(total - 1, ())]
+    for t in range(sum(rest_parts) - 1):
+        if (t, t + 1) not in slot:  # t and t+1 share a part
+            masks = {}  # slot distance -> the lower slots
+            for i, (a, b) in enumerate(bedges):
+                if t in (a, b):
+                    d = slot[(t + 1, b) if a == t else (a, t + 1)] - i
+                    masks[d] = masks.get(d, 0) | 1 << i
+            gens.append((0, tuple(masks.items())))
     visited = bytearray(total)
     reps = []
     for bits in range(total):
@@ -300,8 +283,11 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
         visited[bits] = 1
         while stack:
             cur = stack.pop()
-            for action in gens:
-                img = _apply_action(cur, action)
+            for flip, swaps in gens:
+                img = cur ^ flip
+                for d, mask in swaps:
+                    x = (img ^ img >> d) & mask
+                    img ^= x | x << d
                 if not visited[img]:
                     visited[img] = 1
                     stack.append(img)
@@ -347,37 +333,21 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     reps = _block_representatives(rest_parts, bedges, cfg.symmetry_breaking)
     budget = _Budget(cfg, start)
     cases_seen: set[tuple[int, int, int]] = set()
+    # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
+    anchor = ()
     if len(rest_parts) == 2 and 3 in rest_parts:
-        # blocks go in case order: (i,j,k) are the out-degrees of the size-3
-        # anchor part into the other part, read off bits through one
-        # (slot mask, flip mask) pair per anchor vertex
-        lo = 0 if rest_parts[0] == 3 else rest_parts[0]  # first anchor vertex
-        p = m - 3
-        probes = []
-        for x in range(lo, lo + 3):
-            slot = flip = 0
-            for i, edge in enumerate(bedges):
-                if x in edge:
-                    slot |= 1 << i
-                    if x == edge[1]:  # bit set means the arc runs into x
-                        flip |= 1 << i
-            probes.append((slot, flip))
-        frames = sorted(
-            (canonicalize_case(tuple(((bits ^ f) & s).bit_count() for s, f in probes), p), bits)
-            for bits in reps
-        )
-    else:
-        frames = [(None, bits) for bits in reps]
+        anchor = range(3) if rest_parts[0] == 3 else range(rest_parts[0], m)
 
     blocks_explored = 0
     witness = None
-    for case, bits in frames:
+    for bits in reps:
         if not budget.tick(0):
             break
         blocks_explored += 1
-        if case is not None:
-            cases_seen.add(case)
         frame = _BlockFrame(m, bedges, bits)
+        if anchor:
+            ijk = tuple(frame.bout[x].bit_count() for x in anchor)
+            cases_seen.add(canonicalize_case(ijk, m - 3))
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break

@@ -17,7 +17,6 @@ import orientdiam as od
 from orientdiam.analysis import (
     AnchorNotSize3,
     DiameterNotTwo,
-    FirstPartNotSize3,
     NotBipartite,
     PTooLarge,
     SignVector,
@@ -141,12 +140,18 @@ class TestCaseSignature:
         assert od.case_signature(od.construct_33q(4)).canonical == (0, 1, 1)
 
     def test_requires_size_three_first_part(self):
-        with pytest.raises(FirstPartNotSize3):
+        with pytest.raises(AnchorNotSize3):
             od.case_signature(od.middle_layer_bipartite(3, 3))
         topo = od.make_complete_multipartite([2, 2, 2])
         D = random_orientation(topo, 0)
-        with pytest.raises(FirstPartNotSize3):
+        with pytest.raises(AnchorNotSize3):
             od.case_signature(D)
+
+    @pytest.mark.parametrize("parts", [(3, 4, 11), (4, 3, 11), (11, 3, 4)])
+    def test_agrees_with_search_cases(self, parts):
+        # the search explores the witness block, so its case is among those reported
+        outcome = od.decide_diameter2(parts)
+        assert od.case_signature(outcome.witness).canonical in outcome.stats.cases_enumerated
 
     @given(anchored_orientations(max_extra=3))
     @settings(deadline=None)

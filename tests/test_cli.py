@@ -144,6 +144,18 @@ class TestAnalyze:
         assert doc["case_signature"]["raw"] == [0, 1, 1]
         assert doc["necessary_conditions"] == "pass"
 
+    @pytest.mark.parametrize("parts,anchor", [((3, 4, 11), 0), ((4, 3, 11), 1), ((11, 3, 4), 1)])
+    def test_default_anchor_is_first_size_three_part(self, capsys, tmp_path, parts, anchor):
+        outcome = od.decide_diameter2(parts)
+        path = tmp_path / "w.json"
+        path.write_text(od.graphcore.dumps(outcome.witness))
+        code, out, _ = run(capsys, "analyze", "--file", str(path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["anchor"] == anchor
+        assert doc["necessary_conditions"] == "pass"
+        assert tuple(doc["case_signature"]["canonical"]) in outcome.stats.cases_enumerated
+
 
 class TestDecide:
     def test_exists_with_witness(self, capsys):

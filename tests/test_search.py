@@ -18,6 +18,7 @@ from orientdiam.search import (
     TooManyEdges,
     Verdict,
     _antichain_cover,
+    _block_representatives,
     _BlockFrame,
     _Budget,
 )
@@ -34,6 +35,22 @@ SMALL_TOPOLOGIES = [
     (2, 3),
     (2, 4),
     (3, 3),
+]
+
+# every listing of K(3,3,q), q <= 6, and of K(3,4,q), q <= 11
+THRESHOLD_LISTINGS = sorted(
+    {ps for q in range(1, 7) for ps in itertools.permutations((3, 3, q))}
+    | {ps for q in range(1, 12) for ps in itertools.permutations((3, 4, q))}
+)
+
+# every block shape of two or three parts with at most 12 edges, except the
+# eight stars of one vertex against 9 to 12: their 2 * 9! or more relabelings
+# are too many to enumerate one by one
+BLOCK_SHAPES = [
+    sizes
+    for k in (2, 3)
+    for sizes in itertools.product(range(1, 9), repeat=k)
+    if sum(a * b for a, b in itertools.combinations(sizes, 2)) <= 12
 ]
 
 # The first K(3,4,11) witness in the kernel's search order (ascending profile
@@ -67,11 +84,19 @@ def block_frames(draw):
     rest_parts = draw(
         st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ps: sum(ps) <= 5)
     )
+    bedges = _block_edges(rest_parts)
+    bits = draw(st.integers(0, (1 << len(bedges)) - 1))
+    return _BlockFrame(sum(rest_parts), bedges, bits)
+
+
+def _block_edges(rest_parts):
     part_of = [i for i, p in enumerate(rest_parts) for _ in range(p)]
     m = len(part_of)
-    bedges = [(a, b) for a in range(m) for b in range(a + 1, m) if part_of[a] != part_of[b]]
-    bits = draw(st.integers(0, (1 << len(bedges)) - 1))
-    return _BlockFrame(m, bedges, bits)
+    return [(a, b) for a in range(m) for b in range(a + 1, m) if part_of[a] != part_of[b]]
+
+
+def _arcs(outcome):
+    return None if outcome.witness is None else outcome.witness.arcs()
 
 
 def _is_antichain(chosen) -> bool:
@@ -152,11 +177,14 @@ class TestDecide:
         assert outcome.verdict is Verdict.EXISTS
         assert tuple(outcome.witness.arcs()) == _K3411_ARCS
 
-    @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
+    @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES + THRESHOLD_LISTINGS)
     def test_symmetry_breaking_preserves_verdicts(self, parts):
+        # the least block code with a witness is the least of its orbit, so
+        # both runs stop on the same block and return the same witness
         with_sym = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=True))
         without = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=False))
         assert with_sym.verdict == without.verdict
+        assert _arcs(with_sym) == _arcs(without)
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -183,6 +211,45 @@ class TestDecide:
                     assert od.diameter(outcome.witness) <= 2
                 checked += 1
         assert checked == 73
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("rest_parts", BLOCK_SHAPES, ids=str)
+    def test_representatives_are_orbit_minima(self, rest_parts):
+        # orbits built from every explicit relabeling: a permutation inside
+        # each part, with or without global reversal
+        starts = itertools.accumulate(rest_parts, initial=0)
+        ranges = [range(start, start + p) for start, p in zip(starts, rest_parts)]
+        bedges = _block_edges(rest_parts)
+        slot = {e: i for i, e in enumerate(bedges)}
+        total = 1 << len(bedges)
+        actions = []
+        for perms in itertools.product(*(itertools.permutations(r) for r in ranges)):
+            image = [v for perm in perms for v in perm]
+            actions.append([(slot[min(image[a], image[b]), max(image[a], image[b])],
+                             image[a] > image[b]) for a, b in bedges])
+
+        def orbit(code):
+            found = set()
+            for action in actions:
+                img = 0
+                for i, (j, flip) in enumerate(action):
+                    if (code >> i) & 1 ^ flip:
+                        img |= 1 << j
+                found.update((img, img ^ (total - 1)))
+            return found
+
+        seen = set()
+        sizes = {}
+        for code in range(total):
+            if code not in seen:
+                members = orbit(code)
+                seen |= members
+                sizes[min(members)] = len(members)
+        reps = _block_representatives(list(rest_parts), bedges, True)
+        assert reps == sorted(sizes)
+        assert sum(sizes[r] for r in reps) == total
+        assert _block_representatives(list(rest_parts), bedges, False) == list(range(total))
 
 
 class TestKernel:
