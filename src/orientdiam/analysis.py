@@ -12,9 +12,10 @@ that every diameter-2 orientation of a complete tripartite graph satisfies:
     nonempty all-minus class.
 
 The case signature (i, j, k) of a (3, p, q) orientation lists the anchor
-vertices' out-degrees into the case part.  Its anchor is the first part of
-size 3, which is also the anchor `analyze` uses when --anchor is not given;
-the case part is the smaller of the other two, the earlier one on ties.
+vertices' out-degrees into the case part: the smaller of the other two
+parts, the earlier one on ties.  Every function here that takes an anchor
+part defaults it to the first part of size 3, and `analyze --anchor`
+passes its choice to all of them.
 
 The bipartite side of the story: inside an orientation of K(p, q') every
 ordered pair on the q'-side is within distance 2 exactly when the q'-side
@@ -98,20 +99,13 @@ def sign_of(D: Orientation, anchors: tuple[int, int, int], v: int) -> SignVector
     return SignVector(tuple(bool((D.out_adj[a] >> v) & 1) for a in anchors))
 
 
-def sign_partition(D: Orientation, anchor_part: int) -> dict[int, SignPartition]:
+def sign_partition(D: Orientation, anchor_part: int | None = None) -> dict[int, SignPartition]:
     """Partition every non-anchor part by sign vector.
 
     Returns one SignPartition per non-anchor part, keyed by part index.
     """
     topo = D.topology
-    if not 0 <= anchor_part < len(topo.parts):
-        raise AnalysisError(
-            f"anchor part index {anchor_part} out of range for {len(topo.parts)} parts"
-        )
-    if topo.parts[anchor_part] != 3:
-        raise AnchorNotSize3(
-            f"anchor part {anchor_part + 1} has size {topo.parts[anchor_part]}, need 3"
-        )
+    anchor_part = resolve_anchor(topo.parts, anchor_part)
     anchors = tuple(topo.part_vertices(anchor_part))
     result = {}
     for pi in range(len(topo.parts)):
@@ -126,7 +120,7 @@ def sign_partition(D: Orientation, anchor_part: int) -> dict[int, SignPartition]
     return result
 
 
-def sign_condition_violations(D: Orientation, anchor_part: int = 0) -> list[str]:
+def sign_condition_violations(D: Orientation, anchor_part: int | None = None) -> list[str]:
     """Verify the diameter-2 sign-class conditions; return the violations.
 
     Requires a tripartite orientation of diameter at most 2 (the conditions
@@ -190,19 +184,29 @@ def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
     return min(direct, reversed_)
 
 
-def first_size3_part(parts) -> int:
-    """Index of the first part of size 3: the default anchor."""
-    if 3 not in parts:
-        raise AnchorNotSize3(f"no part of size 3 in {tuple(parts)}")
-    return parts.index(3)
+def resolve_anchor(parts, anchor_part: int | None) -> int:
+    """Check an anchor part index; None picks the first part of size 3."""
+    if anchor_part is None:
+        if 3 not in parts:
+            raise AnchorNotSize3(f"no part of size 3 in {tuple(parts)}")
+        return parts.index(3)
+    if not 0 <= anchor_part < len(parts):
+        raise AnalysisError(
+            f"anchor part index {anchor_part} out of range for {len(parts)} parts"
+        )
+    if parts[anchor_part] != 3:
+        raise AnchorNotSize3(
+            f"anchor part {anchor_part + 1} has size {parts[anchor_part]}, need 3"
+        )
+    return anchor_part
 
 
-def case_signature(D: Orientation) -> CaseSignature:
+def case_signature(D: Orientation, anchor_part: int | None = None) -> CaseSignature:
     """Classify a (3, p, q) orientation by the case rule in the module docstring."""
     topo = D.topology
     if len(topo.parts) != 3:
         raise AnchorNotSize3(f"need parts (3, p, q), got {topo.parts}")
-    anchor = first_size3_part(topo.parts)
+    anchor = resolve_anchor(topo.parts, anchor_part)
     case_part = min((i for i in range(3) if i != anchor), key=lambda i: (topo.parts[i], i))
     mask = sum(1 << y for y in topo.part_vertices(case_part))
     raw = tuple((D.out_adj[x] & mask).bit_count() for x in topo.part_vertices(anchor))

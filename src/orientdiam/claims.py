@@ -1,30 +1,33 @@
 """Claim tables: rebuild and re-measure every classification the toolkit covers.
 
 Each claim row pins an expected oriented-diameter value and the method used
-to observe it.  Constructive rows build the orientation and measure its
-diameter; refutation rows run the exhaustive decision procedure and combine
-a None verdict with the general upper bound (every complete multipartite
-graph on three or more parts orients to diameter at most 3) to conclude the
-value is exactly 3.  A formula-unverified method exists for reporting
-untested formula values and never counts as a pass.
+to observe it.  A family K(3,p,q) is one row of _TABLES.  Its claims for
+q = p up to the last constructive q build the orientation and measure
+diameter 2.  Past that, refutation claims run the exhaustive decision
+procedure.  A None verdict observes the value 3 only when its
+cases_enumerated lists every canonical case class of p (10 at p=3, 19 at
+p=4); it then combines with the general upper bound (every complete
+multipartite graph on three or more parts orients to diameter at most 3).
+The baselines family re-derives small values by brute force.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .analysis import canonical_case_classes
+from .cnf import export_cnf
 from .constructions import construct_33q, construct_34q
 from .graphcore import INFINITE, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
-from .cnf import export_cnf
 
-FAMILIES = ("33q", "34q", "baselines")
-
-_DEFAULT_RANGES = {"33q": (3, 7), "34q": (4, 12)}
-_CONSTRUCTIVE = {"33q": (3, 6, construct_33q), "34q": (4, 11, construct_34q)}
-_THRESHOLD_EXPECTED = {"33q": 3, "34q": 3}
+# family -> (p, last constructive q, builder, default last q) for K(3, p, q)
+_TABLES = {
+    "33q": (3, 6, construct_33q, 7),
+    "34q": (4, 11, construct_34q, 12),
+}
 
 _BASELINES = (
     ("K4", (1, 1, 1, 1), 3),
@@ -32,6 +35,8 @@ _BASELINES = (
     ("K(2,2)", (2, 2), 3),
     ("K(2,3)", (2, 3), 4),
 )
+
+FAMILIES = (*_TABLES, "baselines")
 
 
 class BadFamily(ValueError):
@@ -48,29 +53,14 @@ class ClaimRecord:
     family: str
     q: int | None
     expected: int
-    method: str  # construct | search | brute-force | formula-unverified
+    method: str  # construct | search | brute-force
     observed: int | None
     passed: bool
     unknown: bool
     wall_time: float
 
-    def __post_init__(self):
-        # an unverified formula may be reported but can never count as a pass
-        if self.method == "formula-unverified" and self.passed:
-            raise ValueError("formula-unverified claims cannot pass")
-
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "family": self.family,
-            "q": self.q,
-            "expected": self.expected,
-            "method": self.method,
-            "observed": self.observed,
-            "passed": self.passed,
-            "unknown": self.unknown,
-            "wall_time": round(self.wall_time, 3),
-        }
+        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
 
 
 @dataclass(frozen=True)
@@ -114,103 +104,70 @@ class ClaimReport:
         return "\n".join(out) + "\n"
 
 
-def _constructive_claim(family: str, q: int, builder) -> ClaimRecord:
+def _claim(claim_id, family, q, expected, method, observe) -> ClaimRecord:
+    """Time observe(), which returns (observed, unknown), and record it."""
     t0 = time.monotonic()
-    D = builder(q)
-    observed = diameter(D)
-    observed = None if observed == INFINITE else int(observed)
-    return ClaimRecord(
-        claim_id=f"{family}-q{q}",
-        family=family,
-        q=q,
-        expected=2,
-        method="construct",
-        observed=observed,
-        passed=observed == 2,
-        unknown=False,
-        wall_time=time.monotonic() - t0,
-    )
+    observed, unknown = observe()
+    return ClaimRecord(claim_id, family, q, expected, method, observed,
+                       observed == expected, unknown, time.monotonic() - t0)
 
 
-def _search_claim(family: str, parts, q: int, expected: int, cfg, cnf_dir):
-    t0 = time.monotonic()
+def _measured(d):
+    """A measured distance as an observation; an infinite one observes nothing."""
+    return (None if d == INFINITE else int(d)), False
+
+
+def _refute(p, q, cfg, cnf_dir, emitted):
+    """Observe f(K(3,p,q)) through decide_diameter2; an Unknown emits its CNF."""
+    parts = (3, p, q)
     outcome = decide_diameter2(parts, cfg)
-    emitted = None
     if outcome.verdict is Verdict.EXISTS:
-        observed, unknown = 2, False
-    elif outcome.verdict is Verdict.NONE:
-        # no diameter-2 orientation + the <=3 upper bound for >=3 parts
-        observed, unknown = 3, False
-    else:
-        observed, unknown = None, True
-        if cnf_dir is not None:
-            path = f"{cnf_dir}/k{'_'.join(str(p) for p in parts)}.cnf"
-            export_cnf(parts, path)
-            emitted = path
-    record = ClaimRecord(
-        claim_id=f"{family}-q{q}",
-        family=family,
-        q=q,
-        expected=expected,
-        method="search",
-        observed=observed,
-        passed=observed == expected,
-        unknown=unknown,
-        wall_time=time.monotonic() - t0,
-    )
-    return record, emitted
+        return 2, False
+    if outcome.verdict is Verdict.NONE:
+        # a refutation proves 3 only if it went through every case class
+        covered = outcome.stats.cases_enumerated == canonical_case_classes(p)
+        return (3 if covered else None), False
+    if cnf_dir is not None:
+        path = f"{cnf_dir}/k{'_'.join(str(s) for s in parts)}.cnf"
+        export_cnf(parts, path)
+        emitted.append(path)
+    return None, True
 
 
 def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
                   cnf_dir: str | None = None) -> ClaimReport:
     """Run one claim family and return the report.
 
-    For 33q/34q the constructive range is built and measured; values past it
-    go through decide_diameter2, where an Unknown verdict is reported as
+    For a K(3,p,q) family, q_range (default p up to the family's last q) is
+    clamped below at p.  A refutation that ends Unknown is reported as
     unknown and, when cnf_dir is given, its DIMACS instance is written there
     for an external solver.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
+    if family == "baselines":
+        return ClaimReport(tuple(
+            _claim(f"baseline-{name}", family, None, expected, "brute-force",
+                   lambda: _measured(brute_force_min_diameter(make_complete_multipartite(parts))))
+            for name, parts, expected in _BASELINES
+        ))
     if cfg is None:
         cfg = SearchConfig()
-    records = []
-    emitted = []
-    if family == "baselines":
-        for name, parts, expected in _BASELINES:
-            t0 = time.monotonic()
-            f_value = brute_force_min_diameter(make_complete_multipartite(parts))
-            observed = None if f_value == INFINITE else int(f_value)
-            records.append(
-                ClaimRecord(
-                    claim_id=f"baseline-{name}",
-                    family="baselines",
-                    q=None,
-                    expected=expected,
-                    method="brute-force",
-                    observed=observed,
-                    passed=observed == expected,
-                    unknown=False,
-                    wall_time=time.monotonic() - t0,
-                )
-            )
-        return ClaimReport(tuple(records))
-
-    lo, hi = q_range if q_range is not None else _DEFAULT_RANGES[family]
-    c_lo, c_hi, builder = _CONSTRUCTIVE[family]
-    lo = max(lo, c_lo)  # the classification starts at the constructive range
+    p, last_built, builder, last_q = _TABLES[family]
+    lo, hi = q_range if q_range is not None else (p, last_q)
+    lo = max(lo, p)  # the classification starts at q = p
     if lo > hi:
         # an empty table would pass vacuously
         raise BadRange(f"q range {lo}..{hi} of family {family} selects no claims")
-    p_mid = 3 if family == "33q" else 4
+    records = []
+    emitted: list[str] = []
     for q in range(lo, hi + 1):
-        if c_lo <= q <= c_hi:
-            records.append(_constructive_claim(family, q, builder))
+        claim_id = f"{family}-q{q}"
+        if q <= last_built:
+            record = _claim(claim_id, family, q, 2, "construct",
+                            lambda: _measured(diameter(builder(q))))
         else:
-            record, path = _search_claim(
-                family, (3, p_mid, q), q, _THRESHOLD_EXPECTED[family], cfg, cnf_dir
-            )
-            records.append(record)
-            if path:
-                emitted.append(path)
+            record = _claim(claim_id, family, q, 3, "search",
+                            lambda: _refute(p, q, cfg, cnf_dir, emitted))
+        records.append(record)
     return ClaimReport(tuple(records), tuple(emitted))

@@ -25,11 +25,11 @@ from .analysis import (
     DiameterNotTwo,
     SIGN_LABELS,
     case_signature,
-    first_size3_part,
+    resolve_anchor,
     sign_condition_violations,
     sign_partition,
 )
-from .claims import BadFamily, BadRange, verify_claims
+from .claims import FAMILIES, BadFamily, BadRange, verify_claims
 from .cnf import export_cnf
 from .constructions import (
     ConstructionError,
@@ -137,7 +137,7 @@ def cmd_diameter(args) -> int:
 
 def cmd_analyze(args) -> int:
     D = _read_orientation(args.file)
-    anchor = first_size3_part(D.topology.parts) if args.anchor is None else args.anchor
+    anchor = resolve_anchor(D.topology.parts, args.anchor)
     partitions = sign_partition(D, anchor)
     try:
         violations = sign_condition_violations(D, anchor)
@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
     except AnalysisError:
         violations, verdict = None, "not-applicable (needs a tripartite orientation)"
     try:
-        signature = case_signature(D)
+        signature = case_signature(D, anchor)
     except AnalysisError:
         signature = None
     if args.format == "json":
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_cnf)
 
     p = sub.add_parser("verify-claims", parents=[text_or_json, budget], help="re-verify a claim family")
-    p.add_argument("--family", required=True, choices=("33q", "34q", "baselines"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--q-range", default=None)
     p.set_defaults(func=cmd_verify_claims)
 

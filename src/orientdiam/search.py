@@ -128,11 +128,15 @@ def _out_masks(n: int, edges, bits: int) -> list[int]:
 
 
 class _BlockFrame:
-    """Everything the per-block profile search needs, precomputed."""
+    """Everything the per-block profile search for q profiles needs, precomputed.
+
+    With fewer than q feasible profiles no search can succeed, so the frame
+    stops there: no cover pairs or masks, and feasible is False.
+    """
 
     __slots__ = ("bout", "profiles", "cover_pairs", "cover_masks", "feasible")
 
-    def __init__(self, m: int, bedges, bits: int):
+    def __init__(self, m: int, bedges, bits: int, q: int):
         bout = _out_masks(m, bedges, bits)
         bin_ = [0] * m
         for a in range(m):
@@ -157,9 +161,11 @@ class _BlockFrame:
             if ok:
                 profiles.append(pr)
         self.profiles = profiles
+        if len(profiles) < q:
+            self.cover_pairs, self.cover_masks, self.feasible = [], [], False
+            return
         # ordered pairs outside L that the block alone does not satisfy
         cover_pairs = []
-        feasible = True
         for a in range(m):
             for b in range(m):
                 if a == b:
@@ -174,15 +180,12 @@ class _BlockFrame:
                 if not (pr >> a) & 1 and (pr >> b) & 1:
                     cm |= 1 << idx
             masks.append(cm)
-        all_needed = (1 << len(cover_pairs)) - 1
         reachable = 0
         for cm in masks:
             reachable |= cm
-        if all_needed & ~reachable:
-            feasible = False
         self.cover_pairs = cover_pairs
         self.cover_masks = masks
-        self.feasible = feasible
+        self.feasible = reachable == (1 << len(cover_pairs)) - 1
 
 
 class _Budget:
@@ -212,7 +215,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     profiles = frame.profiles
     masks = frame.cover_masks
     count = len(profiles)
-    if count < q or not frame.feasible:
+    if not frame.feasible:
         return None
     all_needed = (1 << len(frame.cover_pairs)) - 1
     # later[i]: bitmask of the profiles after i that are incomparable with it
@@ -344,7 +347,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         if not budget.tick(0):
             break
         blocks_explored += 1
-        frame = _BlockFrame(m, bedges, bits)
+        frame = _BlockFrame(m, bedges, bits, q)
         if anchor:
             ijk = tuple(frame.bout[x].bit_count() for x in anchor)
             cases_seen.add(canonicalize_case(ijk, m - 3))
@@ -426,8 +429,10 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
 
     Enumeration is lexicographic over the sorted edge list, the low-to-high
     direction explored first, so output order is deterministic.  Capped at
-    ENUMERATION_EDGE_CAP edges.
+    ENUMERATION_EDGE_CAP edges; a limit must be at least 1.
     """
+    if limit is not None and limit < 1:
+        raise SearchError(f"limit must be at least 1, got {limit}")
     edges = topology.edges()
     if len(edges) > ENUMERATION_EDGE_CAP:
         raise TooManyEdges(f"{len(edges)} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")

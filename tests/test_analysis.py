@@ -104,13 +104,14 @@ class TestNecessaryConditions:
                 assert od.sign_condition_violations(od.reverse(D), 0) == []
             assert bool(found) == (od.brute_force_min_diameter(topo) <= 2)
 
-    @pytest.mark.parametrize("parts", [(3, 3, 2), (3, 3, 3), (3, 4, 4)])
+    @pytest.mark.parametrize("parts", [(3, 3, 2), (3, 3, 3), (3, 4, 4), (4, 3, 11)])
     def test_search_witnesses_pass(self, parts):
-        # non-vacuous coverage: decision-procedure witnesses and reversals
+        # non-vacuous coverage: decision-procedure witnesses and reversals,
+        # anchored at the default, the first part of size 3
         outcome = od.decide_diameter2(parts)
         assert outcome.verdict is od.Verdict.EXISTS
-        assert od.sign_condition_violations(outcome.witness, 0) == []
-        assert od.sign_condition_violations(od.reverse(outcome.witness), 0) == []
+        assert od.sign_condition_violations(outcome.witness) == []
+        assert od.sign_condition_violations(od.reverse(outcome.witness)) == []
 
     def test_every_construction_passes(self):
         for q in range(3, 7):

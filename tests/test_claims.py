@@ -6,8 +6,10 @@ import os
 
 import pytest
 
-from orientdiam.claims import BadFamily, ClaimRecord, verify_claims
-from orientdiam.search import SearchConfig
+from orientdiam import claims
+from orientdiam.analysis import canonical_case_classes
+from orientdiam.claims import BadFamily, verify_claims
+from orientdiam.search import SearchConfig, SearchOutcome, SearchStats, Verdict, decide_diameter2
 
 
 class TestFamilies:
@@ -72,16 +74,33 @@ class TestExitCodes:
 
 
 class TestRecordInvariants:
-    def test_formula_unverified_never_passes(self):
-        with pytest.raises(ValueError):
-            ClaimRecord(
-                claim_id="x", family="33q", q=99, expected=3,
-                method="formula-unverified", observed=3, passed=True,
-                unknown=False, wall_time=0.0,
-            )
+    def test_pass_iff_observed_equals_expected(self, monkeypatch):
+        outcomes = {}
 
-    def test_pass_iff_observed_equals_expected(self):
-        for report in (verify_claims("33q"), verify_claims("34q"),
-                       verify_claims("baselines")):
-            for r in report.records:
+        def recording(parts, cfg=None):
+            outcomes[parts] = outcome = decide_diameter2(parts, cfg)
+            return outcome
+
+        monkeypatch.setattr(claims, "decide_diameter2", recording)
+        for family, p in (("33q", 3), ("34q", 4), ("baselines", None)):
+            for r in verify_claims(family).records:
                 assert r.passed == (r.observed == r.expected)
+                if r.method == "search":
+                    # a refutation passes only when it covers every case class
+                    outcome = outcomes[(3, p, r.q)]
+                    covered = outcome.stats.cases_enumerated == canonical_case_classes(p)
+                    assert r.passed == (outcome.verdict is Verdict.NONE and covered)
+
+    @pytest.mark.parametrize("family,p,q", [("33q", 3, 7), ("34q", 4, 12)])
+    def test_refutation_must_cover_every_case(self, monkeypatch, family, p, q):
+        classes = canonical_case_classes(p)
+        for cases, passed in ((classes, True), (classes[1:], False)):
+            def stub(parts, cfg=None):
+                return SearchOutcome(Verdict.NONE, None, SearchStats(0, 0, 0.0, 0, cases))
+
+            monkeypatch.setattr(claims, "decide_diameter2", stub)
+            report = verify_claims(family, q_range=(q, q))
+            (record,) = report.records
+            assert record.passed is passed
+            assert report.exit_code == (0 if passed else 1)
+            assert (" FAIL " in report.to_text()) is not passed

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import orientdiam as od
+from orientdiam.claims import FAMILIES
 from orientdiam.cli import main
 from orientdiam.graphcore import MAX_VERTICES
 
@@ -82,18 +83,24 @@ MALFORMED = [
     ("diameter", f'{{"parts":[{MAX_VERTICES + 1}],"arcs":[]}}'),
     ("analyze --anchor 7", None),
     ("analyze --anchor -1", None),
+    ("enumerate --parts 1,1,1 --limit 0", ""),
+    ("enumerate --parts 1,1,1 --limit -3", ""),
 ]
 
 
 @pytest.mark.parametrize("command,text", MALFORMED)
 def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
+    # text is the --file contents; None stands for a K(3,3,3) construction,
+    # and "" for a command that reads no file
+    argv = command.split()
     path = tmp_path / "input.json"
     if text is None:
         # every part has three vertices, so -1 would pass the size check
         run(capsys, "construct", "--parts", "3,3,3", "--out", str(path))
-    else:
+    elif text:
         path.write_text(text)
-    argv = command.split() + ["--file", str(path)]
+    if text != "":
+        argv += ["--file", str(path)]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
@@ -143,6 +150,18 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["case_signature"]["raw"] == [0, 1, 1]
         assert doc["necessary_conditions"] == "pass"
+
+    def test_anchor_option_reaches_case_signature(self, capsys, tmp_path):
+        path = tmp_path / "d6.json"
+        run(capsys, "construct", "--parts", "3,3,6", "--out", str(path))
+        code, out, _ = run(capsys, "analyze", "--file", str(path), "--anchor", "1",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["anchor"] == 1
+        assert list(doc["sign_classes"]) == ["part1", "part3"]
+        # part 2's out-degrees into part 1; part 1's into part 2 are (1, 1, 2)
+        assert doc["case_signature"]["raw"] == [1, 2, 2]
 
     @pytest.mark.parametrize("parts,anchor", [((3, 4, 11), 0), ((4, 3, 11), 1), ((11, 3, 4), 1)])
     def test_default_anchor_is_first_size_three_part(self, capsys, tmp_path, parts, anchor):
@@ -240,6 +259,16 @@ class TestVerifyClaims:
             return doc
 
         assert snapshot() == snapshot()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_passes_without_writing_cnf(self, capsys, monkeypatch, tmp_path, family):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify-claims", "--family", family, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["claims"] and all(row["passed"] for row in doc["claims"])
+        assert doc["cnf_emitted"] == [] and doc["exit_code"] == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -80,13 +80,14 @@ _K222_FIRST_THREE = [
 
 @st.composite
 def block_frames(draw):
-    """The kernel's input for a random orientation of a small block."""
+    """The kernel's input (frame, q) for a random orientation of a small block."""
     rest_parts = draw(
         st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ps: sum(ps) <= 5)
     )
     bedges = _block_edges(rest_parts)
     bits = draw(st.integers(0, (1 << len(bedges)) - 1))
-    return _BlockFrame(sum(rest_parts), bedges, bits)
+    q = draw(st.integers(1, 4))
+    return _BlockFrame(sum(rest_parts), bedges, bits, q), q
 
 
 def _block_edges(rest_parts):
@@ -254,8 +255,12 @@ class TestOrbits:
 
 class TestKernel:
     @settings(max_examples=200, deadline=None)
-    @given(block_frames(), st.integers(1, 4))
-    def test_agrees_with_brute_force(self, frame, q):
+    @given(block_frames())
+    def test_agrees_with_brute_force(self, frame_q):
+        frame, q = frame_q
+        if len(frame.profiles) < q:
+            # the frame stops at its profiles: nothing else is built
+            assert (frame.cover_pairs, frame.cover_masks, frame.feasible) == ([], [], False)
         found = _antichain_cover(frame, q, _Budget(SearchConfig(), time.monotonic()))
         exists = any(_is_antichain(c) and _covers(c, frame.cover_pairs)
                      for c in itertools.combinations(frame.profiles, q))
@@ -323,6 +328,11 @@ class TestEnumerate:
     def test_limit(self):
         topo = od.make_complete_multipartite((2, 2, 2))
         assert [tuple(D.arcs()) for D in od.enumerate_diameter2(topo, limit=3)] == _K222_FIRST_THREE
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(SearchError):
+            od.enumerate_diameter2(od.make_complete_multipartite((1, 1, 1)), limit=limit)
 
     def test_deterministic_order(self):
         topo = od.make_complete_multipartite((2, 2, 2))
