@@ -21,9 +21,15 @@ Chosen profiles are explored in a fixed total order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one integer bitmask over profile indices: the antichain is a clique of the
 incomparability graph, so a child's candidates are the parent's ANDed with
-the later profiles incomparable to the one just chosen.  A node is pruned
-when fewer candidates remain than profiles are still needed, or when the
-cover masks of all candidates together cannot reach every cover pair.
+the later profiles incomparable to the one just chosen.  Each kernel call
+first splits the feasible profiles into the fewest chains under inclusion,
+by a maximum matching of profiles to strict supersets (Dilworth's theorem
+by Fulkerson's construction); an antichain meets a chain at most once, so a
+block with fewer chains than q profiles is out at once.  A node is pruned
+when fewer chains meet its candidates than profiles are still needed (the
+colouring bound of bit-parallel max-clique, read on the incomparability
+graph, whose colour classes are chains), or when the cover masks of all
+candidates together cannot reach every cover pair.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal (every code with symmetry
 breaking off).  The verdict is sound both ways: Exists re-validates its
@@ -198,35 +204,99 @@ class _Budget:
         self.max_depth = 0
         self.exhausted = False
 
-    def tick(self, depth: int) -> bool:
-        """Account one node; False once the budget is gone."""
+    def tick(self, depth: int, timed: bool = False) -> bool:
+        """Account one node; False once the budget is gone.
+
+        The clock is read on every timed tick and every 1,024 nodes.
+        """
         self.nodes += 1
         if depth > self.max_depth:
             self.max_depth = depth
         if self.nodes > self.node_budget:
             self.exhausted = True
-        elif not self.nodes & 0x3FF and time.monotonic() > self.deadline:
+        elif (timed or not self.nodes & 0x3FF) and time.monotonic() > self.deadline:
             self.exhausted = True
         return not self.exhausted
 
 
-def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
-    """Find q pairwise-incomparable feasible profiles hitting every cover pair."""
-    profiles = frame.profiles
-    masks = frame.cover_masks
+def _strict_supersets(profiles) -> list[int]:
+    """above[i]: bitmask of the profiles that strictly contain profile i.
+
+    Profile codes ascend and a strict subset has the smaller code, so every
+    member of above[i] comes after i.
+    """
     count = len(profiles)
+    return [
+        sum(1 << j for j in range(i + 1, count) if not pr & ~profiles[j])
+        for i, pr in enumerate(profiles)
+    ]
+
+
+def _chain_partition(above) -> list[int]:
+    """A minimum chain partition under strict inclusion, as index bitmasks.
+
+    A maximum matching of each profile to a strict superset (Kuhn's
+    augmenting paths) links the profiles into len(above) - |matching| chains,
+    the fewest possible (Fulkerson's proof of Dilworth's theorem).
+    """
+    count = len(above)
+    pred = [-1] * count  # pred[j]: the profile matched to its superset j
+    for root in range(count):
+        seen = 0
+        path = [root]
+        via: list[int] = []  # via[k]: the superset tried from path[k], held by path[k + 1]
+        while path:
+            avail = above[path[-1]] & ~seen
+            if not avail:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            low = avail & -avail
+            seen |= low
+            j = low.bit_length() - 1
+            via.append(j)
+            if pred[j] < 0:
+                for i, k in zip(path, via):
+                    pred[k] = i
+                break
+            path.append(pred[j])
+    # pred[j] < j, so one ascending pass puts every profile on its chain
+    chain_of = [0] * count
+    chains: list[int] = []
+    for j, i in enumerate(pred):
+        if i < 0:
+            chain_of[j] = len(chains)
+            chains.append(0)
+        else:
+            chain_of[j] = chain_of[i]
+        chains[chain_of[j]] |= 1 << j
+    return chains
+
+
+def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
+    """Find q pairwise-incomparable feasible profiles hitting every cover pair.
+
+    An antichain meets a chain at most once, so with a chain partition fixed
+    at the root a node is pruned when fewer than q - depth chains meet its
+    candidates (at the root: the poset is narrower than q, by Dilworth's
+    theorem), or when its candidates cannot reach every cover pair.  Pruning
+    only cuts subtrees without a solution, so the first antichain in
+    ascending index order is found whatever the bound.
+    """
     if not frame.feasible:
         return None
+    profiles = frame.profiles
+    masks = frame.cover_masks
+    above = _strict_supersets(profiles)
+    chains = _chain_partition(above)
+    if len(chains) < q:
+        budget.tick(0)
+        return None
     all_needed = (1 << len(frame.cover_pairs)) - 1
-    # later[i]: bitmask of the profiles after i that are incomparable with it
-    later = []
-    for i, pr in enumerate(profiles):
-        row = 0
-        for j in range(i + 1, count):
-            other = profiles[j]
-            if pr & ~other and other & ~pr:
-                row |= 1 << j
-        later.append(row)
+    # later[i]: the profiles after i that do not contain it, so incomparable
+    everything = (1 << len(profiles)) - 1
+    later = [everything ^ ((2 << i) - 1) ^ row for i, row in enumerate(above)]
     chosen: list[int] = []
 
     def extend(cand: int, covered: int):
@@ -235,7 +305,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
             return None
         if depth == q:
             return list(chosen) if covered == all_needed else None
-        if cand.bit_count() < q - depth:
+        if sum(1 for chain in chains if chain & cand) < q - depth:
             return None
         reach = covered
         for idx in _bit_members(cand):
@@ -252,7 +322,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
                 return None
         return None
 
-    return extend((1 << count) - 1, 0)
+    return extend(everything, 0)
 
 
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
@@ -343,8 +413,10 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
 
     blocks_explored = 0
     witness = None
+    # a whole block search can take fewer than 1,024 nodes, so every block
+    # reads the clock, the first one right after orbit enumeration
     for bits in reps:
-        if not budget.tick(0):
+        if not budget.tick(0, timed=True):
             break
         blocks_explored += 1
         frame = _BlockFrame(m, bedges, bits, q)

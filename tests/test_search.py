@@ -21,6 +21,8 @@ from orientdiam.search import (
     _block_representatives,
     _BlockFrame,
     _Budget,
+    _chain_partition,
+    _strict_supersets,
 )
 
 # every complete multipartite topology with at most 16 edges that the
@@ -42,6 +44,14 @@ THRESHOLD_LISTINGS = sorted(
     {ps for q in range(1, 7) for ps in itertools.permutations((3, 3, q))}
     | {ps for q in range(1, 12) for ps in itertools.permutations((3, 4, q))}
 )
+
+# listings of K(3,5,19), which has a witness; with the chain bound they are
+# cheap even with symmetry breaking off
+K3519_LISTINGS = [(3, 5, 19), (5, 3, 19), (19, 3, 5)]
+
+# the brute-force kernel check enumerates C(|profiles|, q) subsets; a q drawn
+# at the frame's width is kept only while that stays below this many
+COMBINATION_CAP = 30_000
 
 # every block shape of two or three parts with at most 12 edges, except the
 # eight stars of one vertex against 9 to 12: their 2 * 9! or more relabelings
@@ -80,14 +90,25 @@ _K222_FIRST_THREE = [
 
 @st.composite
 def block_frames(draw):
-    """The kernel's input (frame, q) for a random orientation of a small block."""
+    """The kernel's input (frame, q) for a random orientation of a small block.
+
+    Half the draws put q at the width of the feasible profiles or one above
+    it, where the chain bound decides the block at the root.
+    """
     rest_parts = draw(
         st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda ps: sum(ps) <= 5)
     )
     bedges = _block_edges(rest_parts)
     bits = draw(st.integers(0, (1 << len(bedges)) - 1))
-    q = draw(st.integers(1, 4))
-    return _BlockFrame(sum(rest_parts), bedges, bits, q), q
+    m = sum(rest_parts)
+    profiles = _BlockFrame(m, bedges, bits, 0).profiles
+    width = _width(profiles)
+    edge = [q for q in (width, width + 1) if math.comb(len(profiles), q) <= COMBINATION_CAP]
+    if edge and draw(st.booleans()):
+        q = draw(st.sampled_from(edge))
+    else:
+        q = draw(st.integers(1, 4))
+    return _BlockFrame(m, bedges, bits, q), q
 
 
 def _block_edges(rest_parts):
@@ -98,6 +119,15 @@ def _block_edges(rest_parts):
 
 def _arcs(outcome):
     return None if outcome.witness is None else outcome.witness.arcs()
+
+
+def _width(profiles) -> int:
+    """Size of the largest antichain, by include/exclude recursion."""
+    if not profiles:
+        return 0
+    first, rest = profiles[0], profiles[1:]
+    return max(_width(rest),
+               1 + _width([pr for pr in rest if first & ~pr and pr & ~first]))
 
 
 def _is_antichain(chosen) -> bool:
@@ -119,6 +149,7 @@ class TestDecide:
         outcome = od.decide_diameter2((3, 3, 7))
         assert outcome.verdict is Verdict.NONE
         assert outcome.witness is None
+        assert outcome.stats.nodes <= 24  # 77 without the chain bound
 
     def test_k222_exists(self):
         outcome = od.decide_diameter2((2, 2, 2))
@@ -127,6 +158,7 @@ class TestDecide:
     def test_k3412_none(self):
         outcome = od.decide_diameter2((3, 4, 12))
         assert outcome.verdict is Verdict.NONE
+        assert outcome.stats.nodes <= 65  # 1,505 without the chain bound
 
     def test_witness_for_every_constructive_q(self):
         for q in range(3, 7):
@@ -178,7 +210,7 @@ class TestDecide:
         assert outcome.verdict is Verdict.EXISTS
         assert tuple(outcome.witness.arcs()) == _K3411_ARCS
 
-    @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES + THRESHOLD_LISTINGS)
+    @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES + THRESHOLD_LISTINGS + K3519_LISTINGS)
     def test_symmetry_breaking_preserves_verdicts(self, parts):
         # the least block code with a witness is the least of its orbit, so
         # both runs stop on the same block and return the same witness
@@ -186,6 +218,15 @@ class TestDecide:
         without = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=False))
         assert with_sym.verdict == without.verdict
         assert _arcs(with_sym) == _arcs(without)
+
+    @pytest.mark.parametrize("parts", [(3, 5, 20), (4, 4, 26)])
+    def test_time_budget_checked_per_block(self, parts):
+        # both searches finish in fewer than 1,024 nodes, so only the clock
+        # reads after orbit enumeration and per block can stop them
+        outcome = od.decide_diameter2(parts, SearchConfig(time_budget=1e-9))
+        assert outcome.verdict is Verdict.UNKNOWN
+        assert outcome.witness is None
+        assert outcome.stats.blocks_explored == 0
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -270,6 +311,24 @@ class TestKernel:
             assert set(found) <= set(frame.profiles)
             assert _is_antichain(found)
             assert _covers(found, frame.cover_pairs)
+
+
+class TestChainPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(block_frames())
+    def test_minimum_chain_partition(self, frame_q):
+        profiles = frame_q[0].profiles
+        chains = _chain_partition(_strict_supersets(profiles))
+        union = 0
+        for chain in chains:
+            assert not union & chain
+            union |= chain
+        assert union == (1 << len(profiles)) - 1
+        for chain in chains:
+            members = [pr for i, pr in enumerate(profiles) if (chain >> i) & 1]
+            assert not any(_is_antichain(pair) for pair in itertools.combinations(members, 2))
+        # Dilworth: no partition into chains is smaller than the width
+        assert len(chains) == _width(profiles)
 
 
 class TestBruteForce:
