@@ -17,19 +17,25 @@ three exact facts:
     chosen profile to route it (out-bit clear at the source, set at the
     target) -- a covering constraint.
 
-Chosen profiles are explored in a fixed total order, which doubles as the
+Profile sets are integers with one bit per profile code.  Per number m of
+vertices outside L, two tables hold the supersets and the subsets of every
+code, so a block's feasible profiles are the complement of m ORed table
+entries (a profile holding a vertex a and all of its out-neighbors leaves a
+no route back; one missing a and all of its in-neighbors has no route to
+a), and the routers of a cover pair are one AND.
+Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
-one integer bitmask over profile indices: the antichain is a clique of the
-incomparability graph, so a child's candidates are the parent's ANDed with
-the later profiles incomparable to the one just chosen.  Each kernel call
-first splits the feasible profiles into the fewest chains under inclusion,
-by a maximum matching of profiles to strict supersets (Dilworth's theorem
-by Fulkerson's construction); an antichain meets a chain at most once, so a
-block with fewer chains than q profiles is out at once.  A node is pruned
-when fewer chains meet its candidates than profiles are still needed (the
-colouring bound of bit-parallel max-clique, read on the incomparability
-graph, whose colour classes are chains), or when the cover masks of all
-candidates together cannot reach every cover pair.
+one such integer: the antichain is a clique of the incomparability graph,
+so a child's candidates are the parent's ANDed with the later profiles
+incomparable to the one just chosen.  Each kernel call first splits the
+feasible profiles into the fewest chains under inclusion, by a maximum
+matching of profiles to strict supersets read from the superset table
+(Dilworth's theorem by Fulkerson's construction); an antichain meets a chain
+at most once, so a block with fewer chains than q profiles is out at once.
+A node is pruned when fewer chains meet its candidates than profiles are
+still needed (the colouring bound of bit-parallel max-clique, read on the
+incomparability graph, whose colour classes are chains), or when the cover
+masks of all candidates together cannot reach every cover pair.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal (every code with symmetry
 breaking off).  The verdict is sound both ways: Exists re-validates its
@@ -39,11 +45,14 @@ size-3 part outside L, cases_enumerated holds the canonical cases of the
 blocks explored: all blocks for None, those up to the witness for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
-procedure on every topology small enough to enumerate.
+procedure on every topology small enough to enumerate.  They count the edge
+code down from all ones and keep one list of out-masks, reversing only the
+edges whose bits change, about two per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -133,65 +142,71 @@ def _out_masks(n: int, edges, bits: int) -> list[int]:
     return out
 
 
+@functools.cache
+def _inclusion_tables(m: int):
+    """sup[c] and sub[c]: the supersets and the subsets of code c over m bits.
+
+    Each is one 2^m-bit set over profile codes.  With low the least bit
+    missing from c, the supersets of c are those of c | low and their images
+    without low, a shift down by low; subsets mirror this with the least set
+    bit and a shift up.
+    """
+    full = (1 << m) - 1
+    sup = [0] * (full + 1)
+    sup[full] = 1 << full
+    for c in range(full - 1, -1, -1):
+        low = ~c & (c + 1)
+        s = sup[c | low]
+        sup[c] = s | s >> low
+    sub = [1] * (full + 1)  # sub[0] holds the empty code alone
+    for c in range(1, full + 1):
+        low = c & -c
+        s = sub[c ^ low]
+        sub[c] = s | s << low
+    return tuple(sup), tuple(sub)
+
+
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
-    With fewer than q feasible profiles no search can succeed, so the frame
-    stops there: no cover pairs or masks, and feasible is False.
+    codes is the set of feasible profile codes, one bit per code, and
+    profiles lists them in ascending order.  With fewer than q feasible
+    profiles no search can succeed, so the frame stops there: no cover
+    pairs, and feasible is False.
     """
 
-    __slots__ = ("bout", "profiles", "cover_pairs", "cover_masks", "feasible")
+    __slots__ = ("bout", "sup", "codes", "profiles", "cover_pairs", "feasible")
 
     def __init__(self, m: int, bedges, bits: int, q: int):
-        bout = _out_masks(m, bedges, bits)
-        bin_ = [0] * m
-        for a in range(m):
-            for b in _bit_members(bout[a]):
-                bin_[b] |= 1 << a
-        self.bout = bout
+        self.bout = bout = _out_masks(m, bedges, bits)
+        bin_ = _out_masks(m, bedges, ~bits)  # the in-neighbors: every arc reversed
+        sup, sub = _inclusion_tables(m)
+        self.sup = sup
         full = (1 << m) - 1
-        profiles = []
-        for pr in range(1 << m):
-            ok = True
-            for a in range(m):
-                if (pr >> a) & 1:
-                    # this vertex beats a; a needs a two-step route back
-                    if not (bout[a] & ~pr & full):
-                        ok = False
-                        break
-                else:
-                    # a beats this vertex; we need a two-step route to a
-                    if not (pr & bin_[a]):
-                        ok = False
-                        break
-            if ok:
-                profiles.append(pr)
-        self.profiles = profiles
-        if len(profiles) < q:
-            self.cover_pairs, self.cover_masks, self.feasible = [], [], False
+        infeasible = 0
+        for a in range(m):
+            # a profile holding a beats a, and a needs a two-step route back:
+            # out if the profile holds all of bout[a].  One without a is
+            # beaten by a and needs a two-step route to a: out if it holds
+            # nothing of bin[a].
+            infeasible |= sup[1 << a | bout[a]] | sub[full ^ 1 << a ^ bin_[a]]
+        self.codes = ~infeasible & ((2 << full) - 1)
+        self.profiles = list(_bit_members(self.codes))
+        if len(self.profiles) < q:
+            self.cover_pairs, self.feasible = [], False
             return
         # ordered pairs outside L that the block alone does not satisfy
-        cover_pairs = []
+        self.cover_pairs = []
         for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                if (bout[a] >> b) & 1 or (bout[a] & bin_[b]):
-                    continue
-                cover_pairs.append((a, b))
-        masks = []
-        for pr in profiles:
-            cm = 0
-            for idx, (a, b) in enumerate(cover_pairs):
-                if not (pr >> a) & 1 and (pr >> b) & 1:
-                    cm |= 1 << idx
-            masks.append(cm)
-        reachable = 0
-        for cm in masks:
-            reachable |= cm
-        self.cover_pairs = cover_pairs
-        self.cover_masks = masks
-        self.feasible = reachable == (1 << len(cover_pairs)) - 1
+            reach = bout[a] | 1 << a
+            for b in _bit_members(bout[a]):
+                reach |= bout[b]
+            self.cover_pairs.extend((a, b) for b in _bit_members(full & ~reach))
+        self.feasible = all(self.routers(a, b) for a, b in self.cover_pairs)
+
+    def routers(self, a: int, b: int) -> int:
+        """The feasible profiles that route a to b: those without a that hold b."""
+        return self.codes & self.sup[1 << b] & ~self.sup[1 << a]
 
 
 class _Budget:
@@ -205,43 +220,40 @@ class _Budget:
         self.exhausted = False
 
     def tick(self, depth: int, timed: bool = False) -> bool:
-        """Account one node; False once the budget is gone.
+        """Account one node; False, counting nothing, once the budget is gone.
 
         The clock is read on every timed tick and every 1,024 nodes.
         """
-        self.nodes += 1
+        nodes = self.nodes + 1
+        if nodes > self.node_budget or (
+            (timed or not nodes & 0x3FF) and time.monotonic() > self.deadline
+        ):
+            self.exhausted = True
+            return False
+        self.nodes = nodes
         if depth > self.max_depth:
             self.max_depth = depth
-        if self.nodes > self.node_budget:
-            self.exhausted = True
-        elif (timed or not self.nodes & 0x3FF) and time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
+        return True
 
 
-def _strict_supersets(profiles) -> list[int]:
-    """above[i]: bitmask of the profiles that strictly contain profile i.
+def _strict_supersets(frame: _BlockFrame) -> dict[int, int]:
+    """above[pr]: the feasible profiles that strictly contain pr, one bit per code.
 
-    Profile codes ascend and a strict subset has the smaller code, so every
-    member of above[i] comes after i.
+    Keys run in ascending code order, and a strict subset has the smaller
+    code, so every member of above[pr] comes after pr.
     """
-    count = len(profiles)
-    return [
-        sum(1 << j for j in range(i + 1, count) if not pr & ~profiles[j])
-        for i, pr in enumerate(profiles)
-    ]
+    return {pr: frame.sup[pr] & frame.codes ^ 1 << pr for pr in frame.profiles}
 
 
-def _chain_partition(above) -> list[int]:
-    """A minimum chain partition under strict inclusion, as index bitmasks.
+def _chain_partition(above: dict[int, int]) -> list[int]:
+    """A minimum chain partition under strict inclusion, one bit per code.
 
     A maximum matching of each profile to a strict superset (Kuhn's
     augmenting paths) links the profiles into len(above) - |matching| chains,
     the fewest possible (Fulkerson's proof of Dilworth's theorem).
     """
-    count = len(above)
-    pred = [-1] * count  # pred[j]: the profile matched to its superset j
-    for root in range(count):
+    pred = dict.fromkeys(above, -1)  # pred[j]: the profile matched to its superset j
+    for root in above:
         seen = 0
         path = [root]
         via: list[int] = []  # via[k]: the superset tried from path[k], held by path[k + 1]
@@ -262,9 +274,9 @@ def _chain_partition(above) -> list[int]:
                 break
             path.append(pred[j])
     # pred[j] < j, so one ascending pass puts every profile on its chain
-    chain_of = [0] * count
+    chain_of = {}
     chains: list[int] = []
-    for j, i in enumerate(pred):
+    for j, i in pred.items():
         if i < 0:
             chain_of[j] = len(chains)
             chains.append(0)
@@ -274,29 +286,37 @@ def _chain_partition(above) -> list[int]:
     return chains
 
 
+def _cover_masks(frame: _BlockFrame) -> dict[int, int]:
+    """masks[pr]: the cover pairs that profile pr routes, one bit per pair index."""
+    masks = dict.fromkeys(frame.profiles, 0)
+    for idx, (a, b) in enumerate(frame.cover_pairs):
+        for pr in _bit_members(frame.routers(a, b)):
+            masks[pr] |= 1 << idx
+    return masks
+
+
 def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
-    An antichain meets a chain at most once, so with a chain partition fixed
-    at the root a node is pruned when fewer than q - depth chains meet its
-    candidates (at the root: the poset is narrower than q, by Dilworth's
-    theorem), or when its candidates cannot reach every cover pair.  Pruning
-    only cuts subtrees without a solution, so the first antichain in
-    ascending index order is found whatever the bound.
+    Candidate sets hold profile codes, one bit each.  An antichain meets a
+    chain at most once, so with a chain partition fixed at the root a node
+    is pruned when fewer than q - depth chains meet its candidates (at the
+    root: the poset is narrower than q, by Dilworth's theorem), or when its
+    candidates cannot reach every cover pair.  Pruning only cuts subtrees
+    without a solution, so the first antichain in ascending code order is
+    found whatever the bound.
     """
     if not frame.feasible:
         return None
-    profiles = frame.profiles
-    masks = frame.cover_masks
-    above = _strict_supersets(profiles)
+    above = _strict_supersets(frame)
     chains = _chain_partition(above)
     if len(chains) < q:
         budget.tick(0)
         return None
+    masks = _cover_masks(frame)
     all_needed = (1 << len(frame.cover_pairs)) - 1
-    # later[i]: the profiles after i that do not contain it, so incomparable
-    everything = (1 << len(profiles)) - 1
-    later = [everything ^ ((2 << i) - 1) ^ row for i, row in enumerate(above)]
+    # later[pr]: the profiles after pr that do not contain it, so incomparable
+    later = {pr: frame.codes & -(2 << pr) ^ row for pr, row in above.items()}
     chosen: list[int] = []
 
     def extend(cand: int, covered: int):
@@ -308,13 +328,13 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
         if sum(1 for chain in chains if chain & cand) < q - depth:
             return None
         reach = covered
-        for idx in _bit_members(cand):
-            reach |= masks[idx]
+        for pr in _bit_members(cand):
+            reach |= masks[pr]
         if reach != all_needed:
             return None
-        for idx in _bit_members(cand):
-            chosen.append(profiles[idx])
-            found = extend(cand & later[idx], covered | masks[idx])
+        for pr in _bit_members(cand):
+            chosen.append(pr)
+            found = extend(cand & later[pr], covered | masks[pr])
             if found is not None:
                 return found
             chosen.pop()
@@ -322,7 +342,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
                 return None
         return None
 
-    return extend(everything, 0)
+    return extend(frame.codes, 0)
 
 
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
@@ -471,6 +491,23 @@ def _assemble_witness(topology, big, rest_parts, bout, chosen_profiles) -> Orien
 # Brute-force oracles.
 # ---------------------------------------------------------------------------
 
+def _orientations(n: int, edges):
+    """Out-masks of every orientation, edge codes counting down from all ones.
+
+    The one list yielded is updated in place: from code bits to bits - 1 the
+    edges of bits ^ (bits - 1), the lowest set bit and the bits below it,
+    reverse, about two per step.
+    """
+    out = _out_masks(n, edges, (1 << len(edges)) - 1)
+    flips = [(a, 1 << b, b, 1 << a) for a, b in edges]
+    yield out
+    for bits in range((1 << len(edges)) - 1, 0, -1):
+        for a, to_b, b, to_a in flips[:(bits & -bits).bit_length()]:
+            out[a] ^= to_b
+            out[b] ^= to_a
+        yield out
+
+
 def brute_force_min_diameter(topology: GraphTopology):
     """Minimum diameter over all strong orientations, by full enumeration.
 
@@ -485,9 +522,8 @@ def brute_force_min_diameter(topology: GraphTopology):
         return 0
     best = INFINITE
     bound = n  # any strong orientation has diameter <= n-1
-    # counting down starts with every edge low -> high, as enumerate_diameter2 does
-    for bits in range((1 << len(edges)) - 1, -1, -1):
-        d = _diameter_below(_out_masks(n, edges, bits), bound)
+    for out in _orientations(n, edges):
+        d = _diameter_below(out, bound)
         if d is not None:
             best = d
             bound = d
@@ -510,8 +546,7 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
         raise TooManyEdges(f"{len(edges)} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")
     n = topology.n_vertices
     found = []
-    for bits in range((1 << len(edges)) - 1, -1, -1):
-        out = _out_masks(n, edges, bits)
+    for out in _orientations(n, edges):
         if n >= 2 and _diameter_below(out, 3) == 2:
             found.append(Orientation(topology=topology, out_adj=tuple(out)))
             if limit is not None and len(found) >= limit:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 
 import hypothesis.strategies as st
@@ -22,8 +23,10 @@ from orientdiam.search import (
     _BlockFrame,
     _Budget,
     _chain_partition,
+    _cover_masks,
     _strict_supersets,
 )
+from orientdiam.graphcore import Orientation, _diameter_below, distance
 
 # every complete multipartite topology with at most 16 edges that the
 # agreement suite pins down (spec of the oracle-equivalence criterion)
@@ -172,6 +175,19 @@ class TestDecide:
         assert outcome.verdict is Verdict.UNKNOWN
         assert outcome.witness is None
 
+    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 5_000])
+    @pytest.mark.parametrize("parts,symmetry", [((3, 4, 12), True), ((3, 4, 12), False),
+                                                ((4, 4, 26), True)])
+    def test_node_budget_never_exceeded(self, parts, symmetry, node_budget):
+        # the tick that breaks the budget is not counted
+        cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=symmetry)
+        outcome = od.decide_diameter2(parts, cfg)
+        if outcome.verdict is Verdict.UNKNOWN:
+            assert outcome.stats.nodes <= node_budget
+        else:
+            assert outcome.stats.nodes == od.decide_diameter2(
+                parts, SearchConfig(symmetry_breaking=symmetry)).stats.nodes
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             od.decide_diameter2((5, 5, 5))
@@ -227,6 +243,19 @@ class TestDecide:
         assert outcome.verdict is Verdict.UNKNOWN
         assert outcome.witness is None
         assert outcome.stats.blocks_explored == 0
+        assert outcome.stats.nodes == 0
+
+    @pytest.mark.parametrize("q,verdict", [(19, Verdict.EXISTS), (20, Verdict.NONE)])
+    def test_k35q_with_symmetry_off(self, q, verdict):
+        # every one of the 2^15 block codes, no orbit reduction
+        outcome = od.decide_diameter2((3, 5, q), SearchConfig(symmetry_breaking=False))
+        assert outcome.verdict is verdict
+        if verdict is Verdict.NONE:
+            assert outcome.stats.cases_enumerated == od.canonical_case_classes(5)
+            assert len(outcome.stats.cases_enumerated) == 28
+        else:
+            assert od.diameter(outcome.witness) == 2
+            assert od.has_diameter_at_most_2(outcome.witness)
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -294,6 +323,86 @@ class TestOrbits:
         assert _block_representatives(list(rest_parts), bedges, False) == list(range(total))
 
 
+def _reference_frame(rest_parts, bits):
+    """Feasible profiles, cover pairs and routed pairs of one block, from distances.
+
+    A profile is feasible when the block plus one L-vertex z holding it
+    (arcs z -> a for a in the profile, a -> z otherwise) puts z within two
+    steps of every block vertex both ways; a cover pair is an ordered pair
+    more than two steps apart in the block; a profile routes the cover pairs
+    (a, b) that z puts within two steps, which can only be by a -> z -> b.
+    """
+    m = sum(rest_parts)
+    full = (1 << m) - 1
+    out = _reference_out(rest_parts, bits)
+    ins = _reference_out(rest_parts, ~bits)  # the reversed block
+    block = Orientation(od.make_complete_multipartite(rest_parts), tuple(out))
+    cover_pairs = [(a, b) for a in range(m) for b in range(m)
+                   if a != b and distance(block, a, b) > 2]
+    profiles, masks = [], []
+    for pr in range(1 << m):
+        # z reaches every block vertex within two steps, and in the reversed
+        # graph, where z holds the complement, too
+        if (_diameter_below(_with_vertex(out, pr), 3, (m,)) is None
+                or _diameter_below(_with_vertex(ins, full ^ pr), 3, (m,)) is None):
+            continue
+        with_z = _with_vertex(out, pr)
+        profiles.append(pr)
+        masks.append(sum(1 << idx for idx, (a, b) in enumerate(cover_pairs)
+                         if (with_z[a] >> m) & 1 and (with_z[m] >> b) & 1))
+    return profiles, cover_pairs, masks
+
+
+def _reference_out(rest_parts, bits):
+    """Block out-masks: edge i of the sorted block edges runs low -> high iff bit i is set."""
+    out = [0] * sum(rest_parts)
+    for i, (a, b) in enumerate(_block_edges(rest_parts)):
+        if (bits >> i) & 1:
+            out[a] |= 1 << b
+        else:
+            out[b] |= 1 << a
+    return out
+
+
+def _with_vertex(out, pr):
+    z = len(out)
+    return [mask | (not (pr >> a) & 1) << z for a, mask in enumerate(out)] + [pr]
+
+
+# every code of the small shapes, a seeded sample of the larger ones
+FRAME_SHAPES = [(3, 3), (3, 4), (2, 2, 2), (1, 1, 1, 1, 1)]
+FRAME_SAMPLES = [((4, 4), 64), ((3, 5), 64), ((3, 6), 16)]
+
+
+class TestFrames:
+    @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
+    def test_every_code_matches_distances(self, shape):
+        for bits in range(1 << len(_block_edges(shape))):
+            self._check(shape, bits)
+
+    @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
+    def test_sampled_codes_match_distances(self, shape, count):
+        rng = random.Random(f"frames {shape}")
+        for bits in rng.sample(range(1 << len(_block_edges(shape))), count):
+            self._check(shape, bits)
+
+    def _check(self, shape, bits):
+        profiles, cover_pairs, masks = _reference_frame(shape, bits)
+        m, bedges = sum(shape), _block_edges(shape)
+        routable = all(any((mask >> idx) & 1 for mask in masks) for idx in range(len(cover_pairs)))
+        # q on both sides of the too-few-profiles cut
+        for q in (len(profiles), len(profiles) + 1):
+            frame = _BlockFrame(m, bedges, bits, q)
+            assert frame.profiles == profiles, (shape, bits)
+            assert frame.codes == sum(1 << pr for pr in profiles)
+            if q > len(profiles):
+                assert (frame.cover_pairs, frame.feasible) == ([], False)
+                continue
+            assert frame.cover_pairs == cover_pairs, (shape, bits)
+            assert [_cover_masks(frame)[pr] for pr in profiles] == masks, (shape, bits)
+            assert frame.feasible == routable
+
+
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(block_frames())
@@ -301,7 +410,7 @@ class TestKernel:
         frame, q = frame_q
         if len(frame.profiles) < q:
             # the frame stops at its profiles: nothing else is built
-            assert (frame.cover_pairs, frame.cover_masks, frame.feasible) == ([], [], False)
+            assert (frame.cover_pairs, frame.feasible) == ([], False)
         found = _antichain_cover(frame, q, _Budget(SearchConfig(), time.monotonic()))
         exists = any(_is_antichain(c) and _covers(c, frame.cover_pairs)
                      for c in itertools.combinations(frame.profiles, q))
@@ -317,18 +426,28 @@ class TestChainPartition:
     @settings(max_examples=200, deadline=None)
     @given(block_frames())
     def test_minimum_chain_partition(self, frame_q):
-        profiles = frame_q[0].profiles
-        chains = _chain_partition(_strict_supersets(profiles))
+        frame = frame_q[0]
+        chains = _chain_partition(_strict_supersets(frame))
         union = 0
         for chain in chains:
             assert not union & chain
             union |= chain
-        assert union == (1 << len(profiles)) - 1
+        assert union == frame.codes
         for chain in chains:
-            members = [pr for i, pr in enumerate(profiles) if (chain >> i) & 1]
+            members = [pr for pr in frame.profiles if (chain >> pr) & 1]
             assert not any(_is_antichain(pair) for pair in itertools.combinations(members, 2))
         # Dilworth: no partition into chains is smaller than the width
-        assert len(chains) == _width(profiles)
+        assert len(chains) == _width(frame.profiles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_frames())
+    def test_strict_supersets_match_inclusion(self, frame_q):
+        frame = frame_q[0]
+        above = _strict_supersets(frame)
+        assert list(above) == frame.profiles
+        for pr in frame.profiles:
+            assert above[pr] == sum(1 << other for other in frame.profiles
+                                    if other != pr and not pr & ~other)
 
 
 class TestBruteForce:
