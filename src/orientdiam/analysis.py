@@ -20,8 +20,9 @@ passes its choice to all of them.
 The bipartite side of the story: inside an orientation of K(p, q') every
 ordered pair on the q'-side is within distance 2 exactly when the q'-side
 out-neighborhood family is an antichain, whose size Sperner's theorem caps
-at C(p, floor(p/2)).  Both facts are exercised by exhaustive oracles in the
-test suite.
+at C(p, floor(p/2)).  max_antichain derives that width from the search
+kernel's minimum chain partition of all 2^p codes rather than from the
+formula, and the test suite checks both against exhaustive oracles.
 """
 
 from __future__ import annotations
@@ -261,40 +262,28 @@ def sperner_bound(p: int) -> int:
 
 
 def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Largest antichain over subsets of a p-set, by exhaustive search.
+    """Largest antichain over subsets of a p-set, with a proof of its size.
 
-    Deliberately computes the maximum by enumerating antichain families
-    rather than trusting the binomial formula; capped at p = 5 where the
-    enumeration is still instantaneous.
+    The width is the number of chains in a minimum chain partition of all
+    2^p codes, computed by the search kernel's own matching.  The witness is
+    the middle layer; an antichain and a chain partition of equal size prove
+    each other optimal, so it is returned only after that check.  Capped at
+    MAX_BLOCK_VERTICES, the largest code width the kernel's tables serve.
     """
+    # search imports this module, so its names are imported on first call
+    from .search import MAX_BLOCK_VERTICES, _chain_partition, _inclusion_tables
+
     if p < 1:
         raise AnalysisError(f"need p >= 1, got {p}")
-    if p > 5:
-        raise PTooLarge(f"exhaustive antichain search capped at p=5, got {p}")
-    subsets = list(range(1 << p))
-    best_size = 0
-    best: list[int] = []
-
-    def incomparable(a: int, b: int) -> bool:
-        return (a & ~b) != 0 and (b & ~a) != 0
-
-    def extend(start: int, chosen: list[int]) -> None:
-        nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = list(chosen)
-        # remaining candidates cannot lift this branch above the best
-        if len(chosen) + (len(subsets) - start) <= best_size:
-            return
-        for idx in range(start, len(subsets)):
-            s = subsets[idx]
-            if all(incomparable(s, c) for c in chosen):
-                chosen.append(s)
-                extend(idx + 1, chosen)
-                chosen.pop()
-
-    extend(0, [])
-    witness = tuple(
-        frozenset(i for i in range(p) if (s >> i) & 1) for s in best
+    if p > MAX_BLOCK_VERTICES:
+        raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
+    sup = _inclusion_tables(p)[0]
+    chains = _chain_partition({c: row ^ 1 << c for c, row in enumerate(sup)})
+    layer = [c for c in range(1 << p) if c.bit_count() == p // 2]
+    if len(layer) != len(chains):  # never expected to fire
+        raise AnalysisError(
+            f"internal error: middle layer of {len(layer)} against {len(chains)} chains"
+        )
+    return len(chains), tuple(
+        frozenset(i for i in range(p) if (c >> i) & 1) for c in layer
     )
-    return best_size, witness

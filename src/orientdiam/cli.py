@@ -30,7 +30,7 @@ from .analysis import (
     sign_partition,
 )
 from .claims import FAMILIES, BadFamily, BadRange, verify_claims
-from .cnf import export_cnf
+from .cnf import TooManyClauses, export_cnf
 from .constructions import (
     ConstructionError,
     build_33q,
@@ -78,7 +78,7 @@ def _read_orientation(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     return loads(text)  # raises ParseError with line/column on malformed JSON
 
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, GraphError, AnalysisError, ConstructionError, SearchError,
-            BadFamily, BadRange, json.JSONDecodeError, OSError) as exc:
+            BadFamily, BadRange, TooManyClauses, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -24,6 +24,14 @@ from dataclasses import dataclass
 from .graphcore import Orientation, make_complete_multipartite, orient
 
 
+# well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
+MAX_CNF_CLAUSES = 500_000
+
+
+class TooManyClauses(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class CnfStats:
     variables: int
@@ -51,9 +59,31 @@ def _common_neighbors(topology, u, v):
     return [w for w in range(topology.n_vertices) if topology.part_of[w] not in (pu, pv)]
 
 
+def _path_count(topology) -> int:
+    """Two-step path variables: common neighbors summed over ordered pairs.
+
+    From a vertex of a part of size p, the other p - 1 vertices of its part
+    share n - p neighbors, and a vertex of another part of size r shares
+    n - p - r; over all r that is (n - p)^2 minus the other parts' squares.
+    """
+    n = topology.n_vertices
+    squares = sum(p * p for p in topology.parts)
+    return sum(p * ((p - 1) * (n - p) + (n - p) ** 2 - (squares - p * p))
+               for p in topology.parts)
+
+
 def encode_diameter2(parts):
-    """Build the clause list; returns (builder, edge_var map, stats)."""
+    """Build the clause list; returns (builder, edge_var map, stats).
+
+    Capped at MAX_CNF_CLAUSES covering and path clauses, checked before any
+    edge or clause is built.
+    """
     topology = make_complete_multipartite(parts)
+    n = topology.n_vertices
+    needed = 3 * _path_count(topology) + n * (n - 1)
+    if needed > MAX_CNF_CLAUSES:
+        raise TooManyClauses(f"K{topology.parts} needs {needed} covering and path clauses,"
+                             f" cap is {MAX_CNF_CLAUSES}")
     edges = topology.edges()
     b = _Builder()
     edge_var = {}
@@ -66,7 +96,6 @@ def encode_diameter2(parts):
             return edge_var[(u, v)]
         return -edge_var[(v, u)]
 
-    n = topology.n_vertices
     n_edge_vars = b.n_vars
     pending = []
     for u in range(n):

@@ -381,6 +381,8 @@ def loads(text: str) -> Orientation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or an overlong integer
+        raise ParseError(str(exc)) from exc
     return from_json_dict(doc)
 
 

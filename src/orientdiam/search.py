@@ -34,8 +34,8 @@ matching of profiles to strict supersets read from the superset table
 at most once, so a block with fewer chains than q profiles is out at once.
 A node is pruned when fewer chains meet its candidates than profiles are
 still needed (the colouring bound of bit-parallel max-clique, read on the
-incomparability graph, whose colour classes are chains), or when the cover
-masks of all candidates together cannot reach every cover pair.
+incomparability graph, whose colour classes are chains), or when some cover
+pair's routers miss both the chosen profiles and the candidates.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal (every code with symmetry
 breaking off).  The verdict is sound both ways: Exists re-validates its
@@ -286,63 +286,45 @@ def _chain_partition(above: dict[int, int]) -> list[int]:
     return chains
 
 
-def _cover_masks(frame: _BlockFrame) -> dict[int, int]:
-    """masks[pr]: the cover pairs that profile pr routes, one bit per pair index."""
-    masks = dict.fromkeys(frame.profiles, 0)
-    for idx, (a, b) in enumerate(frame.cover_pairs):
-        for pr in _bit_members(frame.routers(a, b)):
-            masks[pr] |= 1 << idx
-    return masks
-
-
 def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
-    Candidate sets hold profile codes, one bit each.  An antichain meets a
-    chain at most once, so with a chain partition fixed at the root a node
-    is pruned when fewer than q - depth chains meet its candidates (at the
-    root: the poset is narrower than q, by Dilworth's theorem), or when its
-    candidates cannot reach every cover pair.  Pruning only cuts subtrees
-    without a solution, so the first antichain in ascending code order is
-    found whatever the bound.
+    Profile sets hold codes, one bit each.  An antichain meets a chain at
+    most once, so with a chain partition fixed at the root a node is pruned
+    when fewer than q - depth chains meet its candidates (at the root: the
+    poset is narrower than q, by Dilworth's theorem), or when some cover
+    pair's router set misses both the picked profiles and the candidates.
+    Pruning only cuts subtrees without a solution, so the first antichain in
+    ascending code order is found whatever the bound.
     """
     if not frame.feasible:
         return None
-    above = _strict_supersets(frame)
-    chains = _chain_partition(above)
+    chains = _chain_partition(_strict_supersets(frame))
     if len(chains) < q:
         budget.tick(0)
         return None
-    masks = _cover_masks(frame)
-    all_needed = (1 << len(frame.cover_pairs)) - 1
-    # later[pr]: the profiles after pr that do not contain it, so incomparable
-    later = {pr: frame.codes & -(2 << pr) ^ row for pr, row in above.items()}
-    chosen: list[int] = []
+    routers = [frame.routers(a, b) for a, b in frame.cover_pairs]
+    sup = frame.sup
 
-    def extend(cand: int, covered: int):
-        depth = len(chosen)
+    def extend(picked: int, cand: int):
+        depth = picked.bit_count()
         if not budget.tick(depth):
             return None
         if depth == q:
-            return list(chosen) if covered == all_needed else None
+            return list(_bit_members(picked)) if all(r & picked for r in routers) else None
         if sum(1 for chain in chains if chain & cand) < q - depth:
             return None
-        reach = covered
-        for pr in _bit_members(cand):
-            reach |= masks[pr]
-        if reach != all_needed:
+        reach = picked | cand
+        if not all(r & reach for r in routers):
             return None
         for pr in _bit_members(cand):
-            chosen.append(pr)
-            found = extend(cand & later[pr], covered | masks[pr])
-            if found is not None:
+            # the later profiles that do not contain pr, so incomparable to it
+            found = extend(picked | 1 << pr, cand & -(2 << pr) & ~sup[pr])
+            if found is not None or budget.exhausted:
                 return found
-            chosen.pop()
-            if budget.exhausted:
-                return None
         return None
 
-    return extend(frame.codes, 0)
+    return extend(0, frame.codes)
 
 
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
@@ -409,15 +391,8 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         raise TooLarge(
             f"parts besides the largest span {m} vertices, cap is {MAX_BLOCK_VERTICES}"
         )
-    rest_part_of = []
-    for i, p in enumerate(rest_parts):
-        rest_part_of.extend([i] * p)
-    bedges = [
-        (a, b)
-        for a in range(m)
-        for b in range(a + 1, m)
-        if rest_part_of[a] != rest_part_of[b]
-    ]
+    # one part leaves an empty block, which has no topology
+    bedges = make_complete_multipartite(rest_parts).edges() if rest_parts else []
     if len(bedges) > MAX_BLOCK_EDGES:
         raise TooLarge(
             f"parts besides the largest induce {len(bedges)} edges, cap is {MAX_BLOCK_EDGES}"
@@ -514,9 +489,9 @@ def brute_force_min_diameter(topology: GraphTopology):
     Returns INFINITE when no orientation is strong (bridged inputs).  Capped
     at BRUTE_FORCE_EDGE_CAP edges.
     """
+    if topology.n_edges > BRUTE_FORCE_EDGE_CAP:
+        raise TooManyEdges(f"{topology.n_edges} edges exceed the 2^{BRUTE_FORCE_EDGE_CAP} cap")
     edges = topology.edges()
-    if len(edges) > BRUTE_FORCE_EDGE_CAP:
-        raise TooManyEdges(f"{len(edges)} edges exceed the 2^{BRUTE_FORCE_EDGE_CAP} cap")
     n = topology.n_vertices
     if n == 1:
         return 0
@@ -541,9 +516,9 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
     """
     if limit is not None and limit < 1:
         raise SearchError(f"limit must be at least 1, got {limit}")
+    if topology.n_edges > ENUMERATION_EDGE_CAP:
+        raise TooManyEdges(f"{topology.n_edges} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")
     edges = topology.edges()
-    if len(edges) > ENUMERATION_EDGE_CAP:
-        raise TooManyEdges(f"{len(edges)} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")
     n = topology.n_vertices
     found = []
     for out in _orientations(n, edges):

@@ -22,6 +22,7 @@ from orientdiam.analysis import (
     SignVector,
     canonicalize_case,
 )
+from orientdiam.search import MAX_BLOCK_VERTICES
 
 from conftest import all_orientations, anchored_orientations, random_orientation
 
@@ -229,17 +230,21 @@ def enumerate_antichains(p):
 
 
 class TestMaxAntichain:
-    @pytest.mark.parametrize("p,expected", [(1, 1), (2, 2), (3, 3), (4, 6), (5, 10)])
+    @pytest.mark.parametrize("p,expected",
+                             [(p, comb(p, p // 2)) for p in range(1, MAX_BLOCK_VERTICES + 1)])
     def test_sizes_match_binomial(self, p, expected):
         size, witness = od.max_antichain(p)
-        assert size == expected == comb(p, p // 2)
-        assert len(witness) == size
+        assert size == expected == od.sperner_bound(p)
+        assert len(set(witness)) == size
+        assert all(s <= set(range(p)) for s in witness)
         for a, b in itertools.combinations(witness, 2):
             assert not (a <= b or b <= a)
 
     def test_cap(self):
         with pytest.raises(PTooLarge):
-            od.max_antichain(6)
+            od.max_antichain(MAX_BLOCK_VERTICES + 1)
+        with pytest.raises(od.analysis.AnalysisError):
+            od.max_antichain(0)
 
     def test_sperner_bound_formula(self):
         for p in range(1, 9):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 import orientdiam as od
+from orientdiam import cnf
 from orientdiam.claims import FAMILIES
-from orientdiam.cli import main
-from orientdiam.graphcore import MAX_VERTICES
+from orientdiam.cli import build_parser, main
+from orientdiam.graphcore import MAX_VERTICES, GraphTopology
+from orientdiam.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -81,6 +85,9 @@ MALFORMED = [
     ("diameter", '{"parts":"ab","arcs":[]}'),
     ("diameter", '{"parts":[true,2],"arcs":[[0,1],[0,2]]}'),
     ("diameter", f'{{"parts":[{MAX_VERTICES + 1}],"arcs":[]}}'),
+    pytest.param("diameter", b'{"parts":[1,1,1],"arcs":[]}\xff', id="diameter-not-utf8"),
+    pytest.param("diameter", "[" * 100_000 + "]" * 100_000, id="diameter-deep-nesting"),
+    pytest.param("diameter", '{"parts":[' + "9" * 5_000 + '],"arcs":[]}', id="diameter-long-int"),
     ("analyze --anchor 7", None),
     ("analyze --anchor -1", None),
     ("enumerate --parts 1,1,1 --limit 0", ""),
@@ -90,13 +97,15 @@ MALFORMED = [
 
 @pytest.mark.parametrize("command,text", MALFORMED)
 def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
-    # text is the --file contents; None stands for a K(3,3,3) construction,
-    # and "" for a command that reads no file
+    # text is the --file contents, as text or bytes; None stands for a
+    # K(3,3,3) construction, and "" for a command that reads no file
     argv = command.split()
     path = tmp_path / "input.json"
     if text is None:
         # every part has three vertices, so -1 would pass the size check
         run(capsys, "construct", "--parts", "3,3,3", "--out", str(path))
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
     elif text:
         path.write_text(text)
     if text != "":
@@ -110,6 +119,56 @@ def test_vertex_cap_is_exit_2(capsys):
     code, _, err = run(capsys, "decide", "--parts", f"3,3,{MAX_VERTICES - 5}")
     assert code == 2
     assert err.startswith("error:")
+
+
+# Each cap is checked against a count, before the edge list or any clause
+# is built: K(2048,2048) has 4.2M edges, K(30,30,30) needs 964k clauses.
+OVER_CAP = [
+    "enumerate --parts 2048,2048",
+    "brute-force --parts 2048,2048",
+    "export-cnf --parts 30,30,30 --out {out}",
+]
+
+
+@pytest.mark.parametrize("command", OVER_CAP)
+def test_size_cap_checked_before_building(capsys, monkeypatch, tmp_path, command):
+    def built(*args):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(GraphTopology, "edges", built)
+    monkeypatch.setattr(cnf._Builder, "add", built)
+    out = tmp_path / "over.cnf"
+    code, _, err = run(capsys, *command.format(out=out).split())
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+# Every option of every subcommand, and every SearchConfig field: a change
+# that adds or removes a settable value has to edit these.
+OPTIONS = {
+    "construct": ["--format", "--out", "--parts", "--scheme"],
+    "diameter": ["--file", "--format"],
+    "analyze": ["--anchor", "--file", "--format"],
+    "decide": ["--budget-nodes", "--budget-seconds", "--no-symmetry", "--out", "--parts"],
+    "enumerate": ["--limit", "--out", "--parts"],
+    "brute-force": ["--format", "--parts"],
+    "export-cnf": ["--out", "--parts"],
+    "verify-claims": ["--budget-nodes", "--budget-seconds", "--family", "--format",
+                      "--no-symmetry", "--q-range"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: sorted(opt for action in p._actions if action.dest != "help"
+                          for opt in action.option_strings)
+             for name, p in sub.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 27
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "node_budget", "time_budget", "symmetry_breaking"]
 
 
 # Options a subcommand does not honour are rejected, not silently ignored.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 import orientdiam as od
-from orientdiam.cnf import encode_diameter2, export_cnf, decode_model
+from orientdiam.cnf import _path_count, encode_diameter2, export_cnf, decode_model
 
 
 def parse_dimacs(path):
@@ -82,6 +82,11 @@ class TestCounts:
         assert stats.edge_variables == edge_vars
         assert stats.path_variables == aux
         assert stats.lex_variables == lex_vars
+
+    # the clause cap reads this count before anything is built
+    @pytest.mark.parametrize("parts", [(5,), (2, 3), (1, 2, 3, 4), (3, 7, 70), (30, 30, 30)])
+    def test_path_count_matches_independent_count(self, parts):
+        assert _path_count(od.make_complete_multipartite(parts)) == expected_counts(parts)[3]
 
     @pytest.mark.parametrize("parts", [(1, 1, 1), (3, 3, 7), (3, 4, 12)])
     def test_dimacs_well_formed(self, parts, tmp_path):

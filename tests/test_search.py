@@ -23,7 +23,6 @@ from orientdiam.search import (
     _BlockFrame,
     _Budget,
     _chain_partition,
-    _cover_masks,
     _strict_supersets,
 )
 from orientdiam.graphcore import Orientation, _diameter_below, distance
@@ -115,9 +114,7 @@ def block_frames(draw):
 
 
 def _block_edges(rest_parts):
-    part_of = [i for i, p in enumerate(rest_parts) for _ in range(p)]
-    m = len(part_of)
-    return [(a, b) for a in range(m) for b in range(a + 1, m) if part_of[a] != part_of[b]]
+    return od.make_complete_multipartite(rest_parts).edges()
 
 
 def _arcs(outcome):
@@ -153,6 +150,13 @@ class TestDecide:
         assert outcome.verdict is Verdict.NONE
         assert outcome.witness is None
         assert outcome.stats.nodes <= 24  # 77 without the chain bound
+
+    def test_one_part(self):
+        # the block is empty and its one profile serves a single vertex only
+        assert od.decide_diameter2((5,)).verdict is Verdict.NONE
+        outcome = od.decide_diameter2((1,))
+        assert outcome.verdict is Verdict.EXISTS
+        assert outcome.witness.arcs() == []
 
     def test_k222_exists(self):
         outcome = od.decide_diameter2((2, 2, 2))
@@ -324,7 +328,7 @@ class TestOrbits:
 
 
 def _reference_frame(rest_parts, bits):
-    """Feasible profiles, cover pairs and routed pairs of one block, from distances.
+    """Feasible profiles, cover pairs and their routers of one block, from distances.
 
     A profile is feasible when the block plus one L-vertex z holding it
     (arcs z -> a for a in the profile, a -> z otherwise) puts z within two
@@ -339,7 +343,7 @@ def _reference_frame(rest_parts, bits):
     block = Orientation(od.make_complete_multipartite(rest_parts), tuple(out))
     cover_pairs = [(a, b) for a in range(m) for b in range(m)
                    if a != b and distance(block, a, b) > 2]
-    profiles, masks = [], []
+    profiles, routed = [], []
     for pr in range(1 << m):
         # z reaches every block vertex within two steps, and in the reversed
         # graph, where z holds the complement, too
@@ -348,9 +352,11 @@ def _reference_frame(rest_parts, bits):
             continue
         with_z = _with_vertex(out, pr)
         profiles.append(pr)
-        masks.append(sum(1 << idx for idx, (a, b) in enumerate(cover_pairs)
-                         if (with_z[a] >> m) & 1 and (with_z[m] >> b) & 1))
-    return profiles, cover_pairs, masks
+        routed.append({(a, b) for a, b in cover_pairs
+                       if (with_z[a] >> m) & 1 and (with_z[m] >> b) & 1})
+    routers = [sum(1 << pr for pr, pairs in zip(profiles, routed) if pair in pairs)
+               for pair in cover_pairs]
+    return profiles, cover_pairs, routers
 
 
 def _reference_out(rest_parts, bits):
@@ -387,9 +393,8 @@ class TestFrames:
             self._check(shape, bits)
 
     def _check(self, shape, bits):
-        profiles, cover_pairs, masks = _reference_frame(shape, bits)
+        profiles, cover_pairs, routers = _reference_frame(shape, bits)
         m, bedges = sum(shape), _block_edges(shape)
-        routable = all(any((mask >> idx) & 1 for mask in masks) for idx in range(len(cover_pairs)))
         # q on both sides of the too-few-profiles cut
         for q in (len(profiles), len(profiles) + 1):
             frame = _BlockFrame(m, bedges, bits, q)
@@ -399,8 +404,8 @@ class TestFrames:
                 assert (frame.cover_pairs, frame.feasible) == ([], False)
                 continue
             assert frame.cover_pairs == cover_pairs, (shape, bits)
-            assert [_cover_masks(frame)[pr] for pr in profiles] == masks, (shape, bits)
-            assert frame.feasible == routable
+            assert [frame.routers(a, b) for a, b in cover_pairs] == routers, (shape, bits)
+            assert frame.feasible == all(routers)
 
 
 class TestKernel:
