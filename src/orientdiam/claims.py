@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .analysis import canonical_case_classes
-from .cnf import export_cnf
+from .cnf import TooManyClauses, export_cnf
 from .constructions import construct_33q, construct_34q
 from .graphcore import INFINITE, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
@@ -129,7 +129,10 @@ def _refute(p, q, cfg, cnf_dir, emitted):
         return (3 if covered else None), False
     if cnf_dir is not None:
         path = f"{cnf_dir}/k{'_'.join(str(s) for s in parts)}.cnf"
-        export_cnf(parts, path)
+        try:
+            export_cnf(parts, path)  # the cap is checked before anything is built
+        except TooManyClauses:
+            return None, True
         emitted.append(path)
     return None, True
 
@@ -141,7 +144,7 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     For a K(3,p,q) family, q_range (default p up to the family's last q) is
     clamped below at p.  A refutation that ends Unknown is reported as
     unknown and, when cnf_dir is given, its DIMACS instance is written there
-    for an external solver.
+    for an external solver, unless it would exceed cnf.MAX_CNF_CLAUSES.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 INFINITE = math.inf
@@ -364,15 +365,15 @@ def from_json_dict(doc: dict) -> Orientation:
         raise ParseError("orientation JSON must contain 'parts' and 'arcs'")
     parts, arcs = doc["parts"], doc["arcs"]
     if not isinstance(parts, list) or not all(_is_int(p) for p in parts):
-        raise ParseError(f"'parts' must be a list of integers, got {parts!r}")
+        raise ParseError(f"'parts' must be a list of integers, got {reprlib.repr(parts)}")
     if not isinstance(arcs, list):
-        raise ParseError(f"'arcs' must be a list of [u, v] pairs, got {arcs!r}")
+        raise ParseError(f"'arcs' must be a list of [u, v] pairs, got {reprlib.repr(arcs)}")
     topology = make_complete_multipartite(parts)
     n = topology.n_vertices
     for arc in arcs:
         if not (isinstance(arc, list) and len(arc) == 2
                 and all(_is_int(x) and 0 <= x < n for x in arc)):
-            raise ParseError(f"arc {arc!r} is not a pair of vertex ids in 0..{n - 1}")
+            raise ParseError(f"arc {reprlib.repr(arc)} is not a pair of vertex ids in 0..{n - 1}")
     return orient(topology, [tuple(a) for a in arcs])
 
 

@@ -38,11 +38,15 @@ incomparability graph, whose colour classes are chains), or when some cover
 pair's routers miss both the chosen profiles and the candidates.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal (every code with symmetry
-breaking off).  The verdict is sound both ways: Exists re-validates its
-witness with the exact diameter routine, and None means every block
-orientation was enumerated or is the image of an enumerated one.  With a
-size-3 part outside L, cases_enumerated holds the canonical cases of the
-blocks explored: all blocks for None, those up to the witness for Exists.
+breaking off).  The orbits are flooded over the quotient by the block's
+largest part: its vertices' code bits towards the rest of the block, sorted,
+stand for all their relabelings, so the flood visits multisets of those
+keys instead of every code.  The verdict is sound both ways: Exists
+re-validates its witness with the exact diameter routine, and None means
+every block orientation was enumerated or is the image of an enumerated
+one.  With a size-3 part outside L, cases_enumerated holds the canonical
+cases of the blocks explored: all blocks for None, those up to the witness
+for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
 procedure on every topology small enough to enumerate.  They count the edge
@@ -53,6 +57,7 @@ edges whose bits change, about two per step.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -330,42 +335,88 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     """Least code of every block orbit in ascending order (or every code).
 
-    Each generator is an XOR mask and a list of delta swaps.  Global reversal
-    flips every bit.  An adjacent transposition t <-> t+1 inside a part flips
-    no arc, since every other endpoint lies below t or above t+1; it trades
-    the bits of the slots of (t, c) and (t+1, c), one swap per slot distance.
+    The orbits are those of relabelings inside each part and of global
+    reversal, flooded over the quotient by the largest part P (the first on
+    ties).  With O the other block vertices in ascending order, the key of a
+    vertex of P holds its code bits towards O, bit i for O[i].  Relabelings
+    inside P only permute keys, and towards each O[i] the later vertex of P
+    owns the more significant slot, so the least code of such a sub-orbit
+    lists the keys in non-increasing order along P.  A state is one
+    sub-orbit: rest, the code bits of the slots off P, and that descending
+    key tuple.  P's relabelings commute with every other generator, so the
+    flood from a state reaches exactly the sub-orbits of its orbit, whose
+    least code is the least state code.
+
+    Global reversal flips rest and complements the keys, which reverses
+    their order.  An adjacent transposition t <-> t+1 inside another part
+    flips no arc, since every other endpoint lies below t or above t+1: it
+    trades the bits of the slots of (t, c) and (t+1, c), one delta swap per
+    slot distance, and so swaps key bits O.index(t) and O.index(t) + 1.
     """
     total = 1 << len(bedges)
-    if not symmetry_breaking:
+    if not symmetry_breaking or not bedges:
         return list(range(total))
+    big = max(range(len(rest_parts)), key=lambda i: (rest_parts[i], -i))
+    p = rest_parts[big]
+    lo = sum(rest_parts[:big])
+    others = [v for v in range(sum(rest_parts)) if not lo <= v < lo + p]
     slot = {e: i for i, e in enumerate(bedges)}
-    gens = [(total - 1, ())]
-    for t in range(sum(rest_parts) - 1):
-        if (t, t + 1) not in slot:  # t and t+1 share a part
-            masks = {}  # slot distance -> the lower slots
+    keys_full = (1 << len(others)) - 1
+    spread = []  # spread[j][key]: the code bits of key on P's j-th vertex
+    rest_full = total - 1
+    for v in range(lo, lo + p):
+        bit = [1 << slot[min(v, o), max(v, o)] for o in others]
+        sp = [0] * (keys_full + 1)
+        for key in range(1, keys_full + 1):
+            sp[key] = sp[key & key - 1] | bit[(key & -key).bit_length() - 1]
+        spread.append(sp)
+        rest_full ^= sp[-1]
+    moves = []  # per transposition outside P: delta swaps, and the key map
+    for t in range(len(others) - 1):
+        u = others[t]
+        if others[t + 1] == u + 1 and (u, u + 1) not in slot:  # u, u+1 share a part
+            masks = {}  # slot distance -> the lower slots off P
             for i, (a, b) in enumerate(bedges):
-                if t in (a, b):
-                    d = slot[(t + 1, b) if a == t else (a, t + 1)] - i
+                if u in (a, b) and rest_full >> i & 1:
+                    d = slot[(u + 1, b) if a == u else (a, u + 1)] - i
                     masks[d] = masks.get(d, 0) | 1 << i
-            gens.append((0, tuple(masks.items())))
-    visited = bytearray(total)
+            swap = [k ^ (k >> t ^ k >> t + 1) % 2 * (3 << t) for k in range(keys_full + 1)]
+            moves.append((tuple(masks.items()), swap.__getitem__))
+
+    seen = set()
     reps = []
-    for bits in range(total):
-        if visited[bits]:
-            continue
-        reps.append(bits)
-        stack = [bits]
-        visited[bits] = 1
-        while stack:
-            cur = stack.pop()
-            for flip, swaps in gens:
-                img = cur ^ flip
-                for d, mask in swaps:
-                    x = (img ^ img >> d) & mask
-                    img ^= x | x << d
-                if not visited[img]:
-                    visited[img] = 1
-                    stack.append(img)
+    descending = range(keys_full, -1, -1)
+    flip = descending.__getitem__  # key -> its complement
+    rest0 = rest_full
+    while True:
+        for keys0 in itertools.combinations_with_replacement(descending, p):
+            if (rest0, keys0) in seen:
+                continue
+            seen.add((rest0, keys0))
+            stack = [(rest0, keys0)]
+            least = total
+            while stack:
+                rest, keys = stack.pop()
+                code = rest
+                for sp, key in zip(spread, keys):
+                    code |= sp[key]
+                least = min(least, code)
+                images = [(rest ^ rest_full, tuple(map(flip, reversed(keys))))]
+                for swaps, swap in moves:
+                    img = rest
+                    for d, mask in swaps:
+                        x = (img ^ img >> d) & mask
+                        img ^= x | x << d
+                    images.append((img, tuple(sorted(map(swap, keys), reverse=True))))
+                for state in images:
+                    if state not in seen:
+                        seen.add(state)
+                        stack.append(state)
+            reps.append(least)
+        if not rest0:
+            break
+        rest0 = rest0 - 1 & rest_full  # the next submask down
+    reps.sort()
     return reps
 
 

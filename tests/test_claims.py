@@ -69,6 +69,18 @@ class TestExitCodes:
         assert report.cnf_emitted == ()
         assert list(tmp_path.glob("*.cnf")) == []
 
+    def test_unknown_over_clause_cap_writes_no_cnf(self, tmp_path):
+        # K(3,3,300) needs 1,767,438 clauses, over cnf.MAX_CNF_CLAUSES
+        report = verify_claims("33q", q_range=(300, 300), cfg=SearchConfig(node_budget=1),
+                               cnf_dir=str(tmp_path))
+        (record,) = report.records
+        assert record.unknown and not record.passed
+        assert record.observed is None
+        assert report.exit_code == 3
+        assert report.cnf_emitted == ()
+        assert list(tmp_path.iterdir()) == []
+        assert "UNKNOWN" in report.to_text()
+
     def test_all_pass_gives_exit_0(self):
         assert verify_claims("baselines").exit_code == 0
 

@@ -88,6 +88,13 @@ MALFORMED = [
     pytest.param("diameter", b'{"parts":[1,1,1],"arcs":[]}\xff', id="diameter-not-utf8"),
     pytest.param("diameter", "[" * 100_000 + "]" * 100_000, id="diameter-deep-nesting"),
     pytest.param("diameter", '{"parts":[' + "9" * 5_000 + '],"arcs":[]}', id="diameter-long-int"),
+    # the error line quotes a bounded prefix of the bad value, not all of it
+    pytest.param("diameter", '{"parts":"' + "a" * 2_000_000 + '","arcs":[]}',
+                 id="diameter-long-parts"),
+    pytest.param("diameter", '{"parts":[1,1,1],"arcs":[[0,"' + "a" * 2_000_000 + '"]]}',
+                 id="diameter-long-arc"),
+    pytest.param("diameter", '{"parts":[1,1,1],"arcs":"' + "a" * 2_000_000 + '"}',
+                 id="diameter-long-arcs"),
     ("analyze --anchor 7", None),
     ("analyze --anchor -1", None),
     ("enumerate --parts 1,1,1 --limit 0", ""),
@@ -113,6 +120,7 @@ def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    assert len(err.encode()) < 300
 
 
 def test_vertex_cap_is_exit_2(capsys):

@@ -65,6 +65,10 @@ BLOCK_SHAPES = [
     if sum(a * b for a, b in itertools.combinations(sizes, 2)) <= 12
 ]
 
+# four and five parts whose largest part has one or two vertices, so that
+# the quotient by it leaves little or nothing to merge
+MANY_PART_SHAPES = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 1, 1)]
+
 # The first K(3,4,11) witness in the kernel's search order (ascending profile
 # index, pruning only subtrees without a solution).  A kernel change that
 # reorders the search, and so changes the witnesses, shows up here.
@@ -289,7 +293,7 @@ class TestDecide:
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("rest_parts", BLOCK_SHAPES, ids=str)
+    @pytest.mark.parametrize("rest_parts", BLOCK_SHAPES + MANY_PART_SHAPES, ids=str)
     def test_representatives_are_orbit_minima(self, rest_parts):
         # orbits built from every explicit relabeling: a permutation inside
         # each part, with or without global reversal
@@ -325,6 +329,63 @@ class TestOrbits:
         assert reps == sorted(sizes)
         assert sum(sizes[r] for r in reps) == total
         assert _block_representatives(list(rest_parts), bedges, False) == list(range(total))
+
+    @pytest.mark.parametrize(
+        "rest_parts", [(3, 5), (5, 3), (4, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)], ids=str)
+    def test_matches_flood_over_every_code(self, rest_parts):
+        bedges = _block_edges(rest_parts)
+        assert (_block_representatives(list(rest_parts), bedges, True)
+                == _flood_representatives(rest_parts, bedges))
+
+    # representative counts of the shapes past the 16-edge cap, from the
+    # flood over every code; (3,6) and (4,5) also match the ROADMAP's counts
+    @pytest.mark.parametrize("rest_parts,count", [
+        ((3, 6), 200), ((6, 3), 200), ((4, 5), 545), ((3, 7), 367), ((2, 2, 4), 8_388),
+    ], ids=str)
+    def test_representative_counts_past_the_edge_cap(self, rest_parts, count):
+        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts), True)
+        assert len(reps) == count
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+
+
+def _flood_representatives(rest_parts, bedges):
+    """Least code of every block orbit, by a flood over all 2^E codes.
+
+    Each generator is an XOR mask and a list of delta swaps: global reversal
+    flips every bit, and an adjacent transposition t <-> t+1 inside a part
+    trades the bits of the slots of (t, c) and (t+1, c), one swap per slot
+    distance.
+    """
+    total = 1 << len(bedges)
+    slot = {e: i for i, e in enumerate(bedges)}
+    gens = [(total - 1, ())]
+    for t in range(sum(rest_parts) - 1):
+        if (t, t + 1) not in slot:  # t and t+1 share a part
+            masks = {}  # slot distance -> the lower slots
+            for i, (a, b) in enumerate(bedges):
+                if t in (a, b):
+                    d = slot[(t + 1, b) if a == t else (a, t + 1)] - i
+                    masks[d] = masks.get(d, 0) | 1 << i
+            gens.append((0, tuple(masks.items())))
+    visited = bytearray(total)
+    reps = []
+    for bits in range(total):
+        if visited[bits]:
+            continue
+        reps.append(bits)
+        stack = [bits]
+        visited[bits] = 1
+        while stack:
+            cur = stack.pop()
+            for flip, swaps in gens:
+                img = cur ^ flip
+                for d, mask in swaps:
+                    x = (img ^ img >> d) & mask
+                    img ^= x | x << d
+                if not visited[img]:
+                    visited[img] = 1
+                    stack.append(img)
+    return reps
 
 
 def _reference_frame(rest_parts, bits):
