@@ -142,13 +142,18 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     """Run one claim family and return the report.
 
     For a K(3,p,q) family, q_range (default p up to the family's last q) is
-    clamped below at p.  A refutation that ends Unknown is reported as
-    unknown and, when cnf_dir is given, its DIMACS instance is written there
-    for an external solver, unless it would exceed cnf.MAX_CNF_CLAUSES.
+    clamped below at p; the baselines family takes no q_range.  A refutation
+    that ends Unknown is reported as unknown and, when cnf_dir is given, its
+    DIMACS instance is written there for an external solver, unless it would
+    exceed cnf.MAX_CNF_CLAUSES.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
     if family == "baselines":
+        if q_range is not None:
+            # the baselines have no q, so a range would be ignored and pass vacuously
+            raise BadRange(f"family {family} has no q, so q range {q_range[0]}..{q_range[1]}"
+                           " selects no claims")
         return ClaimReport(tuple(
             _claim(f"baseline-{name}", family, None, expected, "brute-force",
                    lambda: _measured(brute_force_min_diameter(make_complete_multipartite(parts))))

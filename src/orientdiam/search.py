@@ -49,9 +49,13 @@ cases of the blocks explored: all blocks for None, those up to the witness
 for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
-procedure on every topology small enough to enumerate.  They count the edge
-code down from all ones and keep one list of out-masks, reversing only the
-edges whose bits change, about two per step.
+procedure on every topology small enough to enumerate.  They are bit-sliced:
+one integer per ordered vertex pair holds, one bit per edge code of a
+2^16-code chunk, whether the pair is joined within k steps, so each BFS
+level serves every orientation of the chunk at once, and the codes of
+diameter <= k are the AND over all pairs.  Every orientation an oracle
+returns is re-measured by the exact BFS routine.  Results come in the order
+of a count-down over edge codes from all ones.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ MAX_BLOCK_EDGES = 16
 MAX_BLOCK_VERTICES = 10
 BRUTE_FORCE_EDGE_CAP = 20
 ENUMERATION_EDGE_CAP = 16
+SLICE_WIDTH = 16  # edge-code bits the oracles evaluate at once
 
 
 class SearchError(ValueError):
@@ -517,21 +522,62 @@ def _assemble_witness(topology, big, rest_parts, bout, chosen_profiles) -> Orien
 # Brute-force oracles.
 # ---------------------------------------------------------------------------
 
-def _orientations(n: int, edges):
-    """Out-masks of every orientation, edge codes counting down from all ones.
+@functools.cache
+def _slice_variables(w: int) -> tuple[int, ...]:
+    """var[i]: the 2^w-bit set of slice codes c with bit i of c set."""
+    full = (1 << (1 << w)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i))
+                 for i in range(w))
 
-    The one list yielded is updated in place: from code bits to bits - 1 the
-    edges of bits ^ (bits - 1), the lowest set bit and the bits below it,
-    reverse, about two per step.
+
+def _diameter_levels(n: int, edges, w: int, high: int):
+    """Yield (k, codes of diameter <= k) for k = 1, 2, ... over one chunk.
+
+    The chunk is every edge code (high << w) | c with c below 2^w.  A set of
+    codes is one 2^w-bit integer, bit c for code (high << w) | c, and
+    rows[u][v] holds the codes under which u reaches v within k steps.  Edge
+    i of the slice runs low -> high under the codes of var[i], the reverse
+    arc under the others; an edge above the slice has one fixed direction.
+    Each level extends every route by one arc; the levels stop once none
+    grows, since later sets would repeat the last one.
     """
-    out = _out_masks(n, edges, (1 << len(edges)) - 1)
-    flips = [(a, 1 << b, b, 1 << a) for a, b in edges]
-    yield out
-    for bits in range((1 << len(edges)) - 1, 0, -1):
-        for a, to_b, b, to_a in flips[:(bits & -bits).bit_length()]:
-            out[a] ^= to_b
-            out[b] ^= to_a
-        yield out
+    full = (1 << (1 << w)) - 1
+    var = _slice_variables(w)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (tail, codes of the arc)
+    for i, (a, b) in enumerate(edges):
+        fwd = var[i] if i < w else full * (high >> (i - w) & 1)
+        for tail, head, codes in ((a, b, fwd), (b, a, full ^ fwd)):
+            if codes:
+                into[head].append((tail, codes))
+    rows = [[full * (u == v) for v in range(n)] for u in range(n)]
+    k = 0
+    while True:
+        nxt = []
+        for row in rows:
+            new = []
+            for v, arcs in enumerate(into):
+                reach = row[v]
+                for mid, codes in arcs:
+                    reach |= row[mid] & codes
+                new.append(reach)
+            nxt.append(new)
+        if nxt == rows:
+            return
+        rows = nxt
+        k += 1
+        ok = full
+        for row in rows:
+            for reach in row:
+                ok &= reach
+        yield k, ok
+
+
+def _revalidate(n: int, edges, code: int, d: int) -> list[int]:
+    """Out-masks of the orientation of edge code `code`, re-measured by BFS at diameter d."""
+    out = _out_masks(n, edges, code)
+    if _diameter_below(out, d + 1) != d:  # soundness gate; never expected to fire
+        raise SearchError(f"internal error: edge code {code} failed re-validation at diameter {d}")
+    return out
 
 
 def brute_force_min_diameter(topology: GraphTopology):
@@ -541,40 +587,49 @@ def brute_force_min_diameter(topology: GraphTopology):
     at BRUTE_FORCE_EDGE_CAP edges.
     """
     if topology.n_edges > BRUTE_FORCE_EDGE_CAP:
-        raise TooManyEdges(f"{topology.n_edges} edges exceed the 2^{BRUTE_FORCE_EDGE_CAP} cap")
+        raise TooManyEdges(
+            f"{topology.n_edges} edges exceed the cap of {BRUTE_FORCE_EDGE_CAP} edges")
     edges = topology.edges()
     n = topology.n_vertices
     if n == 1:
         return 0
+    w = min(len(edges), SLICE_WIDTH)
     best = INFINITE
-    bound = n  # any strong orientation has diameter <= n-1
-    for out in _orientations(n, edges):
-        d = _diameter_below(out, bound)
-        if d is not None:
-            best = d
-            bound = d
-            if best <= 2:
-                break  # nothing beats 2 on two or more vertices
+    code = None
+    for high in range((1 << (len(edges) - w)) - 1, -1, -1):
+        for k, ok in _diameter_levels(n, edges, w, high):
+            if k >= best:
+                break
+            if ok:
+                best, code = k, high << w | ok.bit_length() - 1
+                break
+        if best <= 2:
+            break  # nothing beats 2 on two or more vertices
+    if code is not None:
+        _revalidate(n, edges, code, best)
     return best
 
 
 def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
     """All orientations of diameter exactly 2, or the first `limit` of them.
 
-    Enumeration is lexicographic over the sorted edge list, the low-to-high
-    direction explored first, so output order is deterministic.  Capped at
+    Edge codes run down from all ones, bit i set when sorted edge i runs low
+    to high, so output order is deterministic.  Capped at
     ENUMERATION_EDGE_CAP edges; a limit must be at least 1.
     """
     if limit is not None and limit < 1:
         raise SearchError(f"limit must be at least 1, got {limit}")
     if topology.n_edges > ENUMERATION_EDGE_CAP:
-        raise TooManyEdges(f"{topology.n_edges} edges exceed the 2^{ENUMERATION_EDGE_CAP} cap")
+        raise TooManyEdges(
+            f"{topology.n_edges} edges exceed the cap of {ENUMERATION_EDGE_CAP} edges")
     edges = topology.edges()
     n = topology.n_vertices
+    # the cap keeps every edge inside the slice: one chunk
+    codes = next((ok for k, ok in _diameter_levels(n, edges, len(edges), 0) if k == 2), 0)
     found = []
-    for out in _orientations(n, edges):
-        if n >= 2 and _diameter_below(out, 3) == 2:
-            found.append(Orientation(topology=topology, out_adj=tuple(out)))
-            if limit is not None and len(found) >= limit:
-                break
+    while codes and (limit is None or len(found) < limit):
+        code = codes.bit_length() - 1
+        codes ^= 1 << code
+        out = _revalidate(n, edges, code, 2)
+        found.append(Orientation(topology=topology, out_adj=tuple(out)))
     return found

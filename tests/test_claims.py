@@ -8,7 +8,7 @@ import pytest
 
 from orientdiam import claims
 from orientdiam.analysis import canonical_case_classes
-from orientdiam.claims import BadFamily, verify_claims
+from orientdiam.claims import BadFamily, BadRange, verify_claims
 from orientdiam.search import SearchConfig, SearchOutcome, SearchStats, Verdict, decide_diameter2
 
 
@@ -40,6 +40,12 @@ class TestFamilies:
             "baseline-K(2,3)": 4,
         }
         assert all(r.method == "brute-force" for r in report.records)
+
+    @pytest.mark.parametrize("q_range", [(5, 3), (9, 9), (1, 100)])
+    def test_baselines_reject_any_q_range(self, q_range):
+        # the baselines have no q: a range would be ignored and pass vacuously
+        with pytest.raises(BadRange):
+            verify_claims("baselines", q_range=q_range)
 
     def test_bad_family(self):
         with pytest.raises(BadFamily):

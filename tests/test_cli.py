@@ -152,6 +152,19 @@ def test_size_cap_checked_before_building(capsys, monkeypatch, tmp_path, command
     assert not out.exists()
 
 
+# An oracle over its cap names the edge count and the cap, both in edges.
+@pytest.mark.parametrize("command,message", [
+    ("enumerate --parts 3,3,2", "error: TooManyEdges: 21 edges exceed the cap of 16 edges\n"),
+    ("brute-force --parts 1,1,1,1,1,1,1",
+     "error: TooManyEdges: 21 edges exceed the cap of 20 edges\n"),
+])
+def test_oracle_cap_message(capsys, command, message):
+    code, out, err = run(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
 # Every option of every subcommand, and every SearchConfig field: a change
 # that adds or removes a settable value has to edit these.
 OPTIONS = {
@@ -345,6 +358,13 @@ class TestVerifyClaims:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify-claims", "--family", "33q", "--q-range", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("q_range", ["5..3", "9..9"])
+    def test_baselines_range_is_exit_2(self, capsys, q_range):
+        code, out, err = run(capsys, "verify-claims", "--family", "baselines", "--q-range", q_range)
+        assert code == 2
+        assert err.startswith("error: BadRange:")
+        assert out == ""
 
     @pytest.mark.parametrize("q_range", ["9..3", "1..2"])
     def test_empty_range_is_exit_2(self, capsys, q_range):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import orientdiam as od
+from orientdiam import search
 from orientdiam.search import (
     SearchConfig,
     SearchError,
@@ -27,6 +28,8 @@ from orientdiam.search import (
 )
 from orientdiam.graphcore import Orientation, _diameter_below, distance
 
+from conftest import all_orientations
+
 # every complete multipartite topology with at most 16 edges that the
 # agreement suite pins down (spec of the oracle-equivalence criterion)
 SMALL_TOPOLOGIES = [
@@ -39,6 +42,29 @@ SMALL_TOPOLOGIES = [
     (2, 3),
     (2, 4),
     (3, 3),
+]
+
+# every complete multipartite topology with at most 12 edges, parts in
+# non-decreasing order (six parts already induce 15 edges), and two edgeless ones
+PLAIN_TOPOLOGIES = [(1,), (3,)] + [
+    parts
+    for k in range(2, 6)
+    for parts in itertools.combinations_with_replacement(range(1, 13), k)
+    if od.make_complete_multipartite(parts).n_edges <= 12
+]
+
+# topologies past the 16-edge slice, so brute force runs in several chunks,
+# with the values the per-orientation oracle gave
+CHUNKED_VALUES = [
+    ((1, 1, 2, 3), 3),
+    ((3, 6), 4),
+    ((1, 2, 2, 2), 2),
+    ((1, 1, 1, 2, 2), 2),
+    ((2, 2, 4), 3),
+    ((4, 5), 3),
+    ((2, 10), 4),
+    ((1, 1, 1, 1, 1, 2), 2),
+    ((1, 20), od.INFINITE),
 ]
 
 # every listing of K(3,3,q), q <= 6, and of K(3,4,q), q <= 11
@@ -540,6 +566,60 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(TooManyEdges):
             od.brute_force_min_diameter(od.make_complete_multipartite((3, 3, 2)))
+
+
+    @pytest.mark.parametrize("parts,value", CHUNKED_VALUES)
+    def test_chunked_edge_codes(self, parts, value):
+        topo = od.make_complete_multipartite(parts)
+        assert 16 < topo.n_edges <= 20
+        assert od.brute_force_min_diameter(topo) == value
+
+
+class TestOracleRevalidation:
+    """Every orientation an oracle returns is re-measured by the exact BFS."""
+
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = []
+
+        def recording(out, bound, sources=None):
+            calls.append((tuple(out), bound))
+            return _diameter_below(out, bound, sources)
+
+        monkeypatch.setattr(search, "_diameter_below", recording)
+        return calls
+
+    def test_brute_force_measures_its_minimum(self, bfs_calls):
+        assert od.brute_force_min_diameter(od.make_complete_multipartite((2, 2, 3))) == 3
+        ((out, bound),) = bfs_calls
+        assert bound == 4 and _diameter_below(out, bound) == 3
+
+    def test_nothing_to_measure_without_a_strong_orientation(self, bfs_calls):
+        assert od.brute_force_min_diameter(od.make_complete_multipartite((1, 5))) == od.INFINITE
+        assert bfs_calls == []
+
+    def test_enumerate_measures_every_result(self, bfs_calls):
+        found = od.enumerate_diameter2(od.make_complete_multipartite((2, 2, 2)), limit=5)
+        assert [out for out, _ in bfs_calls] == [D.out_adj for D in found]
+
+    @pytest.mark.parametrize("oracle", [od.brute_force_min_diameter, od.enumerate_diameter2])
+    def test_mismatch_is_an_internal_error(self, monkeypatch, oracle):
+        monkeypatch.setattr(search, "_diameter_below", lambda out, bound, sources=None: None)
+        with pytest.raises(SearchError, match="internal error"):
+            oracle(od.make_complete_multipartite((1, 1, 1)))
+
+
+@pytest.mark.parametrize("parts", PLAIN_TOPOLOGIES)
+def test_oracles_match_plain_enumeration(parts):
+    # conftest sets bit i when sorted edge i runs high -> low, the complement
+    # of the oracles' edge code, so their count-down order is its ascending one
+    topo = od.make_complete_multipartite(parts)
+    measured = [(D, od.diameter(D)) for D in all_orientations(topo)]
+    assert od.brute_force_min_diameter(topo) == min(d for _, d in measured)
+    diameter2 = [D.arcs() for D, d in measured if d == 2]
+    for limit in (None, 1, 3):
+        found = [D.arcs() for D in od.enumerate_diameter2(topo, limit)]
+        assert found == diameter2[:limit]
 
 
 class TestEnumerate:
