@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from .analysis import canonical_case_classes
 from .cnf import TooManyClauses, export_cnf
 from .constructions import construct_33q, construct_34q
-from .graphcore import INFINITE, diameter, make_complete_multipartite
+from .graphcore import INFINITE, MAX_VERTICES, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
 
 # family -> (p, last constructive q, builder, default last q) for K(3, p, q)
@@ -142,10 +142,11 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     """Run one claim family and return the report.
 
     For a K(3,p,q) family, q_range (default p up to the family's last q) is
-    clamped below at p; the baselines family takes no q_range.  A refutation
-    that ends Unknown is reported as unknown and, when cnf_dir is given, its
-    DIMACS instance is written there for an external solver, unless it would
-    exceed cnf.MAX_CNF_CLAUSES.
+    clamped below at p, and refused before any row runs if K(3,p,hi) would
+    pass graphcore.MAX_VERTICES; the baselines family takes no q_range.  A
+    refutation that ends Unknown is reported as unknown and, when cnf_dir is
+    given, its DIMACS instance is written there for an external solver,
+    unless it would exceed cnf.MAX_CNF_CLAUSES.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
@@ -167,6 +168,9 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     if lo > hi:
         # an empty table would pass vacuously
         raise BadRange(f"q range {lo}..{hi} of family {family} selects no claims")
+    if 3 + p + hi > MAX_VERTICES:
+        raise BadRange(f"q range {lo}..{hi} of family {family} reaches K(3,{p},{hi}) with"
+                       f" {3 + p + hi} vertices, past the cap of {MAX_VERTICES} vertices")
     records = []
     emitted: list[str] = []
     for q in range(lo, hi + 1):

@@ -1,13 +1,13 @@
 """DIMACS CNF encoding of "this graph has an orientation of diameter <= 2".
 
-One boolean per inter-part edge (true = the arc runs from the lower vertex
-index to the higher one).  For every ordered vertex pair (u, v) there is one
-covering clause: either the direct arc u -> v, or one of the auxiliary
-two-step variables a_{uwv}, each defined by three Tseitin clauses as the
-conjunction (u -> w) and (w -> v), with w ranging over the common neighbors
-of u and v.  Variables are numbered edges first (lexicographic edge order),
-then auxiliaries grouped by ordered pair, then the lexicographic
-symmetry-breaking prefix variables.
+One boolean per inter-part edge: variable i + 1 is bit i of a graphcore edge
+code (true = sorted edge i runs from its lower vertex to the higher).  For
+every ordered vertex pair (u, v) there is one covering clause: either the
+direct arc u -> v, or one of the auxiliary two-step variables a_{uwv}, each
+defined by three Tseitin clauses as the conjunction (u -> w) and (w -> v),
+with w ranging over the common neighbors of u and v.  Variables are numbered
+edges first (lexicographic edge order), then auxiliaries grouped by ordered
+pair, then the lexicographic symmetry-breaking prefix variables.
 
 Symmetry breaking orders the arc-rows of consecutive vertices inside the
 largest part only.  Rows of a single part mention no edges inside that part,
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import Orientation, make_complete_multipartite, orient
+from .graphcore import Orientation, _out_masks, make_complete_multipartite
 
 
 # well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
@@ -183,11 +183,9 @@ def decode_model(parts, true_vars) -> Orientation:
     """Rebuild the orientation described by a satisfying assignment.
 
     true_vars is any collection of the variable indices assigned true; only
-    the edge variables matter.
+    the edge variables matter, read as the bits of an edge code.
     """
     topology = make_complete_multipartite(parts)
     truthy = set(true_vars)
-    arcs = []
-    for i, (u, v) in enumerate(topology.edges(), start=1):
-        arcs.append((u, v) if i in truthy else (v, u))
-    return orient(topology, arcs)
+    code = sum(1 << i for i in range(topology.n_edges) if i + 1 in truthy)
+    return Orientation(topology, tuple(_out_masks(topology.n_vertices, topology.edges(), code)))

@@ -4,7 +4,10 @@ Vertices are numbered part-major: part 1 occupies indices [0, p1), part 2
 the next p2 indices, and so on.  Two vertices are adjacent iff they lie in
 different parts.  An orientation assigns exactly one direction to every
 inter-part edge and is stored as one out-neighbor bitmask per vertex, which
-keeps BFS frontiers and two-step reachability tests word-parallel.
+keeps BFS frontiers and two-step reachability tests word-parallel.  An edge
+code packs one into an integer: bit i set means sorted edge i of
+topology.edges() runs low -> high.  _out_masks decodes an edge code and
+_bit_members lists a mask's members, least first.
 
 Unreachable pairs have distance INFINITE, a true sentinel (math.inf) rather
 than a large integer, so max-reductions never overflow silently.
@@ -126,6 +129,24 @@ def make_complete_multipartite(parts: list[int] | tuple[int, ...]) -> GraphTopol
     return GraphTopology(parts=parts, part_of=tuple(part_of))
 
 
+def _bit_members(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _out_masks(n: int, edges, bits: int) -> list[int]:
+    """Out-neighbor masks of n vertices; edge i runs low -> high iff bit i is set."""
+    out = [0] * n
+    for i, (a, b) in enumerate(edges):
+        if (bits >> i) & 1:
+            out[a] |= 1 << b
+        else:
+            out[b] |= 1 << a
+    return out
+
+
 @dataclass(frozen=True)
 class Orientation:
     """An orientation of a complete multipartite graph.
@@ -150,24 +171,13 @@ class Orientation:
         """Per-vertex bitmask of in-neighbors, derived from out_adj."""
         ins = [0] * self.n_vertices
         for u, mask in enumerate(self.out_adj):
-            m = mask
-            while m:
-                low = m & -m
-                ins[low.bit_length() - 1] |= 1 << u
-                m ^= low
+            for v in _bit_members(mask):
+                ins[v] |= 1 << u
         return tuple(ins)
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs (u, v), lexicographically sorted."""
-        result = []
-        for u, mask in enumerate(self.out_adj):
-            m = mask
-            while m:
-                low = m & -m
-                result.append((u, low.bit_length() - 1))
-                m ^= low
-        result.sort()
-        return result
+        return [(u, v) for u, mask in enumerate(self.out_adj) for v in _bit_members(mask)]
 
 
 def orient(topology: GraphTopology, arcs) -> Orientation:
@@ -261,12 +271,6 @@ def _diameter_below(out, bound, sources=None):
     return worst
 
 
-def eccentricity(D: Orientation, u: int):
-    """Max distance from u to any vertex; INFINITE if some vertex is unreachable."""
-    d = _diameter_below(D.out_adj, INFINITE, (u,))
-    return INFINITE if d is None else d
-
-
 def diameter(D: Orientation):
     """Max distance over all ordered pairs; INFINITE iff not strongly connected."""
     d = _diameter_below(D.out_adj, INFINITE)
@@ -324,13 +328,9 @@ def induced_suborientation(D: Orientation, keep) -> Orientation:
     remap = {v: i for i, v in enumerate(keep)}
     out = [0] * len(keep)
     for v in keep:
-        m = D.out_adj[v]
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
+        for w in _bit_members(D.out_adj[v]):
             if w in remap:
                 out[remap[v]] |= 1 << remap[w]
-            m ^= low
     return Orientation(topology=sub, out_adj=tuple(out), parent_vertices=tuple(keep))
 
 

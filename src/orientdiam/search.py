@@ -72,7 +72,9 @@ from .graphcore import (
     INFINITE,
     GraphTopology,
     Orientation,
+    _bit_members,
     _diameter_below,
+    _out_masks,
     diameter,
     make_complete_multipartite,
     orient,
@@ -132,24 +134,6 @@ class SearchOutcome:
     verdict: Verdict
     witness: Orientation | None
     stats: SearchStats
-
-
-def _bit_members(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _out_masks(n: int, edges, bits: int) -> list[int]:
-    """Out-neighbor masks of n vertices; edge i runs low -> high iff bit i is set."""
-    out = [0] * n
-    for i, (a, b) in enumerate(edges):
-        if (bits >> i) & 1:
-            out[a] |= 1 << b
-        else:
-            out[b] |= 1 << a
-    return out
 
 
 @functools.cache
@@ -589,10 +573,12 @@ def brute_force_min_diameter(topology: GraphTopology):
     if topology.n_edges > BRUTE_FORCE_EDGE_CAP:
         raise TooManyEdges(
             f"{topology.n_edges} edges exceed the cap of {BRUTE_FORCE_EDGE_CAP} edges")
-    edges = topology.edges()
     n = topology.n_vertices
     if n == 1:
         return 0
+    if topology.n_edges < n:  # a strong orientation needs an arc into every vertex
+        return INFINITE
+    edges = topology.edges()
     w = min(len(edges), SLICE_WIDTH)
     best = INFINITE
     code = None
@@ -613,17 +599,19 @@ def brute_force_min_diameter(topology: GraphTopology):
 def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
     """All orientations of diameter exactly 2, or the first `limit` of them.
 
-    Edge codes run down from all ones, bit i set when sorted edge i runs low
-    to high, so output order is deterministic.  Capped at
-    ENUMERATION_EDGE_CAP edges; a limit must be at least 1.
+    Edge codes (the graphcore convention) run down from all ones, so output
+    order is deterministic.  Capped at ENUMERATION_EDGE_CAP edges; a limit
+    must be at least 1.
     """
     if limit is not None and limit < 1:
         raise SearchError(f"limit must be at least 1, got {limit}")
     if topology.n_edges > ENUMERATION_EDGE_CAP:
         raise TooManyEdges(
             f"{topology.n_edges} edges exceed the cap of {ENUMERATION_EDGE_CAP} edges")
-    edges = topology.edges()
     n = topology.n_vertices
+    if topology.n_edges < n:  # too few arcs for every vertex to have one in
+        return []
+    edges = topology.edges()
     # the cap keeps every edge inside the slice: one chunk
     codes = next((ok for k, ok in _diameter_levels(n, edges, len(edges), 0) if k == 2), 0)
     found = []

@@ -51,6 +51,21 @@ class TestFamilies:
         with pytest.raises(BadFamily):
             verify_claims("77q")
 
+    def test_q_range_past_the_vertex_cap_runs_nothing(self, monkeypatch):
+        decided = []
+
+        def recording(parts, cfg=None):
+            decided.append(parts)
+            return SearchOutcome(Verdict.UNKNOWN, None, SearchStats(1, 0, 0.0, 1))
+
+        monkeypatch.setattr(claims, "decide_diameter2", recording)
+        with pytest.raises(BadRange, match="4097 vertices, past the cap of 4096 vertices"):
+            verify_claims("34q", q_range=(12, 4090))
+        assert decided == []
+        # K(3,4,4089) has 4,096 vertices, the last graph inside the cap
+        verify_claims("34q", q_range=(4089, 4089))
+        assert decided == [(3, 4, 4089)]
+
     def test_q_range_clamps_below_constructive_range(self):
         report = verify_claims("33q", q_range=(1, 4))
         assert [r.q for r in report.records] == [3, 4]

@@ -366,6 +366,12 @@ class TestVerifyClaims:
         assert err.startswith("error: BadRange:")
         assert out == ""
 
+    def test_range_past_the_vertex_cap_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify-claims", "--family", "34q", "--q-range", "12..4095")
+        assert code == 2
+        assert err.startswith("error: BadRange:") and "cap of 4096 vertices" in err
+        assert out == ""
+
     @pytest.mark.parametrize("q_range", ["9..3", "1..2"])
     def test_empty_range_is_exit_2(self, capsys, q_range):
         # 1..2 lies wholly below the family's first q, so it selects nothing too

@@ -150,6 +150,18 @@ class TestSemantics:
                 D = decode_model((2, 2, 2), true_vars)
                 assert od.diameter(D) == 2
 
+    def test_decode_reads_true_as_low_to_high(self):
+        parts = (1, 1, 2)
+        edges = od.make_complete_multipartite(parts).edges()
+        aux = range(len(edges) + 1, encode_diameter2(parts)[2].variables + 1)
+        for code in range(1 << len(edges)):
+            true_vars = {i + 1 for i in range(len(edges)) if code >> i & 1}
+            expected = sorted((u, v) if i + 1 in true_vars else (v, u)
+                              for i, (u, v) in enumerate(edges))
+            assert decode_model(parts, true_vars).arcs() == expected
+            # auxiliary and unknown ids are ignored
+            assert decode_model(parts, [*true_vars, *aux, 0, 10**6]).arcs() == expected
+
     def test_export_matches_encoded_clauses(self, tmp_path):
         path = tmp_path / "x.cnf"
         export_cnf((1, 1, 2), path)

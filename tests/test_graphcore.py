@@ -20,12 +20,11 @@ from orientdiam.graphcore import (
     ZeroPart,
     _diameter_below,
     dumps,
-    eccentricity,
     loads,
     to_dot,
 )
 
-from conftest import orientations
+from conftest import all_orientations, orientations
 
 
 def three_cycle():
@@ -157,6 +156,16 @@ class TestDiameter:
         for D in (three_cycle(), od.construct_33q(4), od.construct_34q(5)):
             assert od.has_diameter_at_most_2(D) == (od.diameter(D) <= 2)
 
+    @pytest.mark.parametrize("parts, outcomes", [((1, 2, 2), {False}), ((2, 2, 2), {True, False})])
+    def test_specialized_two_test_matches_every_orientation(self, parts, outcomes):
+        # K(1,2,2) has no diameter-2 orientation; K(2,2,2) has 28 of 4,096
+        seen = set()
+        for D in all_orientations(od.make_complete_multipartite(parts)):
+            two = od.has_diameter_at_most_2(D)
+            assert two == (od.diameter(D) <= 2)
+            seen.add(two)
+        assert seen == outcomes
+
 
 def transitive_closure_reaches_all(D) -> bool:
     """Independent strongness oracle: boolean matrix closure, no BFS."""
@@ -232,13 +241,6 @@ class TestProperties:
         bound = data.draw(st.integers(1, n + 1))
         worst = max(od.distance(D, u, v) for u in range(n) for v in range(n))
         assert _diameter_below(D.out_adj, bound) == (worst if worst < bound else None)
-
-    @given(orientations())
-    def test_eccentricity_consistent(self, D):
-        n = D.n_vertices
-        for u in range(n):
-            expected = max(od.distance(D, u, v) for v in range(n))
-            assert eccentricity(D, u) == expected
 
 
 class TestInduced:

@@ -209,22 +209,27 @@ class TestDecide:
         assert outcome.verdict is Verdict.UNKNOWN
         assert outcome.witness is None
 
-    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 5_000])
+    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 5_000, 200])
     @pytest.mark.parametrize("parts,symmetry", [((3, 4, 12), True), ((3, 4, 12), False),
-                                                ((4, 4, 26), True)])
+                                                ((4, 4, 26), True), ((3, 5, 19), True)])
     def test_node_budget_never_exceeded(self, parts, symmetry, node_budget):
-        # the tick that breaks the budget is not counted
+        # the tick that breaks the budget is not counted; K(3,5,19) at 200
+        # nodes runs out inside the kernel, below its root
         cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=symmetry)
         outcome = od.decide_diameter2(parts, cfg)
-        if outcome.verdict is Verdict.UNKNOWN:
+        full = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
+        if full.stats.nodes > node_budget:
+            assert outcome.verdict is Verdict.UNKNOWN
+            assert outcome.witness is None
             assert outcome.stats.nodes <= node_budget
         else:
-            assert outcome.stats.nodes == od.decide_diameter2(
-                parts, SearchConfig(symmetry_breaking=symmetry)).stats.nodes
+            assert outcome.verdict is full.verdict
+            assert outcome.stats.nodes == full.stats.nodes
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            od.decide_diameter2((5, 5, 5))
+        for parts, cap in (((5, 5, 5), "25 edges, cap is 16"), ((6, 6, 6), "12 vertices, cap is 10")):
+            with pytest.raises(TooLarge, match=cap):
+                od.decide_diameter2(parts)
 
     def test_config_validation(self):
         with pytest.raises(SearchError):
@@ -573,6 +578,22 @@ class TestBruteForce:
         topo = od.make_complete_multipartite(parts)
         assert 16 < topo.n_edges <= 20
         assert od.brute_force_min_diameter(topo) == value
+
+
+@pytest.mark.parametrize("oracle,parts,answer", [
+    (od.brute_force_min_diameter, (4096,), od.INFINITE),
+    (od.brute_force_min_diameter, (1, 20), od.INFINITE),
+    (od.brute_force_min_diameter, (1,), 0),
+    (od.enumerate_diameter2, (4096,), []),
+    (od.enumerate_diameter2, (1, 16), []),
+])
+def test_oracles_skip_graphs_with_fewer_edges_than_vertices(monkeypatch, oracle, parts, answer):
+    # a strong orientation on n >= 2 vertices has at least n arcs
+    def unexpected(*args):
+        raise AssertionError("sliced levels built for a graph that cannot be strong")
+
+    monkeypatch.setattr(search, "_diameter_levels", unexpected)
+    assert oracle(od.make_complete_multipartite(parts)) == answer
 
 
 class TestOracleRevalidation:
