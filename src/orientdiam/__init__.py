@@ -1,7 +1,7 @@
 """Exact toolkit for diameter-2 orientations of complete multipartite graphs.
 
 Builds the known orientation families, verifies their diameters exactly,
-analyzes orientations through sign-vector partitions and antichain reports,
+analyzes orientations through sign classes and antichain reports,
 and decides diameter-2 orientability by exhaustive search with symmetry
 breaking, with a DIMACS CNF export for instances handed to external SAT
 solvers.
@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .analysis import (
     AntichainReport,
     CaseSignature,
-    SignPartition,
-    SignVector,
     canonical_case_classes,
     case_signature,
     sign_condition_violations,
@@ -69,8 +67,6 @@ __all__ = [
     "SearchConfig",
     "SearchOutcome",
     "SearchStats",
-    "SignPartition",
-    "SignVector",
     "Verdict",
     "brute_force_min_diameter",
     "build_33q",

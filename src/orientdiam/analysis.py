@@ -1,10 +1,12 @@
-"""Sign-vector partitions, case signatures, and antichain utilities.
+"""Sign classes, case signatures, and antichain utilities.
 
 Fix an anchor part of exactly three vertices (x1, x2, x3).  Every vertex v
-outside it gets a 3-bit sign vector whose k-th entry is '+' when xk -> v and
-'-' when v -> xk.  The eight sign classes partition each non-anchor part and
-drive all structural checks here, including the two necessary conditions
-that every diameter-2 orientation of a complete tripartite graph satisfies:
+outside it gets a three-character sign label whose k-th entry is '+' when
+xk -> v (bit v of xk's out-mask is set) and '-' when v -> xk.  Each
+non-anchor part maps every one of the eight labels to the ascending tuple of
+its vertices carrying it.  These sign classes drive all structural checks
+here, including the two necessary conditions that every diameter-2
+orientation of a complete tripartite graph satisfies:
 
   * a nonempty all-plus class in one part is a singleton dominating the
     other part, and dually for all-minus;
@@ -31,7 +33,13 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .graphcore import Orientation, diameter
+from .graphcore import Orientation, _bit_members, diameter
+from .search import (
+    MAX_BLOCK_VERTICES,
+    _chain_partition,
+    _inclusion_tables,
+    canonicalize_case,
+)
 
 SIGN_LABELS = ("+++", "++-", "+-+", "-++", "+--", "-+-", "--+", "---")
 
@@ -56,68 +64,25 @@ class PTooLarge(AnalysisError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SignVector:
-    """In/out pattern of a vertex against the three anchor vertices."""
+def sign_partition(
+    D: Orientation, anchor_part: int | None = None
+) -> dict[int, dict[str, tuple[int, ...]]]:
+    """Map each non-anchor part index to {sign label: ascending vertex tuple}.
 
-    bits: tuple[bool, bool, bool]
-
-    @classmethod
-    def from_label(cls, label: str) -> "SignVector":
-        return cls(tuple(c == "+" for c in label))
-
-    @property
-    def label(self) -> str:
-        return "".join("+" if b else "-" for b in self.bits)
-
-    def complement(self) -> "SignVector":
-        return SignVector(tuple(not b for b in self.bits))
-
-    def __str__(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """The eight-class partition of one non-anchor part.
-
-    classes maps a sign label to the tuple of vertices carrying it; the
-    classes are disjoint and cover the part.
-    """
-
-    part_index: int
-    classes: dict[str, tuple[int, ...]]
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        return {label: len(vs) for label, vs in self.classes.items()}
-
-    def vertices(self, label: str) -> tuple[int, ...]:
-        return self.classes[label]
-
-
-def sign_of(D: Orientation, anchors: tuple[int, int, int], v: int) -> SignVector:
-    return SignVector(tuple(bool((D.out_adj[a] >> v) & 1) for a in anchors))
-
-
-def sign_partition(D: Orientation, anchor_part: int | None = None) -> dict[int, SignPartition]:
-    """Partition every non-anchor part by sign vector.
-
-    Returns one SignPartition per non-anchor part, keyed by part index.
+    All eight SIGN_LABELS are present in every part; the k-th sign of v is
+    read off the k-th anchor's out-mask.
     """
     topo = D.topology
     anchor_part = resolve_anchor(topo.parts, anchor_part)
-    anchors = tuple(topo.part_vertices(anchor_part))
+    anchor_out = [D.out_adj[x] for x in topo.part_vertices(anchor_part)]
     result = {}
     for pi in range(len(topo.parts)):
         if pi == anchor_part:
             continue
         classes = {label: [] for label in SIGN_LABELS}
         for v in topo.part_vertices(pi):
-            classes[sign_of(D, anchors, v).label].append(v)
-        result[pi] = SignPartition(
-            part_index=pi, classes={k: tuple(v) for k, v in classes.items()}
-        )
+            classes["".join("+" if out >> v & 1 else "-" for out in anchor_out)].append(v)
+        result[pi] = {label: tuple(vs) for label, vs in classes.items()}
     return result
 
 
@@ -135,32 +100,21 @@ def sign_condition_violations(D: Orientation, anchor_part: int | None = None) ->
     if not d <= 2:
         raise DiameterNotTwo(f"diameter is {d}, conditions apply only at diameter <= 2")
     partitions = sign_partition(D, anchor_part)
-    (i, pi), (j, pj) = sorted(partitions.items())
+    i, j = sorted(partitions)
+    # +++ must dominate the other part (out-masks), --- be dominated (in-masks)
+    checks = (("+++", D.out_adj, "does not dominate"), ("---", D.in_adj(), "not dominated by"))
     violations = []
-    for (a, pa), (b, pb) in (((i, pi), (j, pj)), ((j, pj), (i, pi))):
-        others = tuple(topo.part_vertices(b))
-        plus = pa.vertices("+++")
-        if plus:
-            if len(plus) != 1:
-                violations.append(f"part {a + 1} class +++ has size {len(plus)} != 1")
-            for y in plus:
-                for z in others:
-                    if not (D.out_adj[y] >> z) & 1:
-                        violations.append(
-                            f"part {a + 1} class +++ vertex {y} does not dominate {z}"
-                        )
-        minus = pa.vertices("---")
-        if minus:
-            if len(minus) != 1:
-                violations.append(f"part {a + 1} class --- has size {len(minus)} != 1")
-            for y in minus:
-                for z in others:
-                    if not (D.out_adj[z] >> y) & 1:
-                        violations.append(
-                            f"part {a + 1} class --- vertex {y} not dominated by {z}"
-                        )
+    for a, b in ((i, j), (j, i)):
+        others = sum(1 << z for z in topo.part_vertices(b))
+        for label, masks, fails in checks:
+            ys = partitions[a][label]
+            if len(ys) > 1:
+                violations.append(f"part {a + 1} class {label} has size {len(ys)} != 1")
+            for y in ys:
+                for z in _bit_members(others & ~masks[y]):
+                    violations.append(f"part {a + 1} class {label} vertex {y} {fails} {z}")
     for label in ("+++", "---"):
-        if pi.vertices(label) and pj.vertices(label):
+        if partitions[i][label] and partitions[j][label]:
             violations.append(f"both non-anchor parts have a nonempty {label} class")
     return violations
 
@@ -176,13 +130,6 @@ class CaseSignature:
 
     raw: tuple[int, int, int]
     canonical: tuple[int, int, int]
-    p: int
-
-
-def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
-    direct = tuple(sorted(ijk))
-    reversed_ = tuple(sorted(p - t for t in ijk))
-    return min(direct, reversed_)
 
 
 def resolve_anchor(parts, anchor_part: int | None) -> int:
@@ -211,8 +158,7 @@ def case_signature(D: Orientation, anchor_part: int | None = None) -> CaseSignat
     case_part = min((i for i in range(3) if i != anchor), key=lambda i: (topo.parts[i], i))
     mask = sum(1 << y for y in topo.part_vertices(case_part))
     raw = tuple((D.out_adj[x] & mask).bit_count() for x in topo.part_vertices(anchor))
-    p = topo.parts[case_part]
-    return CaseSignature(raw=raw, canonical=canonicalize_case(raw, p), p=p)
+    return CaseSignature(raw=raw, canonical=canonicalize_case(raw, topo.parts[case_part]))
 
 
 def canonical_case_classes(p: int) -> tuple[tuple[int, int, int], ...]:
@@ -270,9 +216,6 @@ def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     each other optimal, so it is returned only after that check.  Capped at
     MAX_BLOCK_VERTICES, the largest code width the kernel's tables serve.
     """
-    # search imports this module, so its names are imported on first call
-    from .search import MAX_BLOCK_VERTICES, _chain_partition, _inclusion_tables
-
     if p < 1:
         raise AnalysisError(f"need p >= 1, got {p}")
     if p > MAX_BLOCK_VERTICES:

@@ -69,8 +69,6 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise CliError(f"--parts expects comma-separated integers, got {text!r}")
-    if not parts:
-        raise CliError("--parts must not be empty")
     return parts
 
 
@@ -155,8 +153,8 @@ def cmd_analyze(args) -> int:
             "parts": list(D.topology.parts),
             "anchor": anchor,
             "sign_classes": {
-                f"part{pi + 1}": {label: list(sp.classes[label]) for label in SIGN_LABELS}
-                for pi, sp in sorted(partitions.items())
+                f"part{pi + 1}": {label: list(classes[label]) for label in SIGN_LABELS}
+                for pi, classes in sorted(partitions.items())
             },
             "necessary_conditions": verdict,
             "violations": violations,
@@ -173,7 +171,7 @@ def cmd_analyze(args) -> int:
     for label in SIGN_LABELS:
         row = f"{label:<9}"
         for pi in sorted(partitions):
-            members = ",".join(topo.vertex_name(v) for v in partitions[pi].classes[label])
+            members = ",".join(topo.vertex_name(v) for v in partitions[pi][label])
             row += f"{members or '-':<8}"
         print(row)
     print(f"diameter-2 necessary conditions: {verdict}")

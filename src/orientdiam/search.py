@@ -67,7 +67,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import canonicalize_case
 from .graphcore import (
     INFINITE,
     GraphTopology,
@@ -134,6 +133,13 @@ class SearchOutcome:
     verdict: Verdict
     witness: Orientation | None
     stats: SearchStats
+
+
+def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
+    """Least of the sorted case and its reversal (p-i, p-j, p-k), sorted."""
+    direct = tuple(sorted(ijk))
+    reversed_ = tuple(sorted(p - t for t in ijk))
+    return min(direct, reversed_)
 
 
 @functools.cache

@@ -8,10 +8,10 @@ import orientdiam as od
 
 
 def random_orientation(topology, bits: int):
-    """The orientation of `topology` selected by one bit per sorted edge."""
+    """Orientation of `topology`: sorted edge i runs low -> high iff bit i is set."""
     arcs = []
     for i, (u, v) in enumerate(topology.edges()):
-        arcs.append((u, v) if not (bits >> i) & 1 else (v, u))
+        arcs.append((u, v) if (bits >> i) & 1 else (v, u))
     return od.orient(topology, arcs)
 
 

@@ -19,7 +19,6 @@ from orientdiam.analysis import (
     DiameterNotTwo,
     NotBipartite,
     PTooLarge,
-    SignVector,
     canonicalize_case,
 )
 from orientdiam.search import MAX_BLOCK_VERTICES
@@ -28,13 +27,6 @@ from conftest import all_orientations, anchored_orientations, random_orientation
 
 
 class TestSignVector:
-    def test_labels_round_trip(self):
-        for label in od.analysis.SIGN_LABELS:
-            assert SignVector.from_label(label).label == label
-
-    def test_complement(self):
-        assert SignVector.from_label("+-+").complement().label == "-+-"
-
     def test_exactly_eight(self):
         assert len(od.analysis.SIGN_LABELS) == 8
         assert len(set(od.analysis.SIGN_LABELS)) == 8
@@ -42,15 +34,16 @@ class TestSignVector:
 
 class TestSignPartition:
     def test_d6_sizes(self):
-        sizes = od.sign_partition(od.construct_33q(6), 0)[2].sizes
-        assert sizes["+++"] == 1 and sizes["+--"] == 2 and sizes["-+-"] == 2 and sizes["---"] == 1
+        classes = od.sign_partition(od.construct_33q(6), 0)[2]
+        assert len(classes["+++"]) == 1 and len(classes["+--"]) == 2
+        assert len(classes["-+-"]) == 2 and len(classes["---"]) == 1
 
     def test_all_anchorward_is_all_minus(self):
         # orient every edge toward the anchor part: everything is ---
         topo = od.make_complete_multipartite([3, 3])
         arcs = [(v, x) for x in range(3) for v in range(3, 6)]
         D = od.orient(topo, arcs)
-        assert od.sign_partition(D, 0)[1].sizes["---"] == 3
+        assert len(od.sign_partition(D, 0)[1]["---"]) == 3
 
     def test_anchor_must_have_three_vertices(self):
         D = od.middle_layer_bipartite(2, 2)
@@ -60,8 +53,9 @@ class TestSignPartition:
     @given(anchored_orientations())
     @settings(deadline=None)
     def test_partition_totality(self, D):
-        for pi, sp in od.sign_partition(D, 0).items():
-            members = [v for vs in sp.classes.values() for v in vs]
+        for pi, classes in od.sign_partition(D, 0).items():
+            assert set(classes) == set(od.analysis.SIGN_LABELS)
+            members = [v for vs in classes.values() for v in vs]
             assert sorted(members) == list(D.topology.part_vertices(pi))
 
     @given(anchored_orientations())
@@ -69,10 +63,10 @@ class TestSignPartition:
     def test_reversal_swaps_classes_with_complements(self, D):
         forward = od.sign_partition(D, 0)
         backward = od.sign_partition(od.reverse(D), 0)
+        complement = str.maketrans("+-", "-+")
         for pi in forward:
             for label in od.analysis.SIGN_LABELS:
-                flipped = SignVector.from_label(label).complement().label
-                assert forward[pi].classes[label] == backward[pi].classes[flipped]
+                assert forward[pi][label] == backward[pi][label.translate(complement)]
 
 
 class TestNecessaryConditions:
@@ -92,6 +86,24 @@ class TestNecessaryConditions:
         D = od.middle_layer_bipartite(3, 3)
         with pytest.raises(od.analysis.AnalysisError):
             od.sign_condition_violations(D, 0)
+
+    def test_violation_messages(self, monkeypatch):
+        # no diameter-2 orientation violates the conditions, so lift the
+        # precondition: anchors beat everything and part 2 beats part 3,
+        # making both +++ classes too big and part 3's dominate nothing
+        monkeypatch.setattr(od.analysis, "diameter", lambda D: 2)
+        topo = od.make_complete_multipartite([3, 2, 2])
+        D = od.orient(topo, topo.edges())
+        expected = [
+            "part 2 class {0} has size 2 != 1",
+            "part 3 class {0} has size 2 != 1",
+            *(f"part 3 class {{0}} vertex {y} {{1}} {z}" for y in (5, 6) for z in (3, 4)),
+            "both non-anchor parts have a nonempty {0} class",
+        ]
+        assert od.sign_condition_violations(D) == [
+            m.format("+++", "does not dominate") for m in expected]
+        assert od.sign_condition_violations(od.reverse(D)) == [
+            m.format("---", "not dominated by") for m in expected]
 
     def test_exhaustive_small_tripartite(self):
         # every diameter-2 orientation found by exhaustive enumeration passes,

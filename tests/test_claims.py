@@ -102,6 +102,18 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         assert "UNKNOWN" in report.to_text()
 
+    def test_search_observing_exists_fails_with_exit_1(self, monkeypatch):
+        # a K(3,3,7) witness would contradict the paper: the row must fail
+        def stub(parts, cfg=None):
+            return SearchOutcome(Verdict.EXISTS, None, SearchStats(1, 0, 0.0, 1))
+
+        monkeypatch.setattr(claims, "decide_diameter2", stub)
+        report = verify_claims("33q", q_range=(7, 7))
+        (record,) = report.records
+        assert record.observed == 2 and not record.passed and not record.unknown
+        assert report.exit_code == 1
+        assert " FAIL " in report.to_text()
+
     def test_all_pass_gives_exit_0(self):
         assert verify_claims("baselines").exit_code == 0
 

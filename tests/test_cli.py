@@ -68,6 +68,19 @@ class TestConstructAndDiameter:
         assert code == 2
         assert "MissingEdge" in err
 
+    def test_diameter_json(self, capsys, tmp_path):
+        path = tmp_path / "d4.json"
+        run(capsys, "construct", "--parts", "3,3,4", "--out", str(path))
+        code, out, _ = run(capsys, "diameter", "--file", str(path), "--format", "json")
+        assert code == 0
+        assert out == '{"parts":[3,3,4],"diameter":2}\n'
+
+    def test_tournament_dot_names_vertices(self, capsys):
+        code, out, _ = run(capsys, "construct", "--parts", "1,1,1,1,1", "--scheme", "tournament",
+                           "--format", "dot")
+        assert code == 0
+        assert "{ rank=same; p1v1; }" in out and "{ rank=same; p5v1; }" in out
+
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"parts": [1,1,')
@@ -99,6 +112,11 @@ MALFORMED = [
     ("analyze --anchor -1", None),
     ("enumerate --parts 1,1,1 --limit 0", ""),
     ("enumerate --parts 1,1,1 --limit -3", ""),
+    ("decide --parts 3,,4", ""),
+    ("brute-force --parts x", ""),
+    ("construct --scheme middle-layer --parts 1,2,3", ""),
+    ("construct --scheme tournament --parts 1,2", ""),
+    pytest.param("diameter", '{"parts":[1,1]}', id="diameter-no-arcs"),
 ]
 
 
@@ -256,6 +274,28 @@ class TestAnalyze:
         assert tuple(doc["case_signature"]["canonical"]) in outcome.stats.cases_enumerated
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_diameter_above_two_is_not_applicable(self, capsys, tmp_path, fmt):
+        topo = od.make_complete_multipartite([3, 1, 1])
+        path = tmp_path / "k311.json"
+        path.write_text(od.graphcore.dumps(od.orient(topo, topo.edges())))  # all low -> high
+        code, out, _ = run(capsys, "analyze", "--file", str(path), "--format", fmt)
+        assert code == 0
+        assert "not-applicable (diameter exceeds 2)" in out
+
+    def test_bipartite_is_not_applicable(self, capsys, tmp_path):
+        path = tmp_path / "ml.json"
+        path.write_text(od.graphcore.dumps(od.middle_layer_bipartite(3, 3)))
+        code, out, _ = run(capsys, "analyze", "--file", str(path))
+        assert code == 0
+        assert "conditions: not-applicable (needs a tripartite orientation)\n" in out
+        assert "case signature" not in out
+        code, out, _ = run(capsys, "analyze", "--file", str(path), "--format", "json")
+        doc = json.loads(out)
+        assert doc["necessary_conditions"] == "not-applicable (needs a tripartite orientation)"
+        assert doc["violations"] is None and doc["case_signature"] is None
+
+
 class TestDecide:
     def test_exists_with_witness(self, capsys):
         code, out, _ = run(capsys, "decide", "--parts", "3,3,6")
@@ -349,6 +389,15 @@ class TestVerifyClaims:
         assert doc["claims"] and all(row["passed"] for row in doc["claims"])
         assert doc["cnf_emitted"] == [] and doc["exit_code"] == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_emits_cnf_in_cwd(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify-claims", "--family", "33q", "--q-range", "7..7",
+                           "--budget-nodes", "1")
+        assert code == 3
+        assert "UNKNOWN" in out
+        assert out.endswith("emitted CNF for external solving: ./k3_3_7.cnf\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["k3_3_7.cnf"]
 
     def test_bad_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

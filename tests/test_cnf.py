@@ -72,7 +72,8 @@ class TestCounts:
         _, _, stats = encode_diameter2((3, 3, 7))
         assert stats.edge_variables == 51
 
-    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2, 2), (3, 3, 7), (3, 4, 12)])
+    # (5,) and (1, 4) hit the lex constraint's k = 0 and k = 1 early returns
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2, 2), (3, 3, 7), (3, 4, 12), (5,), (1, 4)])
     def test_stats_match_independent_count(self, parts, tmp_path):
         path = tmp_path / "instance.cnf"
         stats = export_cnf(parts, path)

@@ -14,6 +14,11 @@ from orientdiam.constructions import (
 )
 
 
+def _class_sizes(D):
+    """Sign-class sizes of the third part, anchored at the first."""
+    return {label: len(vs) for label, vs in od.sign_partition(D, 0)[2].items()}
+
+
 class TestK33q:
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_diameter_two(self, q):
@@ -22,13 +27,13 @@ class TestK33q:
         assert od.diameter(D) == 2
 
     def test_q6_class_sizes(self):
-        sizes = od.sign_partition(od.construct_33q(6), 0)[2].sizes
+        sizes = _class_sizes(od.construct_33q(6))
         assert sizes["+++"] == 1 and sizes["---"] == 1
         assert sizes["+--"] == 2 and sizes["-+-"] == 2
         assert sum(sizes.values()) == 6
 
     def test_q4_class_sizes(self):
-        sizes = od.sign_partition(od.construct_33q(4), 0)[2].sizes
+        sizes = _class_sizes(od.construct_33q(4))
         assert sizes == {
             "+++": 1, "++-": 1, "+-+": 1, "+--": 1,
             "-++": 0, "-+-": 0, "--+": 0, "---": 0,
@@ -64,7 +69,7 @@ class TestK34q:
         assert od.diameter(D) == 2
 
     def test_q11_class_sizes(self):
-        sizes = od.sign_partition(od.construct_34q(11), 0)[2].sizes
+        sizes = _class_sizes(od.construct_34q(11))
         assert sizes["+--"] == 6
         assert sizes["+++"] == 1 and sizes["++-"] == 2 and sizes["+-+"] == 2
 

@@ -258,7 +258,7 @@ class TestInduced:
     def test_d6_four_cycle_block(self):
         # y2, y3 with the two +-- vertices form a directed 4-cycle
         D6 = od.construct_33q(6)
-        classes = od.sign_partition(D6, 0)[2].classes
+        classes = od.sign_partition(D6, 0)[2]
         keep = [4, 5, *classes["+--"]]
         sub = od.induced_suborientation(D6, keep)
         assert sub.topology.parts == (2, 2)

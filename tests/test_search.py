@@ -632,15 +632,21 @@ class TestOracleRevalidation:
 
 @pytest.mark.parametrize("parts", PLAIN_TOPOLOGIES)
 def test_oracles_match_plain_enumeration(parts):
-    # conftest sets bit i when sorted edge i runs high -> low, the complement
-    # of the oracles' edge code, so their count-down order is its ascending one
+    # conftest counts edge codes up and the oracles count them down
     topo = od.make_complete_multipartite(parts)
     measured = [(D, od.diameter(D)) for D in all_orientations(topo)]
     assert od.brute_force_min_diameter(topo) == min(d for _, d in measured)
-    diameter2 = [D.arcs() for D, d in measured if d == 2]
+    diameter2 = [D.arcs() for D, d in reversed(measured) if d == 2]
     for limit in (None, 1, 3):
         found = [D.arcs() for D in od.enumerate_diameter2(topo, limit)]
         assert found == diameter2[:limit]
+
+
+def test_diameter_levels_stop_at_the_fixpoint():
+    # edges (0,2) and (1,2) run into vertex 2 under every code of the chunk:
+    # 2 is a sink, so no level reaches every pair and the reach sets stop growing
+    edges = od.make_complete_multipartite((1, 1, 1)).edges()
+    assert list(search._diameter_levels(3, edges, 1, 0b11)) == [(1, 0)]
 
 
 class TestEnumerate:
