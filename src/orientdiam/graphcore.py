@@ -184,11 +184,10 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
     """Validate an arc list and build the orientation it describes.
 
     Every inter-part edge must be covered exactly once, in exactly one
-    direction.
+    direction; a missing edge is named as the first of topology.edges().
     """
     n = topology.n_vertices
     out = [0] * n
-    seen = set()
     for u, v in arcs:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
@@ -197,16 +196,21 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
             raise SelfLoop(f"arc ({u},{v})")
         if not topology.adjacent(u, v):
             raise IntraPartArc(f"arc ({u},{v}) joins two vertices of part {topology.part_of[u] + 1}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DoubleOrientation(f"edge {{{key[0]},{key[1]}}} oriented more than once")
-        seen.add(key)
+        if (out[u] >> v | out[v] >> u) & 1:
+            raise DoubleOrientation(f"edge {{{min(u, v)},{max(u, v)}}} oriented more than once")
         out[u] |= 1 << v
-    if len(seen) != topology.n_edges:
-        for u, v in topology.edges():
-            if (u, v) not in seen:
-                raise MissingEdge(f"edge {{{u},{v}}} has no orientation")
-    return Orientation(topology=topology, out_adj=tuple(out))
+    D = Orientation(topology=topology, out_adj=tuple(out))
+    if sum(mask.bit_count() for mask in out) != topology.n_edges:
+        ins = D.in_adj()
+        end = 0
+        for p in topology.parts:
+            end += p
+            for u in range(end - p, end):  # u's sorted edges lead past its part
+                missing = ~(out[u] | ins[u]) >> end << end & (1 << n) - 1
+                if missing:
+                    v = (missing & -missing).bit_length() - 1
+                    raise MissingEdge(f"edge {{{u},{v}}} has no orientation")
+    return D
 
 
 def distance(D: Orientation, u: int, v: int):

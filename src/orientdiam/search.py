@@ -76,7 +76,6 @@ from .graphcore import (
     _out_masks,
     diameter,
     make_complete_multipartite,
-    orient,
 )
 
 MAX_BLOCK_EDGES = 16
@@ -169,13 +168,13 @@ def _inclusion_tables(m: int):
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
-    codes is the set of feasible profile codes, one bit per code, and
-    profiles lists them in ascending order.  With fewer than q feasible
-    profiles no search can succeed, so the frame stops there: no cover
-    pairs, and feasible is False.
+    codes is the set of feasible profile codes, one bit per code, profiles
+    lists them in ascending order, and routers[i] those that route cover
+    pair i, (a, b): the ones without a that hold b.  With fewer than q
+    feasible profiles the frame stops there: no pairs, no routers, not feasible.
     """
 
-    __slots__ = ("bout", "sup", "codes", "profiles", "cover_pairs", "feasible")
+    __slots__ = ("bout", "sup", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
     def __init__(self, m: int, bedges, bits: int, q: int):
         self.bout = bout = _out_masks(m, bedges, bits)
@@ -190,10 +189,10 @@ class _BlockFrame:
             # beaten by a and needs a two-step route to a: out if it holds
             # nothing of bin[a].
             infeasible |= sup[1 << a | bout[a]] | sub[full ^ 1 << a ^ bin_[a]]
-        self.codes = ~infeasible & ((2 << full) - 1)
-        self.profiles = list(_bit_members(self.codes))
+        self.codes = codes = ~infeasible & ((2 << full) - 1)
+        self.profiles = list(_bit_members(codes))
         if len(self.profiles) < q:
-            self.cover_pairs, self.feasible = [], False
+            self.cover_pairs, self.routers, self.feasible = [], [], False
             return
         # ordered pairs outside L that the block alone does not satisfy
         self.cover_pairs = []
@@ -202,11 +201,8 @@ class _BlockFrame:
             for b in _bit_members(bout[a]):
                 reach |= bout[b]
             self.cover_pairs.extend((a, b) for b in _bit_members(full & ~reach))
-        self.feasible = all(self.routers(a, b) for a, b in self.cover_pairs)
-
-    def routers(self, a: int, b: int) -> int:
-        """The feasible profiles that route a to b: those without a that hold b."""
-        return self.codes & self.sup[1 << b] & ~self.sup[1 << a]
+        self.routers = [codes & sup[1 << b] & ~sup[1 << a] for a, b in self.cover_pairs]
+        self.feasible = all(self.routers)
 
 
 class _Budget:
@@ -303,7 +299,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     if len(chains) < q:
         budget.tick(0)
         return None
-    routers = [frame.routers(a, b) for a, b in frame.cover_pairs]
+    routers = frame.routers
     sup = frame.sup
 
     def extend(picked: int, cand: int):
@@ -468,7 +464,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         if budget.exhausted:
             break
         if chosen is not None:
-            witness = _assemble_witness(topology, big, rest_parts, frame.bout, chosen)
+            witness = _assemble_witness(topology, big, frame.bout, chosen)
             if not diameter(witness) <= 2:  # soundness gate; never expected to fire
                 raise SearchError("internal error: candidate witness failed re-validation")
             break
@@ -487,25 +483,24 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     return SearchOutcome(Verdict.NONE, None, stats)
 
 
-def _assemble_witness(topology, big, rest_parts, bout, chosen_profiles) -> Orientation:
-    """Lift a block orientation plus L-profiles back to global vertex ids."""
-    sizes = topology.parts
-    rest_global = []
-    for i in range(len(sizes)):
-        if i != big:
-            rest_global.extend(topology.part_vertices(i))
-    big_global = list(topology.part_vertices(big))
-    arcs = []
-    for a in range(len(rest_global)):
-        for b in _bit_members(bout[a]):
-            arcs.append((rest_global[a], rest_global[b]))
-    for z, profile in zip(big_global, chosen_profiles):
-        for a in range(len(rest_global)):
-            if (profile >> a) & 1:
-                arcs.append((z, rest_global[a]))
-            else:
-                arcs.append((rest_global[a], z))
-    return orient(topology, arcs)
+def _assemble_witness(topology, big, bout, chosen_profiles) -> Orientation:
+    """Lift a block orientation plus L-profiles back to global vertex ids.
+
+    L holds the ids lo .. lo + q - 1, so lift opens a q-bit gap at lo in a
+    block mask.  z_j points at the lift of its profile, and every block vertex
+    outside that profile points at z_j: each edge gets exactly one direction.
+    """
+    lo, q = sum(topology.parts[:big]), topology.parts[big]
+
+    def lift(mask: int) -> int:
+        return mask & (1 << lo) - 1 | mask >> lo << lo + q
+
+    out = [lift(mask) for mask in bout]
+    for j, profile in enumerate(chosen_profiles):
+        for a in _bit_members((1 << len(bout)) - 1 & ~profile):
+            out[a] |= 1 << lo + j
+    out[lo:lo] = map(lift, chosen_profiles)
+    return Orientation(topology, tuple(out))
 
 
 # ---------------------------------------------------------------------------

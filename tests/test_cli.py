@@ -117,6 +117,9 @@ MALFORMED = [
     ("construct --scheme middle-layer --parts 1,2,3", ""),
     ("construct --scheme tournament --parts 1,2", ""),
     pytest.param("diameter", '{"parts":[1,1]}', id="diameter-no-arcs"),
+    # 8.4M edges, the first one missing: named without listing the edges
+    pytest.param("diameter", json.dumps({"parts": [1] * MAX_VERTICES, "arcs": []}),
+                 id="diameter-singletons-no-arcs"),
 ]
 
 

@@ -12,6 +12,8 @@ from orientdiam.graphcore import (
     DoubleOrientation,
     EmptyKeep,
     EmptyParts,
+    GraphError,
+    GraphTopology,
     IntraPartArc,
     MissingEdge,
     ParseError,
@@ -24,7 +26,7 @@ from orientdiam.graphcore import (
     to_dot,
 )
 
-from conftest import all_orientations, orientations
+from conftest import all_orientations, orientations, topologies
 
 
 def three_cycle():
@@ -70,6 +72,75 @@ class TestTopology:
             od.make_complete_multipartite([MAX_VERTICES, 1])
 
 
+def _reference_orient(topology, arcs):
+    """orient as it stood with a set of edge tuples, kept as an oracle."""
+    n = topology.n_vertices
+    out = [0] * n
+    seen = set()
+    for u, v in arcs:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"arc ({u},{v}) out of range for {n} vertices")
+        if u == v:
+            raise SelfLoop(f"arc ({u},{v})")
+        if not topology.adjacent(u, v):
+            raise IntraPartArc(f"arc ({u},{v}) joins two vertices of part {topology.part_of[u] + 1}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DoubleOrientation(f"edge {{{key[0]},{key[1]}}} oriented more than once")
+        seen.add(key)
+        out[u] |= 1 << v
+    if len(seen) != topology.n_edges:
+        for u, v in topology.edges():
+            if (u, v) not in seen:
+                raise MissingEdge(f"edge {{{u},{v}}} has no orientation")
+    return od.Orientation(topology=topology, out_adj=tuple(out))
+
+
+def _outcome(orient, topology, arcs):
+    """The out-masks orient builds, or the type and message of what it raises."""
+    try:
+        return orient(topology, arcs).out_adj
+    except (GraphError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def arc_lists(draw):
+    """A topology and a shuffled orientation's arcs with up to four faults.
+
+    The faults are dropped arcs, duplicates, reversed duplicates, self-loops,
+    intra-part arcs and out-of-range arcs, inserted anywhere in the list.
+    """
+    topo = draw(topologies(min_parts=1))
+    n = topo.n_vertices
+    edges = topo.edges()
+    bits = draw(st.integers(0, (1 << len(edges)) - 1))
+    arcs = draw(st.permutations([(u, v) if bits >> i & 1 else (v, u)
+                                 for i, (u, v) in enumerate(edges)]))
+    intra = [(u, v) for u in range(n) for v in range(n) if u != v and not topo.adjacent(u, v)]
+    # a drop shows only when no other fault raises, so drops come thrice as often
+    faults = ["drop"] * 3 + ["duplicate", "reverse", "loop", "range"] + ["intra"] * bool(intra)
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=4)):
+        at = draw(st.integers(0, len(arcs)))
+        if fault in ("drop", "duplicate", "reverse"):
+            if not arcs:
+                continue
+            u, v = arcs[at % len(arcs)]
+            if fault == "drop":
+                del arcs[at % len(arcs)]
+            else:
+                arcs.insert(at, (u, v) if fault == "duplicate" else (v, u))
+        elif fault == "loop":
+            u = draw(st.integers(0, n - 1))
+            arcs.insert(at, (u, u))
+        elif fault == "intra":
+            arcs.insert(at, draw(st.sampled_from(intra)))
+        else:
+            arcs.insert(at, draw(st.sampled_from([(n, 0), (0, n), (-1, 0), (0, n + 5)])))
+    return topo, arcs
+
+
 class TestOrient:
     def test_three_cycle_valid(self):
         D = three_cycle()
@@ -77,13 +148,36 @@ class TestOrient:
 
     def test_double_orientation(self):
         topo = od.make_complete_multipartite([1, 1, 1])
-        with pytest.raises(DoubleOrientation):
+        with pytest.raises(DoubleOrientation, match=r"^edge \{0,1\} oriented more than once$"):
             od.orient(topo, [(0, 1), (1, 0), (1, 2), (2, 0)])
 
     def test_missing_edge(self):
         topo = od.make_complete_multipartite([1, 2])
-        with pytest.raises(MissingEdge):
+        with pytest.raises(MissingEdge, match=r"^edge \{0,2\} has no orientation$"):
             od.orient(topo, [(0, 1)])
+
+    def test_missing_edge_after_an_in_arc(self):
+        # edge {0,1} is covered, but only by an arc into vertex 0
+        topo = od.make_complete_multipartite([1, 2])
+        with pytest.raises(MissingEdge, match=r"^edge \{0,2\} has no orientation$"):
+            od.orient(topo, [(1, 0)])
+
+    def test_missing_edge_builds_no_edge_list(self, monkeypatch):
+        # 4,096 singleton parts have 8.4M edges; naming the first missing
+        # one must not list them
+        def built(self):
+            raise AssertionError("edge list built")
+
+        monkeypatch.setattr(GraphTopology, "edges", built)
+        topo = od.make_complete_multipartite([1] * MAX_VERTICES)
+        with pytest.raises(MissingEdge, match=r"^edge \{0,1\} has no orientation$"):
+            od.orient(topo, [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(arc_lists())
+    def test_matches_set_based_reference(self, topo_arcs):
+        topo, arcs = topo_arcs
+        assert _outcome(od.orient, topo, arcs) == _outcome(_reference_orient, topo, arcs)
 
     def test_intra_part_arc(self):
         topo = od.make_complete_multipartite([1, 2])

@@ -273,6 +273,10 @@ class TestDecide:
         without = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=False))
         assert with_sym.verdict == without.verdict
         assert _arcs(with_sym) == _arcs(without)
+        # the witness is lifted from masks: it must still orient every edge once
+        for W in (with_sym.witness, without.witness):
+            if W is not None:
+                assert od.orient(W.topology, W.arcs()).out_adj == W.out_adj
 
     @pytest.mark.parametrize("parts", [(3, 5, 20), (4, 4, 26)])
     def test_time_budget_checked_per_block(self, parts):
@@ -493,10 +497,10 @@ class TestFrames:
             assert frame.profiles == profiles, (shape, bits)
             assert frame.codes == sum(1 << pr for pr in profiles)
             if q > len(profiles):
-                assert (frame.cover_pairs, frame.feasible) == ([], False)
+                assert (frame.cover_pairs, frame.routers, frame.feasible) == ([], [], False)
                 continue
             assert frame.cover_pairs == cover_pairs, (shape, bits)
-            assert [frame.routers(a, b) for a, b in cover_pairs] == routers, (shape, bits)
+            assert frame.routers == routers, (shape, bits)
             assert frame.feasible == all(routers)
 
 
