@@ -23,7 +23,6 @@ from .analysis import (
 from .claims import ClaimRecord, ClaimReport, verify_claims
 from .cnf import CnfStats, decode_model, encode_diameter2, export_cnf
 from .constructions import (
-    ConstructionRecipe,
     build_33q,
     build_34q,
     complete_graph_orientation,
@@ -60,7 +59,6 @@ __all__ = [
     "ClaimRecord",
     "ClaimReport",
     "CnfStats",
-    "ConstructionRecipe",
     "GraphTopology",
     "INFINITE",
     "Orientation",

@@ -99,22 +99,25 @@ def sign_condition_violations(D: Orientation, anchor_part: int | None = None) ->
     d = diameter(D)
     if not d <= 2:
         raise DiameterNotTwo(f"diameter is {d}, conditions apply only at diameter <= 2")
-    partitions = sign_partition(D, anchor_part)
-    i, j = sorted(partitions)
-    # +++ must dominate the other part (out-masks), --- be dominated (in-masks)
-    checks = (("+++", D.out_adj, "does not dominate"), ("---", D.in_adj(), "not dominated by"))
+    anchor = resolve_anchor(topo.parts, anchor_part)
+    x1, x2, x3 = (D.out_adj[x] for x in topo.part_vertices(anchor))
+    # +++ (beaten by all three anchors) must dominate the other part
+    # (out-masks), --- (beaten by none) be dominated by it (in-masks)
+    checks = (("+++", x1 & x2 & x3, D.out_adj, "does not dominate"),
+              ("---", ~(x1 | x2 | x3), D.in_adj(), "not dominated by"))
+    i, j = (pi for pi in range(3) if pi != anchor)
+    part = [sum(1 << v for v in topo.part_vertices(pi)) for pi in range(3)]
     violations = []
     for a, b in ((i, j), (j, i)):
-        others = sum(1 << z for z in topo.part_vertices(b))
-        for label, masks, fails in checks:
-            ys = partitions[a][label]
-            if len(ys) > 1:
-                violations.append(f"part {a + 1} class {label} has size {len(ys)} != 1")
-            for y in ys:
-                for z in _bit_members(others & ~masks[y]):
+        for label, signs, masks, fails in checks:
+            ys = part[a] & signs
+            if ys.bit_count() > 1:
+                violations.append(f"part {a + 1} class {label} has size {ys.bit_count()} != 1")
+            for y in _bit_members(ys):
+                for z in _bit_members(part[b] & ~masks[y]):
                     violations.append(f"part {a + 1} class {label} vertex {y} {fails} {z}")
-    for label in ("+++", "---"):
-        if partitions[i][label] and partitions[j][label]:
+    for label, signs, _, _ in checks:
+        if part[i] & signs and part[j] & signs:
             violations.append(f"both non-anchor parts have a nonempty {label} class")
     return violations
 

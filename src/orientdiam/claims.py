@@ -23,10 +23,10 @@ from .constructions import construct_33q, construct_34q
 from .graphcore import INFINITE, MAX_VERTICES, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
 
-# family -> (p, last constructive q, builder, default last q) for K(3, p, q)
+# family -> (p, last constructive q, builder) for K(3, p, q)
 _TABLES = {
-    "33q": (3, 6, construct_33q, 7),
-    "34q": (4, 11, construct_34q, 12),
+    "33q": (3, 6, construct_33q),
+    "34q": (4, 11, construct_34q),
 }
 
 _BASELINES = (
@@ -141,12 +141,12 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
                   cnf_dir: str | None = None) -> ClaimReport:
     """Run one claim family and return the report.
 
-    For a K(3,p,q) family, q_range (default p up to the family's last q) is
-    clamped below at p, and refused before any row runs if K(3,p,hi) would
-    pass graphcore.MAX_VERTICES; the baselines family takes no q_range.  A
-    refutation that ends Unknown is reported as unknown and, when cnf_dir is
-    given, its DIMACS instance is written there for an external solver,
-    unless it would exceed cnf.MAX_CNF_CLAUSES.
+    For a K(3,p,q) family, q_range (default p up to one past the family's
+    last constructive q) is clamped below at p, and refused before any row
+    runs if K(3,p,hi) would pass graphcore.MAX_VERTICES; the baselines
+    family takes no q_range.  A refutation that ends Unknown is reported as
+    unknown and, when cnf_dir is given, its DIMACS instance is written there
+    for an external solver, unless it would exceed cnf.MAX_CNF_CLAUSES.
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
@@ -162,8 +162,8 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
         ))
     if cfg is None:
         cfg = SearchConfig()
-    p, last_built, builder, last_q = _TABLES[family]
-    lo, hi = q_range if q_range is not None else (p, last_q)
+    p, last_built, builder = _TABLES[family]
+    lo, hi = q_range if q_range is not None else (p, last_built + 1)
     lo = max(lo, p)  # the classification starts at q = p
     if lo > hi:
         # an empty table would pass vacuously

@@ -97,14 +97,13 @@ def cmd_construct(args) -> int:
     parts = _parse_parts(args.parts)
     if args.scheme == "paper":
         if len(parts) == 3 and parts[0] == 3 and parts[1] == 3:
-            D, recipe = build_33q(parts[2])
+            D, log = build_33q(parts[2])
         elif len(parts) == 3 and parts[0] == 3 and parts[1] == 4:
-            D, recipe = build_34q(parts[2])
+            D, log = build_34q(parts[2])
         else:
             raise CliError(
                 f"scheme 'paper' covers parts 3,3,q and 3,4,q; got {args.parts}"
             )
-        log = recipe.completion_log
     elif args.scheme == "middle-layer":
         if len(parts) != 2:
             raise CliError("scheme 'middle-layer' needs two parts p,q")

@@ -73,7 +73,7 @@ def _path_count(topology) -> int:
 
 
 def encode_diameter2(parts):
-    """Build the clause list; returns (builder, edge_var map, stats).
+    """Build the clause list; returns (clauses, stats).
 
     Capped at MAX_CNF_CLAUSES covering and path clauses, checked before any
     edge or clause is built.
@@ -84,11 +84,8 @@ def encode_diameter2(parts):
     if needed > MAX_CNF_CLAUSES:
         raise TooManyClauses(f"K{topology.parts} needs {needed} covering and path clauses,"
                              f" cap is {MAX_CNF_CLAUSES}")
-    edges = topology.edges()
     b = _Builder()
-    edge_var = {}
-    for e in edges:
-        edge_var[e] = b.new_var()
+    edge_var = {e: b.new_var() for e in topology.edges()}
 
     def arc_lit(u, v) -> int:
         # literal asserting the arc u -> v
@@ -134,7 +131,7 @@ def encode_diameter2(parts):
         path_variables=n_path_vars,
         lex_variables=n_lex_vars,
     )
-    return b, edge_var, stats
+    return b.clauses, stats
 
 
 def _add_lex_leq(b: _Builder, row_a, row_b):
@@ -165,14 +162,14 @@ def _add_lex_leq(b: _Builder, row_a, row_b):
 
 def export_cnf(parts, out_path) -> CnfStats:
     """Write the DIMACS file; returns variable and clause counts."""
-    b, edge_var, stats = encode_diameter2(parts)
+    clauses, stats = encode_diameter2(parts)
     lines = [
         f"c diameter-2 orientation of K{tuple(parts)}",
         "c edge variables first (lex edge order, true = low index -> high index),",
         "c then two-step path variables grouped by ordered pair, then lex-ordering prefixes",
         f"p cnf {stats.variables} {stats.clauses}",
     ]
-    for clause in b.clauses:
+    for clause in clauses:
         lines.append(" ".join(str(l) for l in clause) + " 0")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

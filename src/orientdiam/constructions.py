@@ -4,7 +4,7 @@ Each family comes from an explicit recipe: sign classes fix every arc
 between the anchor triple and the large part, a handful of 4-cycles and a
 middle-layer bipartite block fix the rest.  Where a recipe leaves a choice
 open (the direction of a 4-cycle, say), the builder makes a fixed canonical
-choice and records it in the recipe's completion log.  Every construct
+choice and records it in a completion log.  Every construct
 function measures the diameter of what it built and refuses to return an
 orientation that misses its promise.
 """
@@ -12,7 +12,6 @@ orientation that misses its promise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .graphcore import (
@@ -38,15 +37,6 @@ class ThresholdExceeded(ConstructionError):
 
 class NTooSmall(ConstructionError):
     pass
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    """Which family produced an orientation, and any choices made on the way."""
-
-    family: str  # K33q | K34q | MiddleLayerBipartite | CompleteGraph
-    q: int
-    completion_log: tuple[str, ...] = ()
 
 
 # Diameter-2 orientation of K(3,3,3), found once by decide_diameter2 and
@@ -81,16 +71,14 @@ def _verified(D: Orientation, want: int, context: str) -> Orientation:
     return D
 
 
-def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
-    """Diameter-2 orientation of K(3,3,q) for q in [3,6], with its recipe."""
+def build_33q(q: int) -> tuple[Orientation, tuple[str, ...]]:
+    """Diameter-2 orientation of K(3,3,q) for q in [3,6], with its completion log."""
     if not 3 <= q <= 6:
         raise QOutOfRange(f"K(3,3,q) construction defined for 3 <= q <= 6, got {q}")
-    log: list[str] = []
     if q == 3:
         topo = make_complete_multipartite([3, 3, 3])
-        log.append("q=3 base case: fixed witness table, found once by decide_diameter2")
         D = _verified(orient(topo, _K333_ARCS), 2, "K(3,3,3)")
-        return D, ConstructionRecipe("K33q", 3, tuple(log))
+        return D, ("q=3 base case: fixed witness table, found once by decide_diameter2",)
     if q == 4:
         topo = make_complete_multipartite([3, 3, 4])
         x1, x2, x3, y1, y2, y3 = range(6)
@@ -103,14 +91,12 @@ def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
         arcs += [(6, y2), (8, y2), (y2, 7), (y2, 9)]
         arcs += [(z, y3) for z in (6, 7, 8, 9)]
         D = _verified(orient(topo, arcs), 2, "K(3,3,4)")
-        return D, ConstructionRecipe("K33q", 4, tuple(log))
+        return D, ()
     if q == 5:
-        D6, recipe6 = build_33q(6)
+        D6, log6 = build_33q(6)
         # drop the unique all-minus vertex (the last one)
         D = _verified(induced_suborientation(D6, range(11)), 2, "K(3,3,5)")
-        log.extend(recipe6.completion_log)
-        log.append("q=5: restriction of the q=6 orientation without its all-minus vertex")
-        return D, ConstructionRecipe("K33q", 5, tuple(log))
+        return D, (*log6, "q=5: restriction of the q=6 orientation without its all-minus vertex")
     # q == 6
     topo = make_complete_multipartite([3, 3, 6])
     x1, x2, x3, y1, y2, y3 = range(6)
@@ -125,8 +111,7 @@ def build_33q(q: int) -> tuple[Orientation, ConstructionRecipe]:
     arcs += [(6, y2), (6, y3), (y2, 11), (y3, 11)]
     arcs += _four_cycle(y2, 7, y3, 8) + _four_cycle(y2, 9, y3, 10)
     D = _verified(orient(topo, arcs), 2, "K(3,3,6)")
-    log.append("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes")
-    return D, ConstructionRecipe("K33q", 6, tuple(log))
+    return D, ("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes",)
 
 
 # Vertex ids inside the K(3,4,10) construction (part-major order):
@@ -142,7 +127,7 @@ _D10_DELETIONS = {
 }
 
 
-def _build_34_10() -> tuple[Orientation, list[str]]:
+def _build_34_10() -> tuple[Orientation, tuple[str, ...]]:
     topo = make_complete_multipartite([3, 4, 10])
     x1, x2, x3 = 0, 1, 2
     y1, y2, y3, y4 = 3, 4, 5, 6
@@ -164,10 +149,10 @@ def _build_34_10() -> tuple[Orientation, list[str]]:
     arcs += _four_cycle(y3, z5, y4, z6)
     arcs += _four_cycle(y3, z7, y4, z8)
     D = _verified(orient(topo, arcs), 2, "K(3,4,10)")
-    return D, ["q=10: fully explicit recipe, four listed 4-cycles"]
+    return D, ("q=10: fully explicit recipe, four listed 4-cycles",)
 
 
-def _build_34_11() -> tuple[Orientation, list[str]]:
+def _build_34_11() -> tuple[Orientation, tuple[str, ...]]:
     topo = make_complete_multipartite([3, 4, 11])
     x1, x2, x3 = 0, 1, 2
     y1, y2, y3, y4 = 3, 4, 5, 6
@@ -182,31 +167,28 @@ def _build_34_11() -> tuple[Orientation, list[str]]:
     arcs += [(z, y) for z in (8, 9, 10, 11) for y in (y1, y4)]
     # middle layer between V2 and the six +-- vertices: distinct 2-subsets
     # in lexicographic order of (y-index pair, z-index)
-    log = ["q=11: V2 <-> +-- block is the middle-layer K(4,6) orientation, subsets in lex order"]
     for z, S in zip(range(12, 18), itertools.combinations((y1, y2, y3, y4), 2)):
         for y in (y1, y2, y3, y4):
             arcs.append((z, y) if y in S else (y, z))
     arcs += _four_cycle(y2, 8, y3, 9) + _four_cycle(y2, 10, y3, 11)
     D = _verified(orient(topo, arcs), 2, "K(3,4,11)")
-    log.append("q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
-    return D, log
+    return D, ("q=11: V2 <-> +-- block is the middle-layer K(4,6) orientation, subsets in lex order",
+               "q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
 
 
-def build_34q(q: int) -> tuple[Orientation, ConstructionRecipe]:
-    """Diameter-2 orientation of K(3,4,q) for q in [4,11], with its recipe."""
+def build_34q(q: int) -> tuple[Orientation, tuple[str, ...]]:
+    """Diameter-2 orientation of K(3,4,q) for q in [4,11], with its completion log."""
     if not 4 <= q <= 11:
         raise QOutOfRange(f"K(3,4,q) construction defined for 4 <= q <= 11, got {q}")
     if q == 11:
-        D, log = _build_34_11()
-        return D, ConstructionRecipe("K34q", 11, tuple(log))
+        return _build_34_11()
     D10, log = _build_34_10()
     if q == 10:
-        return D10, ConstructionRecipe("K34q", 10, tuple(log))
+        return D10, log
     deleted = _D10_DELETIONS[q]
     keep = [v for v in range(17) if v not in deleted]
     D = _verified(induced_suborientation(D10, keep), 2, f"K(3,4,{q})")
-    log.append(f"q={q}: restriction of the q=10 orientation, deleted vertices {deleted}")
-    return D, ConstructionRecipe("K34q", q, tuple(log))
+    return D, (*log, f"q={q}: restriction of the q=10 orientation, deleted vertices {deleted}")
 
 
 def construct_33q(q: int) -> Orientation:
@@ -248,8 +230,8 @@ def complete_graph_orientation(n: int) -> Orientation:
     """A tournament on n vertices of minimum diameter (2, except 3 at n=4).
 
     Odd n: the rotational tournament i -> i+1 .. i+(n-1)/2 (mod n).
-    n = 4: best completion of the rotational skeleton over the two
-    antipodal edges, found by brute force (diameter 3 is optimal).
+    n = 4: the rotational 4-cycle 0 -> 1 -> 2 -> 3 -> 0 with the diagonals
+    0 -> 2 and 1 -> 3; no tournament on four vertices has diameter 2.
     Even n >= 6: rotational tournament on n-1 vertices plus one vertex
     whose out-set is {0, (n-2)/2}; that pair dominates everyone else, which
     keeps the diameter at 2.  The diameter claim is re-verified either way.
@@ -263,16 +245,13 @@ def complete_graph_orientation(n: int) -> Orientation:
         return [(i, (i + d) % m) for i in range(m) for d in range(1, (m - 1) // 2 + 1)]
 
     if n % 2 == 1:
-        return _verified(orient(topo, rotational_arcs(n)), want, f"K({n})")
-    if n == 4:
-        completions = [
-            orient(topo, rotational_arcs(4) + [a, b])
-            for b in ((1, 3), (3, 1)) for a in ((0, 2), (2, 0))
-        ]
-        return _verified(min(completions, key=diameter), want, "K(4)")
-    arcs = rotational_arcs(n - 1)
-    v = n - 1
-    dominating = {0, (n - 2) // 2}
-    for u in range(n - 1):
-        arcs.append((v, u) if u in dominating else (u, v))
+        arcs = rotational_arcs(n)
+    elif n == 4:
+        arcs = rotational_arcs(4) + [(0, 2), (1, 3)]
+    else:
+        arcs = rotational_arcs(n - 1)
+        v = n - 1
+        dominating = {0, (n - 2) // 2}
+        for u in range(n - 1):
+            arcs.append((v, u) if u in dominating else (u, v))
     return _verified(orient(topo, arcs), want, f"K({n})")

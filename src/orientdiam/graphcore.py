@@ -154,14 +154,10 @@ class Orientation:
     out_adj[u] is the bitmask of decided out-neighbors of u.  v is an
     in-neighbor of u exactly when u is set in out_adj[v].  Instances are
     immutable and safe to share across threads.
-
-    parent_vertices maps local indices back to the orientation this one was
-    induced from (None for orientations built directly).
     """
 
     topology: GraphTopology
     out_adj: tuple[int, ...]
-    parent_vertices: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -241,8 +237,8 @@ def distance(D: Orientation, u: int, v: int):
     return INFINITE
 
 
-def _diameter_below(out, bound, sources=None):
-    """Largest BFS depth from `sources` (default: every vertex) if it is < bound.
+def _diameter_below(out, bound):
+    """The diameter of the orientation with out-masks `out`, if it is < bound.
 
     out is one out-neighbor bitmask per vertex.  Returns None as soon as some
     distance reaches bound; an unreachable vertex counts as >= any bound.
@@ -250,7 +246,7 @@ def _diameter_below(out, bound, sources=None):
     n = len(out)
     full = (1 << n) - 1
     worst = 0
-    for u in range(n) if sources is None else sources:
+    for u in range(n):
         seen = 1 << u
         frontier = seen
         d = 0
@@ -313,8 +309,8 @@ def reverse(D: Orientation) -> Orientation:
 def induced_suborientation(D: Orientation, keep) -> Orientation:
     """Restrict D to a vertex set, dropping empty parts and re-indexing.
 
-    The surviving parts keep their relative order and the result carries a
-    parent_vertices table mapping new indices to old ones.
+    The surviving parts keep their relative order, and new vertex i is the
+    i-th smallest kept vertex.
     """
     keep = sorted(set(keep))
     if not keep:
@@ -335,7 +331,7 @@ def induced_suborientation(D: Orientation, keep) -> Orientation:
         for w in _bit_members(D.out_adj[v]):
             if w in remap:
                 out[remap[v]] |= 1 << remap[w]
-    return Orientation(topology=sub, out_adj=tuple(out), parent_vertices=tuple(keep))
+    return Orientation(topology=sub, out_adj=tuple(out))
 
 
 # ---------------------------------------------------------------------------

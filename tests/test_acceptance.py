@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 
 import orientdiam as od
+from orientdiam.constructions import _D10_DELETIONS
 from orientdiam.search import SearchConfig, Verdict
 
 from conftest import all_orientations
@@ -37,7 +38,7 @@ def test_criterion_2_constructive_table_34q():
         D = od.construct_34q(q)
         assert od.diameter(D) == 2
         if q <= 9:
-            parent = D.parent_vertices
+            parent = [v for v in range(17) if v not in _D10_DELETIONS[q]]
             lifted = {(parent[u], parent[v]) for u, v in D.arcs()}
             shared = {a for a in d10_arcs if a[0] in parent and a[1] in parent}
             assert lifted == shared

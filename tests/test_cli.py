@@ -9,7 +9,7 @@ import json
 import pytest
 
 import orientdiam as od
-from orientdiam import cnf
+from orientdiam import analysis, cli, cnf
 from orientdiam.claims import FAMILIES
 from orientdiam.cli import build_parser, main
 from orientdiam.graphcore import MAX_VERTICES, GraphTopology
@@ -276,6 +276,22 @@ class TestAnalyze:
         assert doc["necessary_conditions"] == "pass"
         assert tuple(doc["case_signature"]["canonical"]) in outcome.stats.cases_enumerated
 
+    def test_sign_partition_built_once_per_run(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "d6.json"
+        run(capsys, "construct", "--parts", "3,3,6", "--out", str(path))
+        calls = []
+        original = analysis.sign_partition
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (analysis, cli):  # every binding the report could call through
+            monkeypatch.setattr(module, "sign_partition", counting)
+        for fmt in ("text", "json"):
+            code, _, _ = run(capsys, "analyze", "--file", str(path), "--format", fmt)
+            assert code == 0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_diameter_above_two_is_not_applicable(self, capsys, tmp_path, fmt):

@@ -443,8 +443,7 @@ def _reference_frame(rest_parts, bits):
     for pr in range(1 << m):
         # z reaches every block vertex within two steps, and in the reversed
         # graph, where z holds the complement, too
-        if (_diameter_below(_with_vertex(out, pr), 3, (m,)) is None
-                or _diameter_below(_with_vertex(ins, full ^ pr), 3, (m,)) is None):
+        if _two_step_reach(out, pr) != full or _two_step_reach(ins, full ^ pr) != full:
             continue
         with_z = _with_vertex(out, pr)
         profiles.append(pr)
@@ -464,6 +463,15 @@ def _reference_out(rest_parts, bits):
         else:
             out[b] |= 1 << a
     return out
+
+
+def _two_step_reach(out, first):
+    """Block vertices within two steps of a new vertex whose block out-set is `first`."""
+    reach = first
+    for a in range(len(out)):
+        if (first >> a) & 1:
+            reach |= out[a]
+    return reach
 
 
 def _with_vertex(out, pr):
@@ -607,9 +615,9 @@ class TestOracleRevalidation:
     def bfs_calls(self, monkeypatch):
         calls = []
 
-        def recording(out, bound, sources=None):
+        def recording(out, bound):
             calls.append((tuple(out), bound))
-            return _diameter_below(out, bound, sources)
+            return _diameter_below(out, bound)
 
         monkeypatch.setattr(search, "_diameter_below", recording)
         return calls
@@ -629,7 +637,7 @@ class TestOracleRevalidation:
 
     @pytest.mark.parametrize("oracle", [od.brute_force_min_diameter, od.enumerate_diameter2])
     def test_mismatch_is_an_internal_error(self, monkeypatch, oracle):
-        monkeypatch.setattr(search, "_diameter_below", lambda out, bound, sources=None: None)
+        monkeypatch.setattr(search, "_diameter_below", lambda out, bound: None)
         with pytest.raises(SearchError, match="internal error"):
             oracle(od.make_complete_multipartite((1, 1, 1)))
 
