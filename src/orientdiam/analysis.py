@@ -193,16 +193,14 @@ def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:
     topo = F.topology
     if len(topo.parts) != 2:
         raise NotBipartite(f"need exactly two parts, got {len(topo.parts)}")
-    small_side = 1 - big_side
-    small = tuple(topo.part_vertices(small_side))
-    family = []
-    for z in topo.part_vertices(big_side):
-        family.append(frozenset(y for y in small if (F.out_adj[z] >> y) & 1))
-    for i, si in enumerate(family):
-        for j, sj in enumerate(family):
-            if i != j and si <= sj:
-                return AntichainReport(tuple(family), False, (i, j))
-    return AntichainReport(tuple(family), True, None)
+    small = sum(1 << y for y in topo.part_vertices(1 - big_side))
+    masks = [F.out_adj[z] & small for z in topo.part_vertices(big_side)]
+    family = tuple(frozenset(_bit_members(m)) for m in masks)
+    for i, si in enumerate(masks):
+        for j, sj in enumerate(masks):
+            if i != j and not si & ~sj:
+                return AntichainReport(family, False, (i, j))
+    return AntichainReport(family, True, None)
 
 
 def sperner_bound(p: int) -> int:

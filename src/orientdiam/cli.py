@@ -89,8 +89,14 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _fmt_distance(d) -> str:
-    return "infinite" if d == INFINITE else str(int(d))
+def _report_distance(fmt: str, parts, key: str, d) -> int:
+    """Print d as text ('infinite' if unreachable) or as JSON {parts, key} (null)."""
+    value = None if d == INFINITE else int(d)
+    if fmt == "json":
+        _emit(stable_json_dumps({"parts": list(parts), key: value}), None)
+    else:
+        print("infinite" if value is None else value)
+    return 0
 
 
 def cmd_construct(args) -> int:
@@ -123,13 +129,7 @@ def cmd_construct(args) -> int:
 
 def cmd_diameter(args) -> int:
     D = _read_orientation(args.file)
-    d = diameter(D)
-    if args.format == "json":
-        _emit(stable_json_dumps({"parts": list(D.topology.parts),
-                                 "diameter": None if d == INFINITE else int(d)}), None)
-    else:
-        print(_fmt_distance(d))
-    return 0
+    return _report_distance(args.format, D.topology.parts, "diameter", diameter(D))
 
 
 def cmd_analyze(args) -> int:
@@ -221,14 +221,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_brute_force(args) -> int:
     parts = _parse_parts(args.parts)
-    topology = make_complete_multipartite(parts)
-    f_value = brute_force_min_diameter(topology)
-    if args.format == "json":
-        _emit(stable_json_dumps({"parts": list(parts),
-                                 "oriented_diameter": None if f_value == INFINITE else int(f_value)}), None)
-    else:
-        print(_fmt_distance(f_value))
-    return 0
+    f_value = brute_force_min_diameter(make_complete_multipartite(parts))
+    return _report_distance(args.format, parts, "oriented_diameter", f_value)
 
 
 def cmd_export_cnf(args) -> int:

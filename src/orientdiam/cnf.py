@@ -6,8 +6,9 @@ every ordered vertex pair (u, v) there is one covering clause: either the
 direct arc u -> v, or one of the auxiliary two-step variables a_{uwv}, each
 defined by three Tseitin clauses as the conjunction (u -> w) and (w -> v),
 with w ranging over the common neighbors of u and v.  Variables are numbered
-edges first (lexicographic edge order), then auxiliaries grouped by ordered
-pair, then the lexicographic symmetry-breaking prefix variables.
+in one pass: edges (lexicographic edge order), then path variables grouped by
+ordered pair, then lexicographic symmetry-breaking prefixes.  Clauses come in
+the same order, all covering clauses after all path clauses.
 
 Symmetry breaking orders the arc-rows of consecutive vertices inside the
 largest part only.  Rows of a single part mention no edges inside that part,
@@ -41,24 +42,6 @@ class CnfStats:
     lex_variables: int
 
 
-class _Builder:
-    def __init__(self):
-        self.n_vars = 0
-        self.clauses: list[tuple[int, ...]] = []
-
-    def new_var(self) -> int:
-        self.n_vars += 1
-        return self.n_vars
-
-    def add(self, *lits: int):
-        self.clauses.append(lits)
-
-
-def _common_neighbors(topology, u, v):
-    pu, pv = topology.part_of[u], topology.part_of[v]
-    return [w for w in range(topology.n_vertices) if topology.part_of[w] not in (pu, pv)]
-
-
 def _path_count(topology) -> int:
     """Two-step path variables: common neighbors summed over ordered pairs.
 
@@ -84,8 +67,7 @@ def encode_diameter2(parts):
     if needed > MAX_CNF_CLAUSES:
         raise TooManyClauses(f"K{topology.parts} needs {needed} covering and path clauses,"
                              f" cap is {MAX_CNF_CLAUSES}")
-    b = _Builder()
-    edge_var = {e: b.new_var() for e in topology.edges()}
+    edge_var = {e: i for i, e in enumerate(topology.edges(), 1)}
 
     def arc_lit(u, v) -> int:
         # literal asserting the arc u -> v
@@ -93,71 +75,77 @@ def encode_diameter2(parts):
             return edge_var[(u, v)]
         return -edge_var[(v, u)]
 
-    n_edge_vars = b.n_vars
-    pending = []
+    part_of = topology.part_of
+    n_vars = n_edge_vars = len(edge_var)
+    clauses = []
+    covers = []
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            aux = []
-            for w in _common_neighbors(topology, u, v):
-                a = b.new_var()
-                first, second = arc_lit(u, w), arc_lit(w, v)
-                b.add(-a, first)
-                b.add(-a, second)
-                b.add(a, -first, -second)
-                aux.append(a)
-            cover = list(aux)
+            cover = []
+            for w in range(n):
+                if part_of[w] in (part_of[u], part_of[v]):
+                    continue  # not a common neighbor
+                n_vars += 1
+                a, first, second = n_vars, arc_lit(u, w), arc_lit(w, v)
+                clauses.append((-a, first))
+                clauses.append((-a, second))
+                clauses.append((a, -first, -second))
+                cover.append(a)
             if topology.adjacent(u, v):
                 cover.append(arc_lit(u, v))
-            pending.append(tuple(cover))
-    for cover in pending:
-        b.add(*cover)
-    n_path_vars = b.n_vars - n_edge_vars
+            covers.append(tuple(cover))
+    clauses += covers
+    n_path_vars = n_vars - n_edge_vars
 
     # lex-order the rows of the largest part (ties resolved to the last one)
     sizes = topology.parts
     big = max(range(len(sizes)), key=lambda i: (sizes[i], i))
-    columns = [w for w in range(n) if topology.part_of[w] != big]
+    columns = [w for w in range(n) if part_of[w] != big]
     members = list(topology.part_vertices(big))
     for zu, zv in zip(members, members[1:]):
-        _add_lex_leq(b, [arc_lit(zu, c) for c in columns], [arc_lit(zv, c) for c in columns])
-    n_lex_vars = b.n_vars - n_edge_vars - n_path_vars
+        n_vars = _add_lex_leq(clauses, n_vars, [arc_lit(zu, c) for c in columns],
+                              [arc_lit(zv, c) for c in columns])
 
     stats = CnfStats(
-        variables=b.n_vars,
-        clauses=len(b.clauses),
+        variables=n_vars,
+        clauses=len(clauses),
         edge_variables=n_edge_vars,
         path_variables=n_path_vars,
-        lex_variables=n_lex_vars,
+        lex_variables=n_vars - n_edge_vars - n_path_vars,
     )
-    return b.clauses, stats
+    return clauses, stats
 
 
-def _add_lex_leq(b: _Builder, row_a, row_b):
-    """Clauses forcing row_a <=lex row_b, via prefix-equality variables."""
+def _add_lex_leq(clauses, n_vars, row_a, row_b) -> int:
+    """Append clauses forcing row_a <=lex row_b, via prefix-equality variables.
+
+    New variables are numbered from n_vars + 1; returns the new count.
+    """
     k = len(row_a)
     if k == 0:
-        return
-    b.add(-row_a[0], row_b[0])
+        return n_vars
+    clauses.append((-row_a[0], row_b[0]))
     if k == 1:
-        return
+        return n_vars
     # prefix[i] <-> rows agree on the first i+1 columns
-    prev = b.new_var()
-    b.add(-prev, -row_a[0], row_b[0])
-    b.add(-prev, row_a[0], -row_b[0])
-    b.add(prev, row_a[0], row_b[0])
-    b.add(prev, -row_a[0], -row_b[0])
+    prev = n_vars = n_vars + 1
+    clauses.append((-prev, -row_a[0], row_b[0]))
+    clauses.append((-prev, row_a[0], -row_b[0]))
+    clauses.append((prev, row_a[0], row_b[0]))
+    clauses.append((prev, -row_a[0], -row_b[0]))
     for i in range(1, k - 1):
-        b.add(-prev, -row_a[i], row_b[i])
-        cur = b.new_var()
-        b.add(-cur, prev)
-        b.add(-cur, -row_a[i], row_b[i])
-        b.add(-cur, row_a[i], -row_b[i])
-        b.add(cur, -prev, row_a[i], row_b[i])
-        b.add(cur, -prev, -row_a[i], -row_b[i])
+        clauses.append((-prev, -row_a[i], row_b[i]))
+        cur = n_vars = n_vars + 1
+        clauses.append((-cur, prev))
+        clauses.append((-cur, -row_a[i], row_b[i]))
+        clauses.append((-cur, row_a[i], -row_b[i]))
+        clauses.append((cur, -prev, row_a[i], row_b[i]))
+        clauses.append((cur, -prev, -row_a[i], -row_b[i]))
         prev = cur
-    b.add(-prev, -row_a[k - 1], row_b[k - 1])
+    clauses.append((-prev, -row_a[k - 1], row_b[k - 1]))
+    return n_vars
 
 
 def export_cnf(parts, out_path) -> CnfStats:

@@ -9,7 +9,7 @@ import json
 import pytest
 
 import orientdiam as od
-from orientdiam import analysis, cli, cnf
+from orientdiam import analysis, cli
 from orientdiam.claims import FAMILIES
 from orientdiam.cli import build_parser, main
 from orientdiam.graphcore import MAX_VERTICES, GraphTopology
@@ -165,7 +165,6 @@ def test_size_cap_checked_before_building(capsys, monkeypatch, tmp_path, command
         raise AssertionError("built before the cap check")
 
     monkeypatch.setattr(GraphTopology, "edges", built)
-    monkeypatch.setattr(cnf._Builder, "add", built)
     out = tmp_path / "over.cnf"
     code, _, err = run(capsys, *command.format(out=out).split())
     assert code == 2

@@ -5,6 +5,11 @@ digests.  Each case runs `cli.main` in-process on one command and hashes
 what it wrote: stdout, or the file for `export-cnf`.  `decide` JSON is
 hashed without its `wall_time`, re-serialised as the command prints it.
 `analyze` reads the paper construction of the same parts.
+
+Two smaller pins ride along: the exact text and JSON of the `diameter` and
+`brute-force` reports, unreachable pairs included, and the digest of
+`encode_diameter2`'s `(clauses, stats)` as its repr, which fixes clause
+order and variable numbering beyond the one exported file.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import pytest
 
 from orientdiam import cli
+from orientdiam.cnf import encode_diameter2
 
 
 def _cli(*argv) -> str:
@@ -134,3 +140,37 @@ DIGESTS = {
 def test_output_digest(kind, parts, tmp_path):
     text = OUTPUTS[kind](parts, tmp_path)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[kind, parts]
+
+
+# the digests above never reach an infinite distance, a null or a zero
+@pytest.mark.parametrize("argv,expected", [
+    (["diameter"], "infinite\n"),
+    (["diameter", "--format", "json"], '{"parts":[1,1,1],"diameter":null}\n'),
+    (["brute-force", "--parts", "1,1"], "infinite\n"),
+    (["brute-force", "--parts", "1,1", "--format", "json"],
+     '{"parts":[1,1],"oriented_diameter":null}\n'),
+    (["brute-force", "--parts", "1", "--format", "json"],
+     '{"parts":[1],"oriented_diameter":0}\n'),
+])
+def test_distance_report(argv, expected, tmp_path):
+    if argv[0] == "diameter":
+        path = tmp_path / "transitive.json"
+        path.write_text('{"parts":[1,1,1],"arcs":[[0,1],[0,2],[1,2]]}', encoding="utf-8")
+        argv = argv + ["--file", str(path)]
+    assert _cli(*argv) == expected
+
+
+# no edges, a one-column lex row (k = 1), four parts, and K(3,4,12)
+ENCODINGS = {
+    (5,): "a1199de3ed4f0de548125257dfe03bd863d09bca1e5bcf320dc17d0cb57f3b0b",
+    (1, 4): "f1fcc442b7abe1fbbfb79993241cb6a8046b7188392e295ee4788c416b25e3f0",
+    (2, 2, 2): "86f3f40959352896d1ed917517eee7284cac912f83919079b0feac34cccfeb08",
+    (1, 2, 3, 4): "b3da55aba4227a303766631a86a63f0635ee83d1e8d991fe6acef9772bc461a4",
+    (3, 4, 12): "f844e7385852318288701f7bbf1187f22aa685111b33ded526961e2a184679b5",
+}
+
+
+@pytest.mark.parametrize("parts", ENCODINGS, ids=[",".join(map(str, p)) for p in ENCODINGS])
+def test_encoding_digest(parts):
+    encoded = repr(encode_diameter2(parts))
+    assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == ENCODINGS[parts]
