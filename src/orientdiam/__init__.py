@@ -14,11 +14,10 @@ from .analysis import (
     CaseSignature,
     canonical_case_classes,
     case_signature,
-    sign_condition_violations,
     max_antichain,
     out_neighborhood_family,
+    sign_condition_violations,
     sign_partition,
-    sperner_bound,
 )
 from .claims import ClaimRecord, ClaimReport, verify_claims
 from .cnf import CnfStats, decode_model, encode_diameter2, export_cnf
@@ -35,13 +34,10 @@ from .graphcore import (
     GraphTopology,
     Orientation,
     diameter,
-    distance,
     has_diameter_at_most_2,
     induced_suborientation,
-    is_strong,
     make_complete_multipartite,
     orient,
-    reverse,
 )
 from .search import (
     SearchConfig,
@@ -77,21 +73,17 @@ __all__ = [
     "decide_diameter2",
     "decode_model",
     "diameter",
-    "distance",
     "encode_diameter2",
     "enumerate_diameter2",
     "export_cnf",
     "has_diameter_at_most_2",
     "induced_suborientation",
-    "is_strong",
-    "sign_condition_violations",
     "make_complete_multipartite",
     "max_antichain",
     "middle_layer_bipartite",
     "orient",
     "out_neighborhood_family",
-    "reverse",
+    "sign_condition_violations",
     "sign_partition",
-    "sperner_bound",
     "verify_claims",
 ]

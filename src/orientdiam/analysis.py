@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .graphcore import Orientation, _bit_members, diameter
 from .search import (
@@ -201,11 +200,6 @@ def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:
             if i != j and not si & ~sj:
                 return AntichainReport(family, False, (i, j))
     return AntichainReport(family, True, None)
-
-
-def sperner_bound(p: int) -> int:
-    """The binomial antichain bound C(p, floor(p/2)); a formula, not an oracle."""
-    return comb(p, p // 2)
 
 
 def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:

@@ -1,4 +1,4 @@
-"""Complete multipartite topologies, edge orientations, and exact distances.
+"""Complete multipartite topologies, edge orientations, and exact diameters.
 
 Vertices are numbered part-major: part 1 occupies indices [0, p1), part 2
 the next p2 indices, and so on.  Two vertices are adjacent iff they lie in
@@ -9,8 +9,9 @@ code packs one into an integer: bit i set means sorted edge i of
 topology.edges() runs low -> high.  _out_masks decodes an edge code and
 _bit_members lists a mask's members, least first.
 
-Unreachable pairs have distance INFINITE, a true sentinel (math.inf) rather
-than a large integer, so max-reductions never overflow silently.
+An orientation with an unreachable pair has diameter INFINITE, a true
+sentinel (math.inf) rather than a large integer, so max-reductions never
+overflow silently.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ INFINITE = math.inf
 # Far above any graph the exact routines can handle; checked before any
 # per-vertex table is allocated.
 MAX_VERTICES = 4096
-
-Distance = int | float
 
 
 class GraphError(ValueError):
@@ -209,34 +208,6 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
     return D
 
 
-def distance(D: Orientation, u: int, v: int):
-    """Exact directed distance from u to v by BFS; INFINITE when unreachable."""
-    n = D.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError(f"vertex pair ({u},{v}) out of range for {n} vertices")
-    if u == v:
-        return 0
-    out = D.out_adj
-    seen = 1 << u
-    frontier = seen
-    d = 0
-    target = 1 << v
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= out[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~seen
-        d += 1
-        if nxt & target:
-            return d
-        seen |= nxt
-        frontier = nxt
-    return INFINITE
-
-
 def _diameter_below(out, bound):
     """The diameter of the orientation with out-masks `out`, if it is < bound.
 
@@ -277,11 +248,6 @@ def diameter(D: Orientation):
     return INFINITE if d is None else d
 
 
-def is_strong(D: Orientation) -> bool:
-    """True iff every ordered pair is joined by a directed path."""
-    return diameter(D) != INFINITE
-
-
 def has_diameter_at_most_2(D: Orientation) -> bool:
     """Specialized test: each ordered pair needs a direct arc or a 2-path.
 
@@ -299,11 +265,6 @@ def has_diameter_at_most_2(D: Orientation) -> bool:
             if not (ou & ins[v]):
                 return False
     return True
-
-
-def reverse(D: Orientation) -> Orientation:
-    """Flip every arc; distances transpose and the diameter is preserved."""
-    return Orientation(topology=D.topology, out_adj=D.in_adj())
 
 
 def induced_suborientation(D: Orientation, keep) -> Orientation:

@@ -1,10 +1,38 @@
-"""Shared strategies: random small multipartite topologies and orientations."""
+"""Shared strategies and references: random small multipartite topologies and
+orientations, a single-pair BFS distance and arc reversal."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import hypothesis.strategies as st
 
 import orientdiam as od
+
+
+def distance(D, u, v):
+    """Reference directed distance from u to v; INFINITE when unreachable.
+
+    A plain queue BFS that reads arcs one bit at a time, sharing no code with
+    the package's word-parallel diameter routine it is checked against.
+    """
+    n = D.n_vertices
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"vertex pair ({u},{v}) out of range for {n} vertices")
+    dist = {u: 0}
+    queue = deque([u])
+    while queue and v not in dist:
+        x = queue.popleft()
+        for w in range(n):
+            if (D.out_adj[x] >> w) & 1 and w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist.get(v, od.INFINITE)
+
+
+def reverse(D):
+    """D with every arc flipped: distances transpose and the diameter is kept."""
+    return od.Orientation(topology=D.topology, out_adj=D.in_adj())
 
 
 def random_orientation(topology, bits: int):

@@ -13,7 +13,8 @@ import orientdiam as od
 from orientdiam.constructions import _D10_DELETIONS
 from orientdiam.search import SearchConfig, Verdict
 
-from conftest import all_orientations
+from conftest import all_orientations, distance, reverse
+from test_analysis import enumerate_antichains
 from test_cnf import expected_counts
 
 
@@ -108,7 +109,7 @@ def test_criterion_7_sign_condition_suite_k322():
     found = od.enumerate_diameter2(topo)
     for D in found:
         assert od.sign_condition_violations(D, 0) == []
-        assert od.sign_condition_violations(od.reverse(D), 0) == []
+        assert od.sign_condition_violations(reverse(D), 0) == []
     # cross-check the census against the exact oriented diameter: K(3,2,2)
     # has none (its oriented diameter is 3), so the sweep is vacuous there;
     # decision-procedure witnesses keep the conditions exercised for real
@@ -116,7 +117,7 @@ def test_criterion_7_sign_condition_suite_k322():
     for parts in ((3, 3, 2), (3, 3, 3)):
         witness = od.decide_diameter2(parts).witness
         assert od.sign_condition_violations(witness, 0) == []
-        assert od.sign_condition_violations(od.reverse(witness), 0) == []
+        assert od.sign_condition_violations(reverse(witness), 0) == []
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     report("7", f"all {len(found)} diameter-2 orientations of K(3,2,2) pass "
@@ -128,18 +129,7 @@ def test_criterion_8_sperner_suite():
     assert sizes == {1: 1, 2: 2, 3: 3, 4: 6, 5: 10}
 
     # uniqueness at p=4 via an independent enumeration of all antichains
-    subsets = list(range(16))
-
-    def antichains(start, chosen):
-        yield tuple(chosen)
-        for idx in range(start, 16):
-            s = subsets[idx]
-            if all((s & ~c) and (c & ~s) for c in chosen):
-                chosen.append(s)
-                yield from antichains(idx + 1, chosen)
-                chosen.pop()
-
-    maxima = [a for a in antichains(0, []) if len(a) == 6]
+    maxima = [a for a in enumerate_antichains(4) if len(a) == 6]
     middle = tuple(m for m in range(16) if bin(m).count("1") == 2)
     assert maxima == [middle]
 
@@ -148,7 +138,7 @@ def test_criterion_8_sperner_suite():
         topo = od.make_complete_multipartite(parts)
         big = list(topo.part_vertices(1))
         for D in all_orientations(topo):
-            within = all(od.distance(D, u, v) <= 2 for u in big for v in big if u != v)
+            within = all(distance(D, u, v) <= 2 for u in big for v in big if u != v)
             assert within == od.out_neighborhood_family(D, 1).is_antichain
     report("8", "antichain maxima 1,2,3,6,10; size-6 antichain over a 4-set unique; "
                 "equivalence checked on all orientations of K(2,3) and K(3,3)")

@@ -1,8 +1,8 @@
 """Sign partitions, the diameter-2 necessary conditions, case classes, antichains.
 
 Exhaustive oracles are rebuilt locally where a claim deserves independent
-confirmation: distances via the BFS engine, antichain families via a
-from-scratch recursive enumerator.
+confirmation: distances via the test-owned reference BFS in conftest,
+antichain families via a from-scratch recursive enumerator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from orientdiam.analysis import (
 )
 from orientdiam.search import MAX_BLOCK_VERTICES
 
-from conftest import all_orientations, anchored_orientations, random_orientation
+from conftest import all_orientations, anchored_orientations, distance, random_orientation, reverse
 
 
 class TestSignVector:
@@ -62,7 +62,7 @@ class TestSignPartition:
     @settings(deadline=None)
     def test_reversal_swaps_classes_with_complements(self, D):
         forward = od.sign_partition(D, 0)
-        backward = od.sign_partition(od.reverse(D), 0)
+        backward = od.sign_partition(reverse(D), 0)
         complement = str.maketrans("+-", "-+")
         for pi in forward:
             for label in od.analysis.SIGN_LABELS:
@@ -102,7 +102,7 @@ class TestNecessaryConditions:
         ]
         assert od.sign_condition_violations(D) == [
             m.format("+++", "does not dominate") for m in expected]
-        assert od.sign_condition_violations(od.reverse(D)) == [
+        assert od.sign_condition_violations(reverse(D)) == [
             m.format("---", "not dominated by") for m in expected]
 
     def test_exhaustive_small_tripartite(self):
@@ -114,7 +114,7 @@ class TestNecessaryConditions:
             found = od.enumerate_diameter2(topo)
             for D in found:
                 assert od.sign_condition_violations(D, 0) == []
-                assert od.sign_condition_violations(od.reverse(D), 0) == []
+                assert od.sign_condition_violations(reverse(D), 0) == []
             assert bool(found) == (od.brute_force_min_diameter(topo) <= 2)
 
     @pytest.mark.parametrize("parts", [(3, 3, 2), (3, 3, 3), (3, 4, 4), (4, 3, 11)])
@@ -124,7 +124,7 @@ class TestNecessaryConditions:
         outcome = od.decide_diameter2(parts)
         assert outcome.verdict is od.Verdict.EXISTS
         assert od.sign_condition_violations(outcome.witness) == []
-        assert od.sign_condition_violations(od.reverse(outcome.witness)) == []
+        assert od.sign_condition_violations(reverse(outcome.witness)) == []
 
     def test_every_construction_passes(self):
         for q in range(3, 7):
@@ -132,7 +132,7 @@ class TestNecessaryConditions:
         for q in range(4, 12):
             D = od.construct_34q(q)
             assert od.sign_condition_violations(D, 0) == []
-            assert od.sign_condition_violations(od.reverse(D), 0) == []
+            assert od.sign_condition_violations(reverse(D), 0) == []
 
 
 class TestCaseSignature:
@@ -170,7 +170,7 @@ class TestCaseSignature:
     @given(anchored_orientations(max_extra=3))
     @settings(deadline=None)
     def test_canonical_stable_under_reversal(self, D):
-        assert od.case_signature(D).canonical == od.case_signature(od.reverse(D)).canonical
+        assert od.case_signature(D).canonical == od.case_signature(reverse(D)).canonical
 
     def test_class_counts(self):
         assert len(od.canonical_case_classes(3)) == 10
@@ -197,7 +197,7 @@ class TestOutNeighborhoodFamily:
         assert report.violating_pair is not None
         i, j = report.violating_pair
         zi, zj = 2 + i, 2 + j
-        assert od.distance(D, zi, zj) >= 3
+        assert distance(D, zi, zj) >= 3
 
     def test_requires_bipartite(self):
         with pytest.raises(NotBipartite):
@@ -209,7 +209,7 @@ class TestOutNeighborhoodFamily:
         for D in all_orientations(topo):
             big = list(topo.part_vertices(1))
             far = any(
-                od.distance(D, u, v) >= 3 for u in big for v in big if u != v
+                distance(D, u, v) >= 3 for u in big for v in big if u != v
             )
             assert far
             assert not od.out_neighborhood_family(D, big_side=1).is_antichain
@@ -220,7 +220,7 @@ class TestOutNeighborhoodFamily:
         big = list(topo.part_vertices(1))
         for D in all_orientations(topo):
             within_two = all(
-                od.distance(D, u, v) <= 2 for u in big for v in big if u != v
+                distance(D, u, v) <= 2 for u in big for v in big if u != v
             )
             assert within_two == od.out_neighborhood_family(D, big_side=1).is_antichain
 
@@ -246,7 +246,7 @@ class TestMaxAntichain:
                              [(p, comb(p, p // 2)) for p in range(1, MAX_BLOCK_VERTICES + 1)])
     def test_sizes_match_binomial(self, p, expected):
         size, witness = od.max_antichain(p)
-        assert size == expected == od.sperner_bound(p)
+        assert size == expected
         assert len(set(witness)) == size
         assert all(s <= set(range(p)) for s in witness)
         for a, b in itertools.combinations(witness, 2):
@@ -257,10 +257,6 @@ class TestMaxAntichain:
             od.max_antichain(MAX_BLOCK_VERTICES + 1)
         with pytest.raises(od.analysis.AnalysisError):
             od.max_antichain(0)
-
-    def test_sperner_bound_formula(self):
-        for p in range(1, 9):
-            assert od.sperner_bound(p) == comb(p, p // 2)
 
     def test_p4_maximum_is_unique_middle_layer(self):
         # oracle: enumerate every antichain family over the 4-set power set

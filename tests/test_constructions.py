@@ -14,6 +14,8 @@ from orientdiam.constructions import (
     build_34q,
 )
 
+from conftest import distance
+
 
 def _class_sizes(D):
     """Sign-class sizes of the third part, anchored at the first."""
@@ -98,7 +100,7 @@ class TestMiddleLayer:
         D = od.middle_layer_bipartite(4, 6)
         for u in range(4, 10):
             for v in range(4, 10):
-                assert od.distance(D, u, v) <= 2
+                assert distance(D, u, v) <= 2
 
     def test_k33_big_side_within_two(self):
         # q = 3 distinct singletons on a 3-set: verify all 6 ordered pairs
@@ -109,7 +111,7 @@ class TestMiddleLayer:
         for u in range(3, 6):
             for v in range(3, 6):
                 if u != v:
-                    assert od.distance(D, u, v) == 2
+                    assert distance(D, u, v) == 2
 
     def test_threshold(self):
         with pytest.raises(ThresholdExceeded):

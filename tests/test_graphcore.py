@@ -1,4 +1,4 @@
-"""Topology construction, orientation validation, exact distances, serialization."""
+"""Topology construction, orientation validation, exact diameters, serialization."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from orientdiam.graphcore import (
     to_dot,
 )
 
-from conftest import all_orientations, orientations, topologies
+from conftest import all_orientations, distance, orientations, reverse, topologies
 
 
 def three_cycle():
@@ -200,21 +200,22 @@ class TestOrient:
 
 
 class TestDistance:
+    # the conftest reference BFS, which _diameter_below and the frames are checked against
     def test_cycle_distance(self):
         D = three_cycle()
-        assert od.distance(D, 0, 2) == 2
-        assert od.distance(D, 0, 0) == 0
+        assert distance(D, 0, 2) == 2
+        assert distance(D, 0, 0) == 0
 
     def test_sink_unreachable(self):
         # every arc into vertex 2: nothing leaves it
         topo = od.make_complete_multipartite([1, 1, 1])
         D = od.orient(topo, [(0, 1), (0, 2), (1, 2)])
-        assert od.distance(D, 2, 0) == od.INFINITE
+        assert distance(D, 2, 0) == od.INFINITE
 
     def test_d6_all_pairs_within_two(self):
         D = od.construct_33q(6)
         worst = max(
-            od.distance(D, u, v)
+            distance(D, u, v)
             for u in range(D.n_vertices)
             for v in range(D.n_vertices)
         )
@@ -223,7 +224,7 @@ class TestDistance:
     def test_index_bounds(self):
         D = three_cycle()
         with pytest.raises(IndexError):
-            od.distance(D, 0, 7)
+            distance(D, 0, 7)
 
 
 class TestDiameter:
@@ -237,14 +238,6 @@ class TestDiameter:
         topo = od.make_complete_multipartite([1, 1, 1])
         D = od.orient(topo, [(0, 1), (0, 2), (1, 2)])
         assert od.diameter(D) == od.INFINITE
-
-    def test_is_strong_examples(self):
-        assert od.is_strong(three_cycle())
-        # all arcs leave vertex 0 and none return
-        topo = od.make_complete_multipartite([1, 1, 1])
-        D = od.orient(topo, [(0, 1), (0, 2), (1, 2)])
-        assert not od.is_strong(D)
-        assert od.is_strong(od.construct_34q(11))
 
     def test_specialized_two_test_matches(self):
         for D in (three_cycle(), od.construct_33q(4), od.construct_34q(5)):
@@ -280,23 +273,22 @@ class TestProperties:
     @given(orientations(max_vertices=12))
     @settings(deadline=None)
     def test_strong_iff_finite_diameter(self, D):
-        assert od.is_strong(D) == transitive_closure_reaches_all(D)
-        assert od.is_strong(D) == (od.diameter(D) != od.INFINITE)
+        assert (od.diameter(D) != od.INFINITE) == transitive_closure_reaches_all(D)
 
     @given(orientations())
     @settings(deadline=None)
     def test_distance_symmetry_under_reversal(self, D):
-        R = od.reverse(D)
+        R = reverse(D)
         for u in range(D.n_vertices):
             for v in range(D.n_vertices):
-                assert od.distance(R, u, v) == od.distance(D, v, u)
+                assert distance(R, u, v) == distance(D, v, u)
 
     @given(orientations())
     def test_reverse_involution(self, D):
-        assert od.reverse(od.reverse(D)) == D
+        assert reverse(reverse(D)) == D
 
     def test_reverse_of_cycle(self):
-        R = od.reverse(three_cycle())
+        R = reverse(three_cycle())
         assert R.arcs() == [(0, 2), (1, 0), (2, 1)]
         assert od.diameter(R) == 2
 
@@ -305,13 +297,13 @@ class TestProperties:
         D6 = od.construct_33q(6)
         flipped = od.orient(D6.topology, [(v, u) for (u, v) in D6.arcs()])
         assert od.diameter(flipped) == 2
-        assert od.reverse(D6).out_adj == flipped.out_adj
+        assert reverse(D6).out_adj == flipped.out_adj
 
     @given(orientations(max_vertices=7))
     @settings(deadline=None)
     def test_triangle_inequality(self, D):
         n = D.n_vertices
-        dist = [[od.distance(D, u, v) for v in range(n)] for u in range(n)]
+        dist = [[distance(D, u, v) for v in range(n)] for u in range(n)]
         for u in range(n):
             for v in range(n):
                 for w in range(n):
@@ -327,13 +319,13 @@ class TestProperties:
                 if u == v:
                     continue
                 if not (D.out_adj[u] >> v) & 1 and not (D.out_adj[u] & ins[v]):
-                    assert od.distance(D, u, v) not in (1, 2)
+                    assert distance(D, u, v) not in (1, 2)
 
     @given(orientations(), st.data())
     def test_diameter_below_matches_distance(self, D, data):
         n = D.n_vertices
         bound = data.draw(st.integers(1, n + 1))
-        worst = max(od.distance(D, u, v) for u in range(n) for v in range(n))
+        worst = max(distance(D, u, v) for u in range(n) for v in range(n))
         assert _diameter_below(D.out_adj, bound) == (worst if worst < bound else None)
 
 
@@ -358,7 +350,7 @@ class TestInduced:
         sub = od.induced_suborientation(D6, keep)
         assert sub.topology.parts == (2, 2)
         assert all(mask.bit_count() == 1 for mask in sub.out_adj)
-        assert od.is_strong(sub)
+        assert od.diameter(sub) != od.INFINITE
 
     def test_empty_keep(self):
         with pytest.raises(EmptyKeep):

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 import orientdiam as od
 from orientdiam import search
 from orientdiam.search import (
+    MAX_BLOCK_EDGES,
+    MAX_BLOCK_VERTICES,
     SearchConfig,
     SearchError,
     TooLarge,
@@ -26,9 +28,9 @@ from orientdiam.search import (
     _chain_partition,
     _strict_supersets,
 )
-from orientdiam.graphcore import Orientation, _diameter_below, distance
+from orientdiam.graphcore import Orientation, _diameter_below
 
-from conftest import all_orientations
+from conftest import all_orientations, distance
 
 # every complete multipartite topology with at most 16 edges that the
 # agreement suite pins down (spec of the oracle-equivalence criterion)
@@ -94,6 +96,25 @@ BLOCK_SHAPES = [
 # four and five parts whose largest part has one or two vertices, so that
 # the quotient by it leaves little or nothing to merge
 MANY_PART_SHAPES = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 1, 1)]
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of at most `largest`, each non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+# every block shape the search accepts, up to the order of its parts
+IN_CAP_SHAPES = [
+    sizes
+    for m in range(1, MAX_BLOCK_VERTICES + 1)
+    for sizes in _partitions(m, m)
+    if sum(a * b for a, b in itertools.combinations(sizes, 2)) <= MAX_BLOCK_EDGES
+]
 
 # The first K(3,4,11) witness in the kernel's search order (ascending profile
 # index, pruning only subtrees without a solution).  A kernel change that
@@ -379,8 +400,41 @@ class TestOrbits:
     ], ids=str)
     def test_representative_counts_past_the_edge_cap(self, rest_parts, count):
         reps = _block_representatives(list(rest_parts), _block_edges(rest_parts), True)
-        assert len(reps) == count
+        assert len(reps) == count == _burnside_orbits(rest_parts)
         assert all(a < b for a, b in zip(reps, reps[1:]))
+
+    @pytest.mark.parametrize("rest_parts", IN_CAP_SHAPES, ids=str)
+    def test_representative_count_matches_burnside(self, rest_parts):
+        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts), True)
+        assert len(reps) == _burnside_orbits(rest_parts)
+
+
+def _burnside_orbits(rest_parts):
+    """The number of block orbits, by Burnside's lemma, without touching a code.
+
+    The group is the relabelings inside each part times global reversal, of
+    order 2 * prod(a!).  A relabeling acts on the arcs between a cycle of
+    length l in one part and a cycle of length l' in another as gcd(l, l')
+    orbits of lcm(l, l') arcs each, so it fixes 2^(sum of gcds) codes.  Composed
+    with reversal it fixes as many when every lcm is even (each orbit of arcs
+    alternates direction), and none otherwise.  Relabelings of one cycle type
+    per part fix the same number, so each type is weighted by its count.
+    """
+    def permutations_of_type(lengths):
+        count = math.factorial(sum(lengths))
+        for k in set(lengths):
+            count //= k ** lengths.count(k) * math.factorial(lengths.count(k))
+        return count
+
+    fixed = 0
+    for cycles in itertools.product(*(_partitions(a, a) for a in rest_parts)):
+        pairs = [(x, y) for ci, cj in itertools.combinations(cycles, 2) for x in ci for y in cj]
+        with_reversal = 1 + all(math.lcm(x, y) % 2 == 0 for x, y in pairs)
+        fixed += (math.prod(map(permutations_of_type, cycles))
+                  * 2 ** sum(math.gcd(x, y) for x, y in pairs) * with_reversal)
+    order = 2 * math.prod(map(math.factorial, rest_parts))
+    assert fixed % order == 0
+    return fixed // order
 
 
 def _flood_representatives(rest_parts, bedges):
