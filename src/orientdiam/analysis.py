@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphcore import Orientation, _bit_members, diameter
+from .graphcore import Orientation, OrientdiamError, _bit_members, diameter
 from .search import (
     MAX_BLOCK_VERTICES,
     _chain_partition,
@@ -43,7 +43,7 @@ from .search import (
 SIGN_LABELS = ("+++", "++-", "+-+", "-++", "+--", "-+-", "--+", "---")
 
 
-class AnalysisError(ValueError):
+class AnalysisError(OrientdiamError):
     pass
 
 

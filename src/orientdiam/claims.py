@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from .analysis import canonical_case_classes
 from .cnf import TooManyClauses, export_cnf
 from .constructions import construct_33q, construct_34q
-from .graphcore import INFINITE, MAX_VERTICES, diameter, make_complete_multipartite
+from .graphcore import INFINITE, MAX_VERTICES, OrientdiamError, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
 
 # family -> (p, last constructive q, builder) for K(3, p, q)
@@ -39,11 +39,11 @@ _BASELINES = (
 FAMILIES = (*_TABLES, "baselines")
 
 
-class BadFamily(ValueError):
+class BadFamily(OrientdiamError):
     pass
 
 
-class BadRange(ValueError):
+class BadRange(OrientdiamError):
     pass
 
 

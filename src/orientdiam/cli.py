@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .analysis import (
@@ -29,10 +30,9 @@ from .analysis import (
     sign_condition_violations,
     sign_partition,
 )
-from .claims import FAMILIES, BadFamily, BadRange, verify_claims
-from .cnf import TooManyClauses, export_cnf
+from .claims import FAMILIES, verify_claims
+from .cnf import export_cnf
 from .constructions import (
-    ConstructionError,
     build_33q,
     build_34q,
     complete_graph_orientation,
@@ -40,7 +40,7 @@ from .constructions import (
 )
 from .graphcore import (
     INFINITE,
-    GraphError,
+    OrientdiamError,
     diameter,
     dumps,
     loads,
@@ -51,7 +51,6 @@ from .graphcore import (
 )
 from .search import (
     SearchConfig,
-    SearchError,
     brute_force_min_diameter,
     decide_diameter2,
     enumerate_diameter2,
@@ -60,7 +59,7 @@ from .search import (
 USAGE_ERROR = 2
 
 
-class CliError(Exception):
+class CliError(OrientdiamError):
     pass
 
 
@@ -197,13 +196,7 @@ def cmd_decide(args) -> int:
         "parts": list(parts),
         "verdict": outcome.verdict.value,
         "witness": None if outcome.witness is None else to_json_dict(outcome.witness),
-        "stats": {
-            "nodes": outcome.stats.nodes,
-            "max_depth": outcome.stats.max_depth,
-            "wall_time": round(outcome.stats.wall_time, 4),
-            "blocks_explored": outcome.stats.blocks_explored,
-            "cases_enumerated": [list(c) for c in outcome.stats.cases_enumerated],
-        },
+        "stats": {**asdict(outcome.stats), "wall_time": round(outcome.stats.wall_time, 4)},
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -320,8 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphError, AnalysisError, ConstructionError, SearchError,
-            BadFamily, BadRange, TooManyClauses, OSError) as exc:
+    except (OrientdiamError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

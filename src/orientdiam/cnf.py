@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import Orientation, _out_masks, make_complete_multipartite
+from .graphcore import Orientation, OrientdiamError, _out_masks, make_complete_multipartite
 
 
 # well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
 MAX_CNF_CLAUSES = 500_000
 
 
-class TooManyClauses(ValueError):
+class TooManyClauses(OrientdiamError):
     pass
 
 
@@ -121,30 +121,22 @@ def encode_diameter2(parts):
 def _add_lex_leq(clauses, n_vars, row_a, row_b) -> int:
     """Append clauses forcing row_a <=lex row_b, via prefix-equality variables.
 
+    One pass over the columns: column i gets (*agree, -a_i, b_i), so a_i <= b_i
+    once the rows agree on every earlier column (agree is empty at column 0).
+    Every column but the last then defines a new variable cur <-> "the rows
+    agree on columns 0..i" with four clauses, plus (-cur, prev) after column 0.
     New variables are numbered from n_vars + 1; returns the new count.
     """
-    k = len(row_a)
-    if k == 0:
-        return n_vars
-    clauses.append((-row_a[0], row_b[0]))
-    if k == 1:
-        return n_vars
-    # prefix[i] <-> rows agree on the first i+1 columns
-    prev = n_vars = n_vars + 1
-    clauses.append((-prev, -row_a[0], row_b[0]))
-    clauses.append((-prev, row_a[0], -row_b[0]))
-    clauses.append((prev, row_a[0], row_b[0]))
-    clauses.append((prev, -row_a[0], -row_b[0]))
-    for i in range(1, k - 1):
-        clauses.append((-prev, -row_a[i], row_b[i]))
-        cur = n_vars = n_vars + 1
-        clauses.append((-cur, prev))
-        clauses.append((-cur, -row_a[i], row_b[i]))
-        clauses.append((-cur, row_a[i], -row_b[i]))
-        clauses.append((cur, -prev, row_a[i], row_b[i]))
-        clauses.append((cur, -prev, -row_a[i], -row_b[i]))
-        prev = cur
-    clauses.append((-prev, -row_a[k - 1], row_b[k - 1]))
+    agree = ()  # (-prev,) once prev <-> "the rows agree on every column so far"
+    last = len(row_a) - 1
+    for i, (a, b) in enumerate(zip(row_a, row_b)):
+        clauses.append((*agree, -a, b))
+        if i < last:
+            cur = n_vars = n_vars + 1
+            if agree:
+                clauses.append((-cur, -agree[0]))
+            clauses += [(-cur, -a, b), (-cur, a, -b), (cur, *agree, a, b), (cur, *agree, -a, -b)]
+            agree = (-cur,)
     return n_vars
 
 

@@ -16,6 +16,7 @@ from math import comb
 
 from .graphcore import (
     Orientation,
+    OrientdiamError,
     diameter,
     induced_suborientation,
     make_complete_multipartite,
@@ -23,7 +24,7 @@ from .graphcore import (
 )
 
 
-class ConstructionError(ValueError):
+class ConstructionError(OrientdiamError):
     pass
 
 

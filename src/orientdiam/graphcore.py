@@ -28,7 +28,11 @@ INFINITE = math.inf
 MAX_VERTICES = 4096
 
 
-class GraphError(ValueError):
+class OrientdiamError(ValueError):
+    """Base class for every error the package raises on bad input."""
+
+
+class GraphError(OrientdiamError):
     """Base class for topology and orientation construction errors."""
 
 

@@ -71,6 +71,7 @@ from .graphcore import (
     INFINITE,
     GraphTopology,
     Orientation,
+    OrientdiamError,
     _bit_members,
     _diameter_below,
     _out_masks,
@@ -85,7 +86,7 @@ ENUMERATION_EDGE_CAP = 16
 SLICE_WIDTH = 16  # edge-code bits the oracles evaluate at once
 
 
-class SearchError(ValueError):
+class SearchError(OrientdiamError):
     pass
 
 
@@ -110,8 +111,8 @@ class SearchConfig:
     symmetry_breaking: bool = True
 
     def __post_init__(self):
-        # NaN fails every comparison, so it would never trip the deadline
-        if self.node_budget <= 0 or not 0 < self.time_budget < math.inf:
+        # NaN fails every comparison, so it would never trip a budget
+        if not (0 < self.node_budget < math.inf and 0 < self.time_budget < math.inf):
             raise SearchError(
                 f"budgets must be positive and finite, got {self.node_budget} nodes"
                 f" and {self.time_budget} seconds"
@@ -232,21 +233,14 @@ class _Budget:
         return True
 
 
-def _strict_supersets(frame: _BlockFrame) -> dict[int, int]:
-    """above[pr]: the feasible profiles that strictly contain pr, one bit per code.
-
-    Keys run in ascending code order, and a strict subset has the smaller
-    code, so every member of above[pr] comes after pr.
-    """
-    return {pr: frame.sup[pr] & frame.codes ^ 1 << pr for pr in frame.profiles}
-
-
 def _chain_partition(above: dict[int, int]) -> list[int]:
     """A minimum chain partition under strict inclusion, one bit per code.
 
-    A maximum matching of each profile to a strict superset (Kuhn's
-    augmenting paths) links the profiles into len(above) - |matching| chains,
-    the fewest possible (Fulkerson's proof of Dilworth's theorem).
+    above maps each profile, in ascending code order, to the profiles that
+    strictly contain it.  A maximum matching of each profile to a strict
+    superset (Kuhn's augmenting paths) links the profiles into
+    len(above) - |matching| chains, the fewest possible (Fulkerson's proof of
+    Dilworth's theorem).
     """
     pred = dict.fromkeys(above, -1)  # pred[j]: the profile matched to its superset j
     for root in above:
@@ -295,12 +289,13 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """
     if not frame.feasible:
         return None
-    chains = _chain_partition(_strict_supersets(frame))
+    codes, sup = frame.codes, frame.sup
+    # a strict superset has the larger code, so every member of above[pr] comes after pr
+    chains = _chain_partition({pr: sup[pr] & codes ^ 1 << pr for pr in frame.profiles})
     if len(chains) < q:
         budget.tick(0)
         return None
     routers = frame.routers
-    sup = frame.sup
 
     def extend(picked: int, cand: int):
         depth = picked.bit_count()
@@ -320,7 +315,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
                 return found
         return None
 
-    return extend(0, frame.codes)
+    return extend(0, codes)
 
 
 def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):

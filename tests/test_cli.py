@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
+import pkgutil
 
 import pytest
 
@@ -12,7 +14,7 @@ import orientdiam as od
 from orientdiam import analysis, cli
 from orientdiam.claims import FAMILIES
 from orientdiam.cli import build_parser, main
-from orientdiam.graphcore import MAX_VERTICES, GraphTopology
+from orientdiam.graphcore import MAX_VERTICES, GraphTopology, OrientdiamError
 from orientdiam.search import SearchConfig
 
 
@@ -183,6 +185,28 @@ def test_oracle_cap_message(capsys, command, message):
     assert code == 2
     assert out == ""
     assert err == message
+
+
+# cli.main catches the root alone, so an error class outside it would trace back.
+def test_every_error_class_has_the_root():
+    defined = set()
+    for info in pkgutil.iter_modules(od.__path__):
+        module = importlib.import_module(f"orientdiam.{info.name}")
+        defined |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                    and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    assert sorted(cls.__name__ for cls in defined if not issubclass(cls, OrientdiamError)) == []
+    assert len(defined - {OrientdiamError}) == 26
+
+
+def test_new_error_class_is_exit_2(capsys, monkeypatch):
+    class Fresh(OrientdiamError):
+        pass
+
+    def refuse(*args):
+        raise Fresh("refused")
+
+    monkeypatch.setattr(cli, "decide_diameter2", refuse)
+    assert run(capsys, "decide", "--parts", "3,3,3") == (2, "", "error: Fresh: refused\n")
 
 
 # Every option of every subcommand, and every SearchConfig field: a change

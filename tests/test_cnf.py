@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 import orientdiam as od
-from orientdiam.cnf import _path_count, encode_diameter2, export_cnf, decode_model
+from orientdiam.cnf import _add_lex_leq, _path_count, encode_diameter2, export_cnf, decode_model
 
 
 def parse_dimacs(path):
@@ -72,7 +72,7 @@ class TestCounts:
         _, stats = encode_diameter2((3, 3, 7))
         assert stats.edge_variables == 51
 
-    # (5,) and (1, 4) hit the lex constraint's k = 0 and k = 1 early returns
+    # (5,) and (1, 4) order rows of no column and of one column
     @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2, 2), (3, 3, 7), (3, 4, 12), (5,), (1, 4)])
     def test_stats_match_independent_count(self, parts, tmp_path):
         path = tmp_path / "instance.cnf"
@@ -97,6 +97,27 @@ class TestCounts:
         assert n_vars == stats.variables
         assert n_clauses == stats.clauses == len(clauses)
         assert all(0 < abs(l) <= n_vars for cl in clauses for l in cl)
+
+
+class TestLexOrder:
+    # sign -1 negates every row literal, as arc_lit does for arcs high -> low
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", range(5))
+    def test_clauses_mean_lex_order(self, k, sign):
+        row_a = [sign * v for v in range(1, k + 1)]
+        row_b = [sign * v for v in range(k + 1, 2 * k + 1)]
+        clauses = []
+        n_vars = _add_lex_leq(clauses, 2 * k, row_a, row_b)
+
+        def value(lit, bits):
+            return (bits >> abs(lit) - 1 & 1) == (lit > 0)
+
+        # the row assignments that some assignment of the prefix variables satisfies
+        satisfiable = {bits & (1 << 2 * k) - 1 for bits in range(1 << n_vars)
+                       if all(any(value(l, bits) for l in cl) for cl in clauses)}
+        # lists of bools compare lexicographically, true above false
+        assert satisfiable == {rows for rows in range(1 << 2 * k)
+                               if [value(l, rows) for l in row_a] <= [value(l, rows) for l in row_b]}
 
 
 def derived_models(parts):

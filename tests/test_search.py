@@ -26,7 +26,6 @@ from orientdiam.search import (
     _BlockFrame,
     _Budget,
     _chain_partition,
-    _strict_supersets,
 )
 from orientdiam.graphcore import Orientation, _diameter_below
 
@@ -262,6 +261,12 @@ class TestDecide:
     def test_non_finite_time_budget_rejected(self, seconds):
         with pytest.raises(SearchError):
             SearchConfig(time_budget=seconds)
+
+    # NaN would pass a plain node_budget <= 0 check and leave the search uncapped
+    @pytest.mark.parametrize("nodes", [math.nan, math.inf])
+    def test_non_finite_node_budget_rejected(self, nodes):
+        with pytest.raises(SearchError, match="positive and finite"):
+            SearchConfig(node_budget=nodes)
 
     def test_case_split_exhaustiveness(self):
         outcome = od.decide_diameter2((3, 3, 7))
@@ -590,7 +595,9 @@ class TestChainPartition:
     @given(block_frames())
     def test_minimum_chain_partition(self, frame_q):
         frame = frame_q[0]
-        chains = _chain_partition(_strict_supersets(frame))
+        above = {pr: sum(1 << other for other in frame.profiles if other != pr and not pr & ~other)
+                 for pr in frame.profiles}
+        chains = _chain_partition(above)
         union = 0
         for chain in chains:
             assert not union & chain
@@ -601,16 +608,6 @@ class TestChainPartition:
             assert not any(_is_antichain(pair) for pair in itertools.combinations(members, 2))
         # Dilworth: no partition into chains is smaller than the width
         assert len(chains) == _width(frame.profiles)
-
-    @settings(max_examples=200, deadline=None)
-    @given(block_frames())
-    def test_strict_supersets_match_inclusion(self, frame_q):
-        frame = frame_q[0]
-        above = _strict_supersets(frame)
-        assert list(above) == frame.profiles
-        for pr in frame.profiles:
-            assert above[pr] == sum(1 << other for other in frame.profiles
-                                    if other != pr and not pr & ~other)
 
 
 class TestBruteForce:
