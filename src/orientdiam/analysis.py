@@ -206,17 +206,20 @@ def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Largest antichain over subsets of a p-set, with a proof of its size.
 
     The width is the number of chains in a minimum chain partition of all
-    2^p codes, computed by the search kernel's own matching.  The witness is
-    the middle layer; an antichain and a chain partition of equal size prove
-    each other optimal, so it is returned only after that check.  Capped at
-    MAX_BLOCK_VERTICES, the largest code width the kernel's tables serve.
+    2^p codes, computed by the search kernel's own matching.  That matching
+    starts from the symmetric chains, already a maximum matching here, and
+    the augmenting search from each chain's top fails, which proves it
+    maximum.  The witness is the middle layer; an antichain and a chain
+    partition of equal size prove each other optimal, so it is returned only
+    after that check.  Capped at MAX_BLOCK_VERTICES, the largest code width
+    the kernel's tables serve.
     """
     if p < 1:
         raise AnalysisError(f"need p >= 1, got {p}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
     sup = _inclusion_tables(p)[0]
-    chains = _chain_partition({c: row ^ 1 << c for c, row in enumerate(sup)})
+    chains = _chain_partition({c: row ^ 1 << c for c, row in enumerate(sup)}, p)
     layer = [c for c in range(1 << p) if c.bit_count() == p // 2]
     if len(layer) != len(chains):  # never expected to fire
         raise AnalysisError(

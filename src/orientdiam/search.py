@@ -27,11 +27,14 @@ Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
 so a child's candidates are the parent's ANDed with the later profiles
-incomparable to the one just chosen.  Each kernel call first splits the
-feasible profiles into the fewest chains under inclusion, by a maximum
+incomparable to the one just chosen.  An antichain meets a chain at most
+once, so each kernel call first counts the chains of the symmetric chain
+decomposition of all m-bit codes that the feasible profiles meet: with
+fewer than q, the block is out with no matching at all.  Otherwise it splits
+the feasible profiles into the fewest chains under inclusion, by a maximum
 matching of profiles to strict supersets read from the superset table
-(Dilworth's theorem by Fulkerson's construction); an antichain meets a chain
-at most once, so a block with fewer chains than q profiles is out at once.
+(Dilworth's theorem by Fulkerson's construction), seeded with the links
+along the symmetric chains; a block with fewer chains than q is out at once.
 A node is pruned when fewer chains meet its candidates than profiles are
 still needed (the colouring bound of bit-parallel max-clique, read on the
 incomparability graph, whose colour classes are chains), or when some cover
@@ -166,6 +169,31 @@ def _inclusion_tables(m: int):
     return tuple(sup), tuple(sub)
 
 
+@functools.cache
+def _symmetric_chains(m: int) -> tuple[int, ...]:
+    """The chain of every m-bit code in the symmetric chain decomposition.
+
+    Read bit i as "(" when set and ")" when clear, and match brackets.  The
+    unmatched bits read ")...)(...(", and setting the last unmatched ")"
+    keeps every pair matched, so the codes that share their matched bits form
+    one chain, from all unmatched bits clear to all set, of sizes k to m - k
+    (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951).  A chain is
+    keyed by its least member, the code with its unmatched set bits cleared,
+    and chains are numbered in ascending key order: C(m, m // 2) in all.
+    """
+    index: dict[int, int] = {}
+    chain_of = []
+    for c in range(1 << m):
+        opened = 0  # set bits still waiting for a clear bit above them
+        for i in range(m):
+            if c >> i & 1:
+                opened |= 1 << i
+            elif opened:
+                opened ^= 1 << opened.bit_length() - 1
+        chain_of.append(index.setdefault(c & ~opened, len(index)))
+    return tuple(chain_of)
+
+
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
@@ -233,18 +261,27 @@ class _Budget:
         return True
 
 
-def _chain_partition(above: dict[int, int]) -> list[int]:
+def _chain_partition(above: dict[int, int], m: int) -> list[int]:
     """A minimum chain partition under strict inclusion, one bit per code.
 
-    above maps each profile, in ascending code order, to the profiles that
-    strictly contain it.  A maximum matching of each profile to a strict
-    superset (Kuhn's augmenting paths) links the profiles into
-    len(above) - |matching| chains, the fewest possible (Fulkerson's proof of
-    Dilworth's theorem).
+    above maps each m-bit profile, in ascending code order, to the profiles
+    that strictly contain it.  A maximum matching of each profile to a strict
+    superset links the profiles into len(above) - |matching| chains, the
+    fewest possible (Fulkerson's proof of Dilworth's theorem).  The matching
+    starts from the symmetric chains: each profile is matched to the next
+    profile on its chain.  Kuhn's augmenting paths then run from the profiles
+    left unmatched; a search that fails leaves the matching as it was, so the
+    supersets it visited stay visited until the next augmentation.  On all
+    2^m codes the start is already maximum, and the failed searches prove it.
     """
-    pred = dict.fromkeys(above, -1)  # pred[j]: the profile matched to its superset j
-    for root in above:
-        seen = 0
+    symmetric = _symmetric_chains(m)
+    pred = {}  # pred[j]: the profile matched to its superset j, or -1
+    top: dict[int, int] = {}  # symmetric chain -> its largest profile so far
+    for pr in above:
+        pred[pr] = top.get(symmetric[pr], -1)
+        top[symmetric[pr]] = pr
+    seen = 0
+    for root in sorted(top.values()):
         path = [root]
         via: list[int] = []  # via[k]: the superset tried from path[k], held by path[k + 1]
         while path:
@@ -261,6 +298,7 @@ def _chain_partition(above: dict[int, int]) -> list[int]:
             if pred[j] < 0:
                 for i, k in zip(path, via):
                     pred[k] = i
+                seen = 0
                 break
             path.append(pred[j])
     # pred[j] < j, so one ascending pass puts every profile on its chain
@@ -280,8 +318,10 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
     Profile sets hold codes, one bit each.  An antichain meets a chain at
-    most once, so with a chain partition fixed at the root a node is pruned
-    when fewer than q - depth chains meet its candidates (at the root: the
+    most once.  So a block whose profiles meet fewer than q symmetric chains
+    is out at the root, before any matching; otherwise a minimum chain
+    partition is fixed at the root, and a node is pruned when fewer than
+    q - depth of its chains meet the node's candidates (at the root: the
     poset is narrower than q, by Dilworth's theorem), or when some cover
     pair's router set misses both the picked profiles and the candidates.
     Pruning only cuts subtrees without a solution, so the first antichain in
@@ -289,9 +329,14 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """
     if not frame.feasible:
         return None
+    m = len(frame.bout)
+    symmetric = _symmetric_chains(m)
+    if len({symmetric[pr] for pr in frame.profiles}) < q:
+        budget.tick(0)
+        return None
     codes, sup = frame.codes, frame.sup
     # a strict superset has the larger code, so every member of above[pr] comes after pr
-    chains = _chain_partition({pr: sup[pr] & codes ^ 1 << pr for pr in frame.profiles})
+    chains = _chain_partition({pr: sup[pr] & codes ^ 1 << pr for pr in frame.profiles}, m)
     if len(chains) < q:
         budget.tick(0)
         return None

@@ -1,5 +1,5 @@
 """Shared strategies and references: random small multipartite topologies and
-orientations, a single-pair BFS distance and arc reversal."""
+orientations, a single-pair BFS distance, a BFS diameter and arc reversal."""
 
 from __future__ import annotations
 
@@ -10,15 +10,13 @@ import hypothesis.strategies as st
 import orientdiam as od
 
 
-def distance(D, u, v):
-    """Reference directed distance from u to v; INFINITE when unreachable.
+def _bfs(D, u, v=None):
+    """Distances from u, up to the level where v is reached (all of them without v).
 
     A plain queue BFS that reads arcs one bit at a time, sharing no code with
     the package's word-parallel diameter routine it is checked against.
     """
     n = D.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError(f"vertex pair ({u},{v}) out of range for {n} vertices")
     dist = {u: 0}
     queue = deque([u])
     while queue and v not in dist:
@@ -27,7 +25,26 @@ def distance(D, u, v):
             if (D.out_adj[x] >> w) & 1 and w not in dist:
                 dist[w] = dist[x] + 1
                 queue.append(w)
-    return dist.get(v, od.INFINITE)
+    return dist
+
+
+def distance(D, u, v):
+    """Reference directed distance from u to v; INFINITE when unreachable."""
+    n = D.n_vertices
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"vertex pair ({u},{v}) out of range for {n} vertices")
+    return _bfs(D, u, v).get(v, od.INFINITE)
+
+
+def bfs_diameter(D):
+    """Reference diameter: the largest distance, one full BFS per source."""
+    worst = 0
+    for u in range(D.n_vertices):
+        dist = _bfs(D, u)
+        if len(dist) < D.n_vertices:
+            return od.INFINITE
+        worst = max(worst, *dist.values())
+    return worst
 
 
 def reverse(D):

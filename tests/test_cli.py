@@ -15,7 +15,7 @@ from orientdiam import analysis, cli
 from orientdiam.claims import FAMILIES
 from orientdiam.cli import build_parser, main
 from orientdiam.graphcore import MAX_VERTICES, GraphTopology, OrientdiamError
-from orientdiam.search import SearchConfig
+from orientdiam.search import SearchConfig, SearchError
 
 
 def run(capsys, *argv):
@@ -207,6 +207,21 @@ def test_new_error_class_is_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "decide_diameter2", refuse)
     assert run(capsys, "decide", "--parts", "3,3,3") == (2, "", "error: Fresh: refused\n")
+
+
+def test_reused_parser_reaches_a_patched_function(capsys, monkeypatch):
+    # main builds its parser once; the subcommands look up what they call
+    # at call time, so a patch made after an earlier run still takes effect
+    assert run(capsys, "decide", "--parts", "3,3,3")[0] == 0
+    parser = cli._parser()
+
+    def refuse(*args):
+        raise SearchError("patched")
+
+    monkeypatch.setattr(cli, "decide_diameter2", refuse)
+    assert run(capsys, "decide", "--parts", "3,3,3") == (2, "", "error: SearchError: patched\n")
+    assert cli._parser() is parser
+    assert build_parser() is not build_parser()
 
 
 # Every option of every subcommand, and every SearchConfig field: a change

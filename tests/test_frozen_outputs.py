@@ -126,7 +126,7 @@ DIGESTS = {
     ("decide", "3,4,12"):
         "00a7a3de7455b0be800fdbad098bf24e3a4641e7edeece8ccaa14e7b62f1127b",
     ("decide", "3,4,11"):
-        "ed0a3bf12ad105e9782b698ec01aeb0da006f5ce01564128b9e54ad32b774715",
+        "9964aa7a17c6e3ce382062687aa4c048069c64ebb4fc13ebf37c70969114cade",
     ("decide", "4,4,26"):
         "ba7e032cc4936320b2709068a40f05f05efdf95f3bda56640bc692de3a5da62a",
     ("export-cnf", "3,3,7"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,10 +27,11 @@ from orientdiam.search import (
     _BlockFrame,
     _Budget,
     _chain_partition,
+    _symmetric_chains,
 )
 from orientdiam.graphcore import Orientation, _diameter_below
 
-from conftest import all_orientations, distance
+from conftest import all_orientations, bfs_diameter, distance
 
 # every complete multipartite topology with at most 16 edges that the
 # agreement suite pins down (spec of the oracle-equivalence criterion)
@@ -154,7 +156,7 @@ def block_frames(draw):
     bits = draw(st.integers(0, (1 << len(bedges)) - 1))
     m = sum(rest_parts)
     profiles = _BlockFrame(m, bedges, bits, 0).profiles
-    width = _width(profiles)
+    width = _width(tuple(profiles))
     edge = [q for q in (width, width + 1) if math.comb(len(profiles), q) <= COMBINATION_CAP]
     if edge and draw(st.booleans()):
         q = draw(st.sampled_from(edge))
@@ -171,13 +173,14 @@ def _arcs(outcome):
     return None if outcome.witness is None else outcome.witness.arcs()
 
 
-def _width(profiles) -> int:
+@functools.cache
+def _width(profiles: tuple[int, ...]) -> int:
     """Size of the largest antichain, by include/exclude recursion."""
     if not profiles:
         return 0
     first, rest = profiles[0], profiles[1:]
     return max(_width(rest),
-               1 + _width([pr for pr in rest if first & ~pr and pr & ~first]))
+               1 + _width(tuple(pr for pr in rest if first & ~pr and pr & ~first)))
 
 
 def _is_antichain(chosen) -> bool:
@@ -199,7 +202,7 @@ class TestDecide:
         outcome = od.decide_diameter2((3, 3, 7))
         assert outcome.verdict is Verdict.NONE
         assert outcome.witness is None
-        assert outcome.stats.nodes <= 24  # 77 without the chain bound
+        assert outcome.stats.nodes == 24  # 77 without the chain bound
 
     def test_one_part(self):
         # the block is empty and its one profile serves a single vertex only
@@ -215,7 +218,37 @@ class TestDecide:
     def test_k3412_none(self):
         outcome = od.decide_diameter2((3, 4, 12))
         assert outcome.verdict is Verdict.NONE
-        assert outcome.stats.nodes <= 65  # 1,505 without the chain bound
+        assert outcome.stats.nodes == 65  # 1,505 without the chain bound
+
+    # None counts come from root exits alone and must never move; Exists
+    # counts follow the chain partition fixed at each kernel root
+    @pytest.mark.parametrize("parts,symmetry,verdict,nodes", [
+        ((3, 3, 7), True, Verdict.NONE, 24),
+        ((3, 4, 12), True, Verdict.NONE, 65),
+        ((3, 5, 20), True, Verdict.NONE, 122),
+        ((3, 3, 7), False, Verdict.NONE, 746),
+        ((3, 4, 12), False, Verdict.NONE, 5_896),
+        ((3, 4, 11), True, Verdict.EXISTS, 47),
+        ((4, 4, 26), True, Verdict.EXISTS, 269),
+        ((4, 4, 34), True, Verdict.EXISTS, 231),
+        ((3, 5, 19), True, Verdict.EXISTS, 68),
+    ])
+    def test_node_counts_are_pinned(self, parts, symmetry, verdict, nodes):
+        outcome = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
+        assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
+
+    def test_k37q_past_the_edge_cap(self, monkeypatch):
+        # the [3,7] block has 21 edges; ascending code order alone needs
+        # 50,533 nodes to reach K(3,7,69)'s witness
+        monkeypatch.setattr(search, "MAX_BLOCK_EDGES", 21)
+        outcome = od.decide_diameter2((3, 7, 69))
+        assert outcome.verdict is Verdict.EXISTS
+        assert outcome.stats.nodes <= 1_000
+        assert bfs_diameter(outcome.witness) == 2
+        outcome = od.decide_diameter2((3, 7, 70))
+        assert outcome.verdict is Verdict.NONE
+        assert outcome.stats.cases_enumerated == od.canonical_case_classes(7)
+        assert len(outcome.stats.cases_enumerated) == 60
 
     def test_witness_for_every_constructive_q(self):
         for q in range(3, 7):
@@ -597,7 +630,7 @@ class TestChainPartition:
         frame = frame_q[0]
         above = {pr: sum(1 << other for other in frame.profiles if other != pr and not pr & ~other)
                  for pr in frame.profiles}
-        chains = _chain_partition(above)
+        chains = _chain_partition(above, len(frame.bout))
         union = 0
         for chain in chains:
             assert not union & chain
@@ -607,7 +640,37 @@ class TestChainPartition:
             members = [pr for pr in frame.profiles if (chain >> pr) & 1]
             assert not any(_is_antichain(pair) for pair in itertools.combinations(members, 2))
         # Dilworth: no partition into chains is smaller than the width
-        assert len(chains) == _width(frame.profiles)
+        assert len(chains) == _width(tuple(frame.profiles))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=str)
+    def test_root_count_bounds_the_width(self, shape):
+        # every code, as with symmetry breaking off: the symmetric chains
+        # the profiles meet never undercount the width, and the seeded
+        # matching still ends minimum
+        m, bedges = sum(shape), _block_edges(shape)
+        chain_of = _symmetric_chains(m)
+        for bits in range(1 << len(bedges)):
+            frame = _BlockFrame(m, bedges, bits, 0)
+            width = _width(tuple(frame.profiles))
+            assert len({chain_of[pr] for pr in frame.profiles}) >= width, bits
+            above = {pr: frame.sup[pr] & frame.codes ^ 1 << pr for pr in frame.profiles}
+            assert len(_chain_partition(above, m)) == width, bits
+
+
+class TestSymmetricChains:
+    @pytest.mark.parametrize("m", range(1, MAX_BLOCK_VERTICES + 1))
+    def test_decomposition(self, m):
+        chain_of = _symmetric_chains(m)
+        assert len(chain_of) == 1 << m
+        chains = [[] for _ in range(math.comb(m, m // 2))]
+        for code, index in enumerate(chain_of):
+            chains[index].append(code)  # ascending, so by size along a chain
+        for chain in chains:
+            for small, big in zip(chain, chain[1:]):
+                assert small != big and not small & ~big, (m, chain)
+            sizes = [code.bit_count() for code in chain]
+            k = sizes[0]
+            assert sizes == list(range(k, m - k + 1)), (m, chain)
 
 
 class TestBruteForce:
