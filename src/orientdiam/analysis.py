@@ -36,7 +36,6 @@ from .graphcore import Orientation, OrientdiamError, _bit_members, diameter
 from .search import (
     MAX_BLOCK_VERTICES,
     _chain_partition,
-    _inclusion_tables,
     canonicalize_case,
 )
 
@@ -218,8 +217,7 @@ def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
         raise AnalysisError(f"need p >= 1, got {p}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
-    sup = _inclusion_tables(p)[0]
-    chains = _chain_partition({c: row ^ 1 << c for c, row in enumerate(sup)}, p)
+    chains = _chain_partition((1 << (1 << p)) - 1, p)
     layer = [c for c in range(1 << p) if c.bit_count() == p // 2]
     if len(layer) != len(chains):  # never expected to fire
         raise AnalysisError(

@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-seconds", type=float, default=600.0)
-    budget.add_argument("--budget-nodes", type=int, default=1_000_000_000)
+    budget.add_argument("--budget-seconds", type=float, default=SearchConfig.time_budget)
+    budget.add_argument("--budget-nodes", type=int, default=SearchConfig.node_budget)
     budget.add_argument("--no-symmetry", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

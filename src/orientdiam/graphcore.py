@@ -68,6 +68,10 @@ class TooManyVertices(GraphError):
     pass
 
 
+class VertexOutOfRange(GraphError, IndexError):
+    """A vertex id outside 0 .. n - 1; still an IndexError for callers that catch one."""
+
+
 class ParseError(GraphError):
     """Malformed orientation JSON; carries line/column when available."""
 
@@ -190,7 +194,7 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
     for u, v in arcs:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"arc ({u},{v}) out of range for {n} vertices")
+            raise VertexOutOfRange(f"arc ({u},{v}) out of range for {n} vertices")
         if u == v:
             raise SelfLoop(f"arc ({u},{v})")
         if not topology.adjacent(u, v):
@@ -282,7 +286,7 @@ def induced_suborientation(D: Orientation, keep) -> Orientation:
         raise EmptyKeep("cannot induce on the empty vertex set")
     n = D.n_vertices
     if keep[0] < 0 or keep[-1] >= n:
-        raise IndexError(f"keep set {keep} out of range for {n} vertices")
+        raise VertexOutOfRange(f"keep set {keep} out of range for {n} vertices")
     po = D.topology.part_of
     new_parts = []
     for pi in range(len(D.topology.parts)):

@@ -197,19 +197,19 @@ def _symmetric_chains(m: int) -> tuple[int, ...]:
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
-    codes is the set of feasible profile codes, one bit per code, profiles
-    lists them in ascending order, and routers[i] those that route cover
-    pair i, (a, b): the ones without a that hold b.  With fewer than q
-    feasible profiles the frame stops there: no pairs, no routers, not feasible.
+    codes holds the feasible profile codes, one bit each (the kernel reads
+    inclusion among them from the superset table), profiles lists them in
+    ascending order, and routers[i] those that route cover pair i, (a, b):
+    the ones without a that hold b.  With fewer than q feasible profiles the
+    frame stops there: no pairs, no routers, not feasible.
     """
 
-    __slots__ = ("bout", "sup", "codes", "profiles", "cover_pairs", "routers", "feasible")
+    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
     def __init__(self, m: int, bedges, bits: int, q: int):
         self.bout = bout = _out_masks(m, bedges, bits)
         bin_ = _out_masks(m, bedges, ~bits)  # the in-neighbors: every arc reversed
         sup, sub = _inclusion_tables(m)
-        self.sup = sup
         full = (1 << m) - 1
         infeasible = 0
         for a in range(m):
@@ -261,23 +261,24 @@ class _Budget:
         return True
 
 
-def _chain_partition(above: dict[int, int], m: int) -> list[int]:
+def _chain_partition(codes: int, m: int) -> list[int]:
     """A minimum chain partition under strict inclusion, one bit per code.
 
-    above maps each m-bit profile, in ascending code order, to the profiles
-    that strictly contain it.  A maximum matching of each profile to a strict
-    superset links the profiles into len(above) - |matching| chains, the
-    fewest possible (Fulkerson's proof of Dilworth's theorem).  The matching
-    starts from the symmetric chains: each profile is matched to the next
-    profile on its chain.  Kuhn's augmenting paths then run from the profiles
-    left unmatched; a search that fails leaves the matching as it was, so the
+    The profiles are the members of codes, one bit per m-bit code.  A maximum
+    matching of each profile to a strict superset in codes, read from the
+    superset table, links them into |codes| - |matching| chains, the fewest
+    possible (Fulkerson's proof of Dilworth's theorem).  The matching starts
+    from the symmetric chains: each profile is matched to the next profile on
+    its chain.  Kuhn's augmenting paths then run from the profiles left
+    unmatched; a search that fails leaves the matching as it was, so the
     supersets it visited stay visited until the next augmentation.  On all
     2^m codes the start is already maximum, and the failed searches prove it.
     """
     symmetric = _symmetric_chains(m)
+    sup = _inclusion_tables(m)[0]
     pred = {}  # pred[j]: the profile matched to its superset j, or -1
     top: dict[int, int] = {}  # symmetric chain -> its largest profile so far
-    for pr in above:
+    for pr in _bit_members(codes):
         pred[pr] = top.get(symmetric[pr], -1)
         top[symmetric[pr]] = pr
     seen = 0
@@ -285,7 +286,7 @@ def _chain_partition(above: dict[int, int], m: int) -> list[int]:
         path = [root]
         via: list[int] = []  # via[k]: the superset tried from path[k], held by path[k + 1]
         while path:
-            avail = above[path[-1]] & ~seen
+            avail = (sup[path[-1]] ^ 1 << path[-1]) & codes & ~seen
             if not avail:
                 path.pop()
                 if via:
@@ -319,11 +320,11 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
 
     Profile sets hold codes, one bit each.  An antichain meets a chain at
     most once.  So a block whose profiles meet fewer than q symmetric chains
-    is out at the root, before any matching; otherwise a minimum chain
-    partition is fixed at the root, and a node is pruned when fewer than
-    q - depth of its chains meet the node's candidates (at the root: the
-    poset is narrower than q, by Dilworth's theorem), or when some cover
-    pair's router set misses both the picked profiles and the candidates.
+    is out at the root, before any matching; otherwise the feasible codes are
+    split into a minimum chain partition, and a node is pruned when fewer
+    than q - depth of its chains meet the node's candidates (at the root, all
+    feasible codes: the poset is narrower than q, by Dilworth's theorem), or
+    when some cover pair's router set misses both the picks and the candidates.
     Pruning only cuts subtrees without a solution, so the first antichain in
     ascending code order is found whatever the bound.
     """
@@ -334,13 +335,8 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     if len({symmetric[pr] for pr in frame.profiles}) < q:
         budget.tick(0)
         return None
-    codes, sup = frame.codes, frame.sup
-    # a strict superset has the larger code, so every member of above[pr] comes after pr
-    chains = _chain_partition({pr: sup[pr] & codes ^ 1 << pr for pr in frame.profiles}, m)
-    if len(chains) < q:
-        budget.tick(0)
-        return None
-    routers = frame.routers
+    codes, routers, sup = frame.codes, frame.routers, _inclusion_tables(m)[0]
+    chains = _chain_partition(codes, m)
 
     def extend(picked: int, cand: int):
         depth = picked.bit_count()

@@ -195,7 +195,7 @@ def test_every_error_class_has_the_root():
         defined |= {obj for obj in vars(module).values() if isinstance(obj, type)
                     and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
     assert sorted(cls.__name__ for cls in defined if not issubclass(cls, OrientdiamError)) == []
-    assert len(defined - {OrientdiamError}) == 26
+    assert len(defined - {OrientdiamError}) == 27
 
 
 def test_new_error_class_is_exit_2(capsys, monkeypatch):
@@ -446,6 +446,19 @@ class TestVerifyClaims:
         assert doc["claims"] and all(row["passed"] for row in doc["claims"])
         assert doc["cnf_emitted"] == [] and doc["exit_code"] == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_33q_without_symmetry_matches_the_default(self, capsys):
+        # symmetry breaking off enumerates all 512 blocks of K(3,3,7) (746
+        # nodes), an independent route to the same verdicts
+        def observed(*extra):
+            code, out, _ = run(capsys, "verify-claims", "--family", "33q", "--format", "json",
+                               *extra)
+            assert code == 0
+            rows = json.loads(out)["claims"]
+            assert rows and all(row["passed"] for row in rows)
+            return {row["claim_id"]: row["observed"] for row in rows}
+
+        assert observed("--no-symmetry") == observed()
 
     def test_unknown_emits_cnf_in_cwd(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

@@ -16,9 +16,11 @@ from orientdiam.graphcore import (
     GraphTopology,
     IntraPartArc,
     MissingEdge,
+    OrientdiamError,
     ParseError,
     SelfLoop,
     TooManyVertices,
+    VertexOutOfRange,
     ZeroPart,
     _diameter_below,
     dumps,
@@ -80,7 +82,7 @@ def _reference_orient(topology, arcs):
     for u, v in arcs:
         u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"arc ({u},{v}) out of range for {n} vertices")
+            raise VertexOutOfRange(f"arc ({u},{v}) out of range for {n} vertices")
         if u == v:
             raise SelfLoop(f"arc ({u},{v})")
         if not topology.adjacent(u, v):
@@ -355,6 +357,26 @@ class TestInduced:
     def test_empty_keep(self):
         with pytest.raises(EmptyKeep):
             od.induced_suborientation(three_cycle(), [])
+
+    def test_out_of_range_has_the_package_root(self):
+        # both vertex range checks raise an error the CLI and callers catch
+        # as OrientdiamError, and that is still an IndexError
+        D = three_cycle()
+        calls = [
+            (lambda: od.orient(D.topology, [(0, 5), (1, 2), (2, 0)]),
+             "arc (0,5) out of range for 3 vertices"),
+            (lambda: od.induced_suborientation(D, [0, 3]),
+             "keep set [0, 3] out of range for 3 vertices"),
+        ]
+        for call, message in calls:
+            try:
+                call()
+            except OrientdiamError as exc:
+                assert type(exc) is VertexOutOfRange
+                assert isinstance(exc, IndexError)
+                assert str(exc) == message
+            else:
+                pytest.fail(f"no error for {message}")
 
     @given(orientations(), st.integers(min_value=1))
     @settings(deadline=None)

@@ -628,9 +628,7 @@ class TestChainPartition:
     @given(block_frames())
     def test_minimum_chain_partition(self, frame_q):
         frame = frame_q[0]
-        above = {pr: sum(1 << other for other in frame.profiles if other != pr and not pr & ~other)
-                 for pr in frame.profiles}
-        chains = _chain_partition(above, len(frame.bout))
+        chains = _chain_partition(frame.codes, len(frame.bout))
         union = 0
         for chain in chains:
             assert not union & chain
@@ -653,8 +651,7 @@ class TestChainPartition:
             frame = _BlockFrame(m, bedges, bits, 0)
             width = _width(tuple(frame.profiles))
             assert len({chain_of[pr] for pr in frame.profiles}) >= width, bits
-            above = {pr: frame.sup[pr] & frame.codes ^ 1 << pr for pr in frame.profiles}
-            assert len(_chain_partition(above, m)) == width, bits
+            assert len(_chain_partition(frame.codes, m)) == width, bits
 
 
 class TestSymmetricChains:
