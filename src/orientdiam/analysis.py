@@ -22,9 +22,9 @@ passes its choice to all of them.
 The bipartite side of the story: inside an orientation of K(p, q') every
 ordered pair on the q'-side is within distance 2 exactly when the q'-side
 out-neighborhood family is an antichain, whose size Sperner's theorem caps
-at C(p, floor(p/2)).  max_antichain derives that width from the search
-kernel's minimum chain partition of all 2^p codes rather than from the
-formula, and the test suite checks both against exhaustive oracles.
+at C(p, floor(p/2)).  max_antichain derives that width from the symmetric
+chain decomposition the search kernel uses rather than from the formula,
+and the test suite checks both against exhaustive oracles.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphcore import Orientation, OrientdiamError, _bit_members, diameter
-from .search import (
-    MAX_BLOCK_VERTICES,
-    _chain_partition,
-    canonicalize_case,
-)
+from .search import MAX_BLOCK_VERTICES, _symmetric_chains, canonicalize_case
 
 SIGN_LABELS = ("+++", "++-", "+-+", "-++", "+--", "-+-", "--+", "---")
 
@@ -204,25 +200,23 @@ def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:
 def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Largest antichain over subsets of a p-set, with a proof of its size.
 
-    The width is the number of chains in a minimum chain partition of all
-    2^p codes, computed by the search kernel's own matching.  That matching
-    starts from the symmetric chains, already a maximum matching here, and
-    the augmenting search from each chain's top fails, which proves it
-    maximum.  The witness is the middle layer; an antichain and a chain
-    partition of equal size prove each other optimal, so it is returned only
-    after that check.  Capped at MAX_BLOCK_VERTICES, the largest code width
-    the kernel's tables serve.
+    The width is the number of chains in the symmetric chain decomposition
+    of all 2^p codes, the one the search kernel seeds its matching with.  The
+    witness is the middle layer, which meets every one of those chains once;
+    an antichain and a chain partition of equal size prove each other
+    optimal, so it is returned only after that check.  Capped at
+    MAX_BLOCK_VERTICES, the largest code width the kernel serves.
     """
     if p < 1:
         raise AnalysisError(f"need p >= 1, got {p}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
-    chains = _chain_partition((1 << (1 << p)) - 1, p)
+    width = max(_symmetric_chains(p)) + 1  # chains are numbered 0, 1, ...
     layer = [c for c in range(1 << p) if c.bit_count() == p // 2]
-    if len(layer) != len(chains):  # never expected to fire
+    if len(layer) != width:  # never expected to fire
         raise AnalysisError(
-            f"internal error: middle layer of {len(layer)} against {len(chains)} chains"
+            f"internal error: middle layer of {len(layer)} against {width} chains"
         )
-    return len(chains), tuple(
+    return width, tuple(
         frozenset(i for i in range(p) if (c >> i) & 1) for c in layer
     )

@@ -210,9 +210,7 @@ def middle_layer_bipartite(p: int, q: int) -> Orientation:
     big-side vertices are then within distance 2 of each other: a witness is
     any small-side vertex in one out-set but not the other.
     """
-    if p < 1 or q < 1:
-        raise ConstructionError(f"need positive part sizes, got ({p},{q})")
-    topo = make_complete_multipartite([p, q])  # caps p + q before comb runs
+    topo = make_complete_multipartite([p, q])  # checks p and q before comb runs
     limit = comb(p, p // 2)
     if q > limit:
         raise ThresholdExceeded(

@@ -123,7 +123,10 @@ class GraphTopology:
 
 def make_complete_multipartite(parts: list[int] | tuple[int, ...]) -> GraphTopology:
     """Build the canonical topology for the given part sizes."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    for p in parts:
+        if not _is_int(p):
+            raise GraphError(f"part sizes must be integers, got {reprlib.repr(p)}")
     if not parts:
         raise EmptyParts("need at least one part")
     if any(p < 1 for p in parts):

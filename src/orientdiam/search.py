@@ -18,11 +18,13 @@ three exact facts:
     target) -- a covering constraint.
 
 Profile sets are integers with one bit per profile code.  Per number m of
-vertices outside L, two tables hold the supersets and the subsets of every
-code, so a block's feasible profiles are the complement of m ORed table
-entries (a profile holding a vertex a and all of its out-neighbors leaves a
-no route back; one missing a and all of its in-neighbors has no route to
-a), and the routers of a cover pair are one AND.
+vertices outside L, one table holds the supersets of every code.  A profile
+holding a vertex a and all of its out-neighbors leaves a no route back, and
+one missing a and all of its in-neighbors has no route to a: its complement
+holds a and all of a's out-neighbors on the reversed block.  So a block's
+infeasible profiles are m ORed table entries, plus the bit-reversal of m
+more (reversing a 2^m-bit set complements every code in it), and the
+routers of a cover pair are one AND.
 Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
@@ -146,13 +148,11 @@ def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
 
 
 @functools.cache
-def _inclusion_tables(m: int):
-    """sup[c] and sub[c]: the supersets and the subsets of code c over m bits.
+def _supersets(m: int) -> tuple[int, ...]:
+    """sup[c]: the supersets of code c over m bits, one 2^m-bit set.
 
-    Each is one 2^m-bit set over profile codes.  With low the least bit
-    missing from c, the supersets of c are those of c | low and their images
-    without low, a shift down by low; subsets mirror this with the least set
-    bit and a shift up.
+    With low the least bit missing from c, the supersets of c are those of
+    c | low and their images without low, a shift down by low.
     """
     full = (1 << m) - 1
     sup = [0] * (full + 1)
@@ -161,12 +161,7 @@ def _inclusion_tables(m: int):
         low = ~c & (c + 1)
         s = sup[c | low]
         sup[c] = s | s >> low
-    sub = [1] * (full + 1)  # sub[0] holds the empty code alone
-    for c in range(1, full + 1):
-        low = c & -c
-        s = sub[c ^ low]
-        sub[c] = s | s << low
-    return tuple(sup), tuple(sub)
+    return tuple(sup)
 
 
 @functools.cache
@@ -209,15 +204,19 @@ class _BlockFrame:
     def __init__(self, m: int, bedges, bits: int, q: int):
         self.bout = bout = _out_masks(m, bedges, bits)
         bin_ = _out_masks(m, bedges, ~bits)  # the in-neighbors: every arc reversed
-        sup, sub = _inclusion_tables(m)
+        sup = _supersets(m)
         full = (1 << m) - 1
-        infeasible = 0
+        infeasible = mirrored = 0
         for a in range(m):
             # a profile holding a beats a, and a needs a two-step route back:
             # out if the profile holds all of bout[a].  One without a is
             # beaten by a and needs a two-step route to a: out if it holds
-            # nothing of bin[a].
-            infeasible |= sup[1 << a | bout[a]] | sub[full ^ 1 << a ^ bin_[a]]
+            # nothing of bin[a], that is, if its complement holds a and all
+            # of bin[a] -- the first rule on the reversed block.
+            infeasible |= sup[1 << a | bout[a]]
+            mirrored |= sup[1 << a | bin_[a]]
+        # complementing codes sends bit c to bit full ^ c = full - c: reverse the bits
+        infeasible |= int(f"{mirrored:0{full + 1}b}"[::-1], 2)
         self.codes = codes = ~infeasible & ((2 << full) - 1)
         self.profiles = list(_bit_members(codes))
         if len(self.profiles) < q:
@@ -271,11 +270,10 @@ def _chain_partition(codes: int, m: int) -> list[int]:
     from the symmetric chains: each profile is matched to the next profile on
     its chain.  Kuhn's augmenting paths then run from the profiles left
     unmatched; a search that fails leaves the matching as it was, so the
-    supersets it visited stay visited until the next augmentation.  On all
-    2^m codes the start is already maximum, and the failed searches prove it.
+    supersets it visited stay visited until the next augmentation.
     """
     symmetric = _symmetric_chains(m)
-    sup = _inclusion_tables(m)[0]
+    sup = _supersets(m)
     pred = {}  # pred[j]: the profile matched to its superset j, or -1
     top: dict[int, int] = {}  # symmetric chain -> its largest profile so far
     for pr in _bit_members(codes):
@@ -335,7 +333,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     if len({symmetric[pr] for pr in frame.profiles}) < q:
         budget.tick(0)
         return None
-    codes, routers, sup = frame.codes, frame.routers, _inclusion_tables(m)[0]
+    codes, routers, sup = frame.codes, frame.routers, _supersets(m)
     chains = _chain_partition(codes, m)
 
     def extend(picked: int, cand: int):

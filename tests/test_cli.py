@@ -187,6 +187,14 @@ def test_oracle_cap_message(capsys, command, message):
     assert err == message
 
 
+# middle-layer leaves the size check to the topology builder
+def test_middle_layer_zero_part(capsys):
+    code, out, err = run(capsys, "construct", "--scheme", "middle-layer", "--parts", "0,3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: ZeroPart: all part sizes must be >= 1, got (0, 3)"]
+
+
 # cli.main catches the root alone, so an error class outside it would trace back.
 def test_every_error_class_has_the_root():
     defined = set()
@@ -280,6 +288,16 @@ class TestAnalyze:
         assert "sign partition" in out
         assert "pass" in out
         assert "raw (1, 1, 2)" in out
+
+    def test_text_report_lists_violations(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "d6.json"
+        run(capsys, "construct", "--parts", "3,3,6", "--out", str(path))
+        monkeypatch.setattr(cli, "sign_condition_violations",
+                            lambda D, anchor: ["part 2 class +++ has size 2 != 1"])
+        code, out, _ = run(capsys, "analyze", "--file", str(path))
+        assert code == 0
+        assert "diameter-2 necessary conditions: violated\n" in out
+        assert "  violation: part 2 class +++ has size 2 != 1\n" in out
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "d4.json"

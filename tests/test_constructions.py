@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import orientdiam as od
+from orientdiam import constructions
 from orientdiam.constructions import (
+    ConstructionError,
     NTooSmall,
     QOutOfRange,
     ThresholdExceeded,
@@ -93,6 +95,12 @@ class TestK34q:
     def test_q10_recipe_is_explicit(self):
         _, log = build_34q(10)
         assert any("explicit" in line for line in log)
+
+
+def test_wrong_diameter_is_refused(monkeypatch):
+    monkeypatch.setattr(constructions, "diameter", lambda D: 3)
+    with pytest.raises(ConstructionError, match="built diameter 3, promised 2"):
+        build_33q(6)
 
 
 class TestMiddleLayer:

@@ -68,6 +68,16 @@ class TestTopology:
         with pytest.raises(ZeroPart):
             od.make_complete_multipartite([3, 0, 2])
 
+    # int() would read 6.9 as 6 and True as 1, and build another graph
+    @pytest.mark.parametrize("parts,bad", [
+        ((3, 3, 6.9), "6.9"), ([3, True, 2.5], "True"), ((3, "4"), "'4'"), ([2, None], "None"),
+    ])
+    def test_non_integer_part_rejected(self, parts, bad):
+        with pytest.raises(GraphError, match=f"part sizes must be integers, got {bad}$"):
+            od.make_complete_multipartite(parts)
+        with pytest.raises(OrientdiamError):
+            od.decide_diameter2(parts)
+
     def test_vertex_cap(self):
         assert od.make_complete_multipartite([MAX_VERTICES - 1, 1]).n_vertices == MAX_VERTICES
         with pytest.raises(TooManyVertices):
