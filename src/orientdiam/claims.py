@@ -1,8 +1,8 @@
 """Claim tables: rebuild and re-measure every classification the toolkit covers.
 
 Each claim row pins an expected oriented-diameter value and the method used
-to observe it.  A family K(3,p,q) is one row of _TABLES.  Its claims for
-q = p up to the last constructive q build the orientation and measure
+to observe it.  One family K(3,p,q) per p of paper_families().  Its claims
+for q = p up to the last constructive q build the orientation and measure
 diameter 2.  Past that, refutation claims run the exhaustive decision
 procedure.  A None verdict observes the value 3 only when its
 cases_enumerated lists every canonical case class of p (10 at p=3, 19 at
@@ -19,15 +19,12 @@ from dataclasses import asdict, dataclass
 
 from .analysis import canonical_case_classes
 from .cnf import TooManyClauses, export_cnf
-from .constructions import construct_33q, construct_34q
+from .constructions import paper_families
 from .graphcore import INFINITE, MAX_VERTICES, OrientdiamError, diameter, make_complete_multipartite
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
 
-# family -> (p, last constructive q, builder) for K(3, p, q)
-_TABLES = {
-    "33q": (3, 6, construct_33q),
-    "34q": (4, 11, construct_34q),
-}
+# family -> p, for K(3, p, q)
+_TABLES = {f"3{p}q": p for p in paper_families()}
 
 _BASELINES = (
     ("K4", (1, 1, 1, 1), 3),
@@ -162,7 +159,8 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
         ))
     if cfg is None:
         cfg = SearchConfig()
-    p, last_built, builder = _TABLES[family]
+    p = _TABLES[family]
+    last_built, builder = paper_families()[p]
     lo, hi = q_range if q_range is not None else (p, last_built + 1)
     lo = max(lo, p)  # the classification starts at q = p
     if lo > hi:
@@ -177,7 +175,7 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
         claim_id = f"{family}-q{q}"
         if q <= last_built:
             record = _claim(claim_id, family, q, 2, "construct",
-                            lambda: _measured(diameter(builder(q))))
+                            lambda: _measured(diameter(builder(q)[0])))
         else:
             record = _claim(claim_id, family, q, 3, "search",
                             lambda: _refute(p, q, cfg, cnf_dir, emitted))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -33,12 +34,7 @@ from .analysis import (
 )
 from .claims import FAMILIES, verify_claims
 from .cnf import export_cnf
-from .constructions import (
-    build_33q,
-    build_34q,
-    complete_graph_orientation,
-    middle_layer_bipartite,
-)
+from .constructions import complete_graph_orientation, middle_layer_bipartite, paper_families
 from .graphcore import (
     INFINITE,
     OrientdiamError,
@@ -64,9 +60,16 @@ class CliError(OrientdiamError):
     pass
 
 
+def _int(token: str) -> int:
+    """A sign and ASCII digits, spaces around them; int() alone takes "1_0" and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token.strip()):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        parts = tuple(_int(tok) for tok in text.split(","))
     except ValueError:
         raise CliError(f"--parts expects comma-separated integers, got {text!r}")
     return parts
@@ -101,29 +104,22 @@ def _report_distance(fmt: str, parts, key: str, d) -> int:
 
 def cmd_construct(args) -> int:
     parts = _parse_parts(args.parts)
+    log = ()
     if args.scheme == "paper":
-        if len(parts) == 3 and parts[0] == 3 and parts[1] == 3:
-            D, log = build_33q(parts[2])
-        elif len(parts) == 3 and parts[0] == 3 and parts[1] == 4:
-            D, log = build_34q(parts[2])
-        else:
-            raise CliError(
-                f"scheme 'paper' covers parts 3,3,q and 3,4,q; got {args.parts}"
-            )
+        families = paper_families()
+        if len(parts) != 3 or parts[0] != 3 or parts[1] not in families:
+            covered = " and ".join(f"3,{p},q" for p in families)
+            raise CliError(f"scheme 'paper' covers parts {covered}; got {args.parts}")
+        D, log = families[parts[1]][1](parts[2])
     elif args.scheme == "middle-layer":
         if len(parts) != 2:
             raise CliError("scheme 'middle-layer' needs two parts p,q")
         D = middle_layer_bipartite(parts[0], parts[1])
-        log = ()
     else:  # tournament
         if any(p != 1 for p in parts):
             raise CliError("scheme 'tournament' needs parts 1,1,...,1")
         D = complete_graph_orientation(len(parts))
-        log = ()
-    if args.format == "dot":
-        _emit(to_dot(D), args.out)
-    else:
-        _emit(dumps(D, completion_log=log), args.out)
+    _emit(to_dot(D) if args.format == "dot" else dumps(D, completion_log=log), args.out)
     return 0
 
 
@@ -235,7 +231,7 @@ def cmd_verify_claims(args) -> int:
     if args.q_range:
         try:
             lo, hi = args.q_range.split("..")
-            q_range = (int(lo), int(hi))
+            q_range = (_int(lo), _int(hi))
         except ValueError:
             raise CliError(f"--q-range expects LO..HI, got {args.q_range!r}")
     report = verify_claims(args.family, q_range=q_range, cfg=_search_config(args), cnf_dir=".")

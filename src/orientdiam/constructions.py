@@ -1,12 +1,14 @@
 """Deterministic builders for the known diameter-2 orientation families.
 
-Each family comes from an explicit recipe: sign classes fix every arc
-between the anchor triple and the large part, a handful of 4-cycles and a
-middle-layer bipartite block fix the rest.  Where a recipe leaves a choice
-open (the direction of a 4-cycle, say), the builder makes a fixed canonical
-choice and records it in a completion log.  Every construct
-function measures the diameter of what it built and refuses to return an
-orientation that misses its promise.
+The paper's rows K(3,p,q) are one table, _ROWS.  A row is either a recipe
+or a restriction.  A recipe returns the arcs of its row: sign classes fix
+every arc between the anchor triple and the large part, a handful of
+4-cycles and a middle-layer bipartite block fix the rest.  Where it leaves
+a choice open (the direction of a 4-cycle, say), it makes a fixed
+canonical choice and records it in a completion log.  A restriction is a
+recipe row of the same p less some vertices of its large part; the log
+names them.  Every construct function measures the diameter of what it
+built and refuses to return an orientation that misses its promise.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import comb
 from .graphcore import (
     Orientation,
     OrientdiamError,
+    _is_int,
     diameter,
     induced_suborientation,
     make_complete_multipartite,
@@ -40,17 +43,6 @@ class NTooSmall(ConstructionError):
     pass
 
 
-# Diameter-2 orientation of K(3,3,3), found once by decide_diameter2 and
-# frozen here so the q=3 base case stays deterministic without re-running
-# the search.  Re-verified by the post-construction diameter check.
-_K333_ARCS = (
-    (0, 4), (0, 8), (1, 3), (1, 7), (1, 8), (2, 6), (2, 7), (2, 8),
-    (3, 0), (3, 2), (3, 6), (4, 1), (4, 2), (4, 6), (4, 7),
-    (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 5),
-    (7, 0), (7, 3), (7, 5), (8, 3), (8, 4), (8, 5),
-)
-
-
 def _sign_class_arcs(anchors, assignment):
     """Arcs between the anchor triple and vertices with fixed sign labels."""
     arcs = []
@@ -72,75 +64,41 @@ def _verified(D: Orientation, want: int, context: str) -> Orientation:
     return D
 
 
-def build_33q(q: int) -> tuple[Orientation, tuple[str, ...]]:
-    """Diameter-2 orientation of K(3,3,q) for q in [3,6], with its completion log."""
-    if not 3 <= q <= 6:
-        raise QOutOfRange(f"K(3,3,q) construction defined for 3 <= q <= 6, got {q}")
-    if q == 3:
-        topo = make_complete_multipartite([3, 3, 3])
-        D = _verified(orient(topo, _K333_ARCS), 2, "K(3,3,3)")
-        return D, ("q=3 base case: fixed witness table, found once by decide_diameter2",)
-    if q == 4:
-        topo = make_complete_multipartite([3, 3, 4])
-        x1, x2, x3, y1, y2, y3 = range(6)
-        arcs = [(y1, x1), (y2, x1), (y3, x1),
-                (y2, x2), (y3, x2), (x2, y1),
-                (y1, x3), (y3, x3), (x3, y2)]
-        # z classes, one vertex each: 6:+++ 7:++- 8:+-+ 9:+--
-        arcs += _sign_class_arcs((x1, x2, x3), [(6, "+++"), (7, "++-"), (8, "+-+"), (9, "+--")])
-        arcs += [(6, y1), (7, y1), (y1, 8), (y1, 9)]
-        arcs += [(6, y2), (8, y2), (y2, 7), (y2, 9)]
-        arcs += [(z, y3) for z in (6, 7, 8, 9)]
-        D = _verified(orient(topo, arcs), 2, "K(3,3,4)")
-        return D, ()
-    if q == 5:
-        D6, log6 = build_33q(6)
-        # drop the unique all-minus vertex (the last one)
-        D = _verified(induced_suborientation(D6, range(11)), 2, "K(3,3,5)")
-        return D, (*log6, "q=5: restriction of the q=6 orientation without its all-minus vertex")
-    # q == 6
-    topo = make_complete_multipartite([3, 3, 6])
+def _k334():
+    x1, x2, x3, y1, y2, y3 = range(6)
+    arcs = [(y1, x1), (y2, x1), (y3, x1),
+            (y2, x2), (y3, x2), (x2, y1),
+            (y1, x3), (y3, x3), (x3, y2)]
+    # z classes, one vertex each: 6:+++ 7:++- 8:+-+ 9:+--
+    arcs += _sign_class_arcs((x1, x2, x3), [(6, "+++"), (7, "++-"), (8, "+-+"), (9, "+--")])
+    arcs += [(6, y1), (7, y1), (y1, 8), (y1, 9)]
+    arcs += [(6, y2), (8, y2), (y2, 7), (y2, 9)]
+    arcs += [(z, y3) for z in (6, 7, 8, 9)]
+    return arcs, ()
+
+
+def _k336():
     x1, x2, x3, y1, y2, y3 = range(6)
     # z classes: 6:+++ | 7,8:+-- | 9,10:-+- | 11:---
     arcs = [(y2, x1), (y2, x2), (y3, x1), (y3, x2),
-             (x1, y1), (x2, y1), (y1, x3), (x3, y2), (x3, y3)]
-    arcs += _sign_class_arcs(
-        (x1, x2, x3),
-        [(6, "+++"), (7, "+--"), (8, "+--"), (9, "-+-"), (10, "-+-"), (11, "---")],
-    )
+            (x1, y1), (x2, y1), (y1, x3), (x3, y2), (x3, y3)]
+    arcs += _sign_class_arcs((x1, x2, x3), [(6, "+++"), (7, "+--"), (8, "+--"), (9, "-+-"),
+                                            (10, "-+-"), (11, "---")])
     arcs += [(6, y1)] + [(y1, z) for z in (7, 8, 9, 10, 11)]
     arcs += [(6, y2), (6, y3), (y2, 11), (y3, 11)]
     arcs += _four_cycle(y2, 7, y3, 8) + _four_cycle(y2, 9, y3, 10)
-    D = _verified(orient(topo, arcs), 2, "K(3,3,6)")
-    return D, ("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes",)
+    return arcs, ("q=6: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for both two-vertex classes",)
 
 
-# Vertex ids inside the K(3,4,10) construction (part-major order):
-# x1..x3 = 0..2, y1..y4 = 3..6, then z+(+++), z1,z2(+-+), z3,z4(-++),
-# z5,z6(+--), z7,z8(-+-), z-(---) = 7..16.
-_D10_DELETIONS = {
-    9: (16,),
-    8: (7, 16),
-    7: (14, 15, 16),
-    6: (7, 14, 15, 16),
-    5: (8, 9, 14, 15, 16),
-    4: (7, 8, 9, 14, 15, 16),
-}
-
-
-def _build_34_10() -> tuple[Orientation, tuple[str, ...]]:
-    topo = make_complete_multipartite([3, 4, 10])
-    x1, x2, x3 = 0, 1, 2
-    y1, y2, y3, y4 = 3, 4, 5, 6
+def _k34_10():
+    x1, x2, x3, y1, y2, y3, y4 = range(7)
     zp, z1, z2, z3, z4, z5, z6, z7, z8, zm = range(7, 17)
     arcs = [(y, x) for y in (y3, y4) for x in (x1, x2)]
     arcs += [(x, y) for x in (x1, x2) for y in (y1, y2)]
     arcs += [(y1, x3), (y2, x3), (x3, y3), (x3, y4)]
-    arcs += _sign_class_arcs(
-        (x1, x2, x3),
-        [(zp, "+++"), (z1, "+-+"), (z2, "+-+"), (z3, "-++"), (z4, "-++"),
-         (z5, "+--"), (z6, "+--"), (z7, "-+-"), (z8, "-+-"), (zm, "---")],
-    )
+    arcs += _sign_class_arcs((x1, x2, x3), [
+        (zp, "+++"), (z1, "+-+"), (z2, "+-+"), (z3, "-++"), (z4, "-++"),
+        (z5, "+--"), (z6, "+--"), (z7, "-+-"), (z8, "-+-"), (zm, "---")])
     arcs += [(zp, y) for y in (y1, y2, y3, y4)]
     arcs += [(y, zm) for y in (y1, y2, y3, y4)]
     arcs += [(y, z) for y in (y1, y2) for z in (z5, z6, z7, z8)]
@@ -149,14 +107,11 @@ def _build_34_10() -> tuple[Orientation, tuple[str, ...]]:
     arcs += _four_cycle(y1, z3, y2, z4)
     arcs += _four_cycle(y3, z5, y4, z6)
     arcs += _four_cycle(y3, z7, y4, z8)
-    D = _verified(orient(topo, arcs), 2, "K(3,4,10)")
-    return D, ("q=10: fully explicit recipe, four listed 4-cycles",)
+    return arcs, ("q=10: fully explicit recipe, four listed 4-cycles",)
 
 
-def _build_34_11() -> tuple[Orientation, tuple[str, ...]]:
-    topo = make_complete_multipartite([3, 4, 11])
-    x1, x2, x3 = 0, 1, 2
-    y1, y2, y3, y4 = 3, 4, 5, 6
+def _k34_11():
+    x1, x2, x3, y1, y2, y3, y4 = range(7)
     # z classes: 7:+++ | 8,9:++- | 10,11:+-+ | 12..17:+--
     arcs = [(y, x1) for y in (y1, y2, y3, y4)]
     arcs += [(y4, x2), (x2, y1), (x2, y2), (x2, y3)]
@@ -172,24 +127,67 @@ def _build_34_11() -> tuple[Orientation, tuple[str, ...]]:
         for y in (y1, y2, y3, y4):
             arcs.append((z, y) if y in S else (y, z))
     arcs += _four_cycle(y2, 8, y3, 9) + _four_cycle(y2, 10, y3, 11)
-    D = _verified(orient(topo, arcs), 2, "K(3,4,11)")
-    return D, ("q=11: V2 <-> +-- block is the middle-layer K(4,6) orientation, subsets in lex order",
-               "q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
+    return arcs, ("q=11: V2 <-> +-- block is the middle-layer K(4,6) orientation, subsets in lex order",
+                  "q=11: 4-cycles oriented y2 -> z_a -> y3 -> z_b -> y2 for ++- and +-+")
+
+
+# The paper's rows: (p, q) -> how K(3,p,q) is built.  A row is a recipe,
+# which returns its arcs and completion log, or a restriction
+# (recipe row's q, deleted vertices of its large part).  Vertex ids inside
+# the K(3,4,10) recipe (part-major order): x1..x3 = 0..2, y1..y4 = 3..6,
+# then z+(+++), z1,z2(+-+), z3,z4(-++), z5,z6(+--), z7,z8(-+-), z-(---) = 7..16.
+_ROWS = {
+    (3, 3): (4, (9,)),  # the +-- vertex
+    (3, 4): _k334,
+    (3, 5): (6, (11,)),  # the all-minus vertex
+    (3, 6): _k336,
+    (4, 4): (10, (7, 8, 9, 14, 15, 16)),
+    (4, 5): (10, (8, 9, 14, 15, 16)),
+    (4, 6): (10, (7, 14, 15, 16)),
+    (4, 7): (10, (14, 15, 16)),
+    (4, 8): (10, (7, 16)),
+    (4, 9): (10, (16,)),
+    (4, 10): _k34_10,
+    (4, 11): _k34_11,
+}
+
+
+def _build(p: int, q) -> tuple[Orientation, tuple[str, ...]]:
+    """Build the row K(3,p,q) of _ROWS, verify diameter 2, and return it with its log."""
+    row = _ROWS.get((p, q)) if _is_int(q) else None
+    if row is None:
+        qs = [s for r, s in _ROWS if r == p]
+        raise QOutOfRange(
+            f"K(3,{p},q) construction defined for {min(qs)} <= q <= {max(qs)}, got {q!r}")
+    if callable(row):
+        arcs, log = row()
+        D = orient(make_complete_multipartite([3, p, q]), arcs)
+    else:
+        top, deleted = row
+        D_top, log = _build(p, top)
+        D = induced_suborientation(D_top, [v for v in range(3 + p + top) if v not in deleted])
+        log = (*log, f"q={q}: restriction of the q={top} orientation, deleted vertices {deleted}")
+    return _verified(D, 2, f"K(3,{p},{q})"), log
+
+
+def build_33q(q: int) -> tuple[Orientation, tuple[str, ...]]:
+    """Diameter-2 orientation of K(3,3,q) for q in [3,6], with its completion log."""
+    return _build(3, q)
 
 
 def build_34q(q: int) -> tuple[Orientation, tuple[str, ...]]:
     """Diameter-2 orientation of K(3,4,q) for q in [4,11], with its completion log."""
-    if not 4 <= q <= 11:
-        raise QOutOfRange(f"K(3,4,q) construction defined for 4 <= q <= 11, got {q}")
-    if q == 11:
-        return _build_34_11()
-    D10, log = _build_34_10()
-    if q == 10:
-        return D10, log
-    deleted = _D10_DELETIONS[q]
-    keep = [v for v in range(17) if v not in deleted]
-    D = _verified(induced_suborientation(D10, keep), 2, f"K(3,4,{q})")
-    return D, (*log, f"q={q}: restriction of the q=10 orientation, deleted vertices {deleted}")
+    return _build(4, q)
+
+
+def paper_families() -> dict:
+    """p -> (last q, builder) for each family of _ROWS.
+
+    Built per call from the module's current build_33q/build_34q, which
+    bench/layers.py rebinds to time them.
+    """
+    return {p: (max(q for r, q in _ROWS if r == p), builder)
+            for p, builder in ((3, build_33q), (4, build_34q))}
 
 
 def construct_33q(q: int) -> Orientation:
@@ -235,6 +233,8 @@ def complete_graph_orientation(n: int) -> Orientation:
     whose out-set is {0, (n-2)/2}; that pair dominates everyone else, which
     keeps the diameter at 2.  The diameter claim is re-verified either way.
     """
+    if not _is_int(n):
+        raise ConstructionError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise NTooSmall(f"tournaments of diameter <= 3 need n >= 3, got {n}")
     topo = make_complete_multipartite([1] * n)

@@ -195,7 +195,8 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
     n = topology.n_vertices
     out = [0] * n
     for u, v in arcs:
-        u, v = int(u), int(v)
+        if not (_is_int(u) and _is_int(v)):
+            raise GraphError(f"arc {reprlib.repr((u, v))} has a vertex id that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"arc ({u},{v}) out of range for {n} vertices")
         if u == v:
@@ -284,6 +285,9 @@ def induced_suborientation(D: Orientation, keep) -> Orientation:
     The surviving parts keep their relative order, and new vertex i is the
     i-th smallest kept vertex.
     """
+    keep = list(keep)
+    if not all(_is_int(v) for v in keep):
+        raise GraphError(f"keep set {reprlib.repr(keep)} has a vertex id that is not an integer")
     keep = sorted(set(keep))
     if not keep:
         raise EmptyKeep("cannot induce on the empty vertex set")

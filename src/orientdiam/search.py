@@ -79,6 +79,7 @@ from .graphcore import (
     OrientdiamError,
     _bit_members,
     _diameter_below,
+    _is_int,
     _out_masks,
     diameter,
     make_complete_multipartite,
@@ -636,10 +637,10 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
 
     Edge codes (the graphcore convention) run down from all ones, so output
     order is deterministic.  Capped at ENUMERATION_EDGE_CAP edges; a limit
-    must be at least 1.
+    must be an int of at least 1.
     """
-    if limit is not None and limit < 1:
-        raise SearchError(f"limit must be at least 1, got {limit}")
+    if limit is not None and not (_is_int(limit) and limit >= 1):
+        raise SearchError(f"limit must be an integer of at least 1, got {limit!r}")
     if topology.n_edges > ENUMERATION_EDGE_CAP:
         raise TooManyEdges(
             f"{topology.n_edges} edges exceed the cap of {ENUMERATION_EDGE_CAP} edges")

@@ -146,6 +146,26 @@ def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
     assert len(err.encode()) < 300
 
 
+# int() alone would also read "1_0" as 10 and non-ASCII digits as ASCII ones
+@pytest.mark.parametrize("argv", [
+    ["decide", "--parts", "3,3,1_0"],
+    ["decide", "--parts", "3,3,\u0661\u0660"],
+    ["construct", "--parts", "3,3,\uff14"],
+    ["verify-claims", "--family", "33q", "--q-range", "1_0..12"],
+    ["verify-claims", "--family", "33q", "--q-range", "7..\u0667"],
+])
+def test_integers_are_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CliError:")
+
+
+def test_integers_take_a_sign_and_surrounding_spaces(capsys):
+    code, out, _ = run(capsys, "construct", "--parts", " 3, +3 ,4 ")
+    assert code == 0
+    assert json.loads(out)["parts"] == [3, 3, 4]
+
+
 def test_vertex_cap_is_exit_2(capsys):
     code, _, err = run(capsys, "decide", "--parts", f"3,3,{MAX_VERTICES - 5}")
     assert code == 2

@@ -11,9 +11,10 @@ from orientdiam.constructions import (
     NTooSmall,
     QOutOfRange,
     ThresholdExceeded,
-    _D10_DELETIONS,
+    _ROWS,
     build_33q,
     build_34q,
+    paper_families,
 )
 
 from conftest import distance
@@ -44,24 +45,14 @@ class TestK33q:
             "-++": 0, "-+-": 0, "--+": 0, "---": 0,
         }
 
-    def test_q5_is_restriction_of_q6(self):
-        D6 = od.construct_33q(6)
-        D5 = od.construct_33q(5)
-        parent = range(11)  # the kept vertices, ascending
-        d5_arcs = {(parent[u], parent[v]) for u, v in D5.arcs()}
-        d6_arcs = set(D6.arcs())
-        assert d5_arcs <= d6_arcs
-        shared = {a for a in d6_arcs if a[0] in parent and a[1] in parent}
-        assert d5_arcs == shared
-
     @pytest.mark.parametrize("q", [2, 7])
     def test_out_of_range(self, q):
         with pytest.raises(QOutOfRange):
             od.construct_33q(q)
 
-    def test_q3_recipe_notes_fixed_table(self):
+    def test_q3_log_names_its_restriction(self):
         _, log = build_33q(3)
-        assert any("witness table" in line for line in log)
+        assert log == ("q=3: restriction of the q=4 orientation, deleted vertices (9,)",)
 
 
 class TestK34q:
@@ -76,17 +67,6 @@ class TestK34q:
         assert sizes["+--"] == 6
         assert sizes["+++"] == 1 and sizes["++-"] == 2 and sizes["+-+"] == 2
 
-    @pytest.mark.parametrize("q", list(range(4, 10)))
-    def test_deletions_restrict_q10(self, q):
-        D10 = od.construct_34q(10)
-        Dq = od.construct_34q(q)
-        parent = [v for v in range(17) if v not in _D10_DELETIONS[q]]
-        dq_arcs = {(parent[u], parent[v]) for u, v in Dq.arcs()}
-        d10_arcs = set(D10.arcs())
-        assert dq_arcs <= d10_arcs
-        shared = {a for a in d10_arcs if a[0] in parent and a[1] in parent}
-        assert dq_arcs == shared
-
     @pytest.mark.parametrize("q", [3, 12])
     def test_out_of_range(self, q):
         with pytest.raises(QOutOfRange):
@@ -95,6 +75,38 @@ class TestK34q:
     def test_q10_recipe_is_explicit(self):
         _, log = build_34q(10)
         assert any("explicit" in line for line in log)
+
+
+_RESTRICTIONS = sorted(key for key, row in _ROWS.items() if not callable(row))
+
+
+def test_rows_cover_both_paper_families():
+    assert sorted(_ROWS) == [(3, q) for q in range(3, 7)] + [(4, q) for q in range(4, 12)]
+    assert {(3, 3), (3, 5), (4, 4), (4, 9)} <= set(_RESTRICTIONS)
+    # a restriction names a recipe row of its own family
+    assert all(callable(_ROWS[p, _ROWS[p, q][0]]) for p, q in _RESTRICTIONS)
+
+
+@pytest.mark.parametrize("p,q", _RESTRICTIONS)
+def test_restriction_row_is_induced_by_its_recipe(p, q):
+    _, build = paper_families()[p]
+    top, deleted = _ROWS[p, q]
+    parent = [v for v in range(3 + p + top) if v not in deleted]
+    assert len(parent) == 3 + p + q
+    D, log = build(q)
+    assert D.topology.parts == (3, p, q)
+    lifted = {(parent[u], parent[v]) for u, v in D.arcs()}
+    shared = {a for a in build(top)[0].arcs() if a[0] in parent and a[1] in parent}
+    assert lifted == shared
+    assert log[-1] == f"q={q}: restriction of the q={top} orientation, deleted vertices {deleted}"
+
+
+@pytest.mark.parametrize("build", [build_33q, build_34q])
+@pytest.mark.parametrize("q", [4.5, 9.5, 4.0, True, "4"], ids=repr)
+def test_q_that_is_not_a_row_is_refused(build, q):
+    # 4.0 and True compare equal to a row's q, so the lookup alone would take them
+    with pytest.raises(QOutOfRange):
+        build(q)
 
 
 def test_wrong_diameter_is_refused(monkeypatch):
@@ -152,3 +164,8 @@ class TestTournaments:
     def test_too_small(self):
         with pytest.raises(NTooSmall):
             od.complete_graph_orientation(2)
+
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, "5"], ids=repr)
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(ConstructionError, match="n must be an integer"):
+            od.complete_graph_orientation(n)

@@ -64,11 +64,11 @@ OUTPUTS = {
 
 DIGESTS = {
     ("construct", "3,3,3"):
-        "94e1ffd92a3f48bb6ab8d2481d74990c30ec05387b80e12079f2757cd8cf09f4",
+        "e27198eeb172bfec241e0a27d9ecfd6d2e70c1a89b69203193e5320ae1135c32",
     ("construct", "3,3,4"):
         "4b93175cdf648552895433cb3b9a5675679dbc5ae1254cf2f28f0ba86340ef6a",
     ("construct", "3,3,5"):
-        "e647828230f0bd04ebbc0d1844a09b94289032711bc687022ce2b218f02a583f",
+        "ff628fc67588f10f261f31e06bc9e28f25a7280f8453afc39d036e167be14f5c",
     ("construct", "3,3,6"):
         "e444216ce0c089be047d2eb0d6e36ac23d0a3ed3804caaf12a184766ae42e2a3",
     ("construct", "3,4,4"):
@@ -98,7 +98,7 @@ DIGESTS = {
     ("middle-layer", "4,6"):
         "cda67fce74219c364b039445c7251d899cc8a22df24bf930f1c235f8834410ec",
     ("analyze", "3,3,3"):
-        "c0a5e37bfd7853140fcb814fcacfbb4f1bbe6f0dceeb68c4e576308d6ac1490d",
+        "4132e983154941331ff13398e0149f775b3ac697d9d999a69ca8dc31dfc9a9fd",
     ("analyze", "3,3,4"):
         "3d50c9ea148bd13264fd49dcfba3e15741a86ca99b33f8d238270522374eed7b",
     ("analyze", "3,3,5"):

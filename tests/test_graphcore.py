@@ -206,6 +206,13 @@ class TestOrient:
         with pytest.raises(IndexError):
             od.orient(topo, [(0, 5), (1, 2), (2, 0)])
 
+    # int() would read 0.9 as 0 and "1" as 1, and accept an arc nobody gave
+    @pytest.mark.parametrize("arc", [(0.9, 1.2), ("1", "0"), (True, 0), (0, 1.0)], ids=repr)
+    def test_non_integer_vertex_rejected(self, arc):
+        topo = od.make_complete_multipartite([1, 1])
+        with pytest.raises(GraphError, match="has a vertex id that is not an integer$"):
+            od.orient(topo, [arc])
+
     @given(orientations())
     def test_totality(self, D):
         assert len(D.arcs()) == D.topology.n_edges
@@ -367,6 +374,12 @@ class TestInduced:
     def test_empty_keep(self):
         with pytest.raises(EmptyKeep):
             od.induced_suborientation(three_cycle(), [])
+
+    # 1.0 would fail as a tuple index with a bare TypeError, or merge into 1
+    @pytest.mark.parametrize("keep", [[0, 1.0, 2], [0, 1, 1.0], [0, "1"], [True]], ids=repr)
+    def test_non_integer_keep_rejected(self, keep):
+        with pytest.raises(GraphError, match="has a vertex id that is not an integer$"):
+            od.induced_suborientation(three_cycle(), keep)
 
     def test_out_of_range_has_the_package_root(self):
         # both vertex range checks raise an error the CLI and callers catch

@@ -808,6 +808,12 @@ class TestEnumerate:
         with pytest.raises(SearchError):
             od.enumerate_diameter2(od.make_complete_multipartite((1, 1, 1)), limit=limit)
 
+    # limit=1.5 would return two orientations
+    @pytest.mark.parametrize("limit", [1.5, 2.0, True, "3"], ids=repr)
+    def test_non_integer_limit_rejected(self, limit):
+        with pytest.raises(SearchError, match="limit must be an integer"):
+            od.enumerate_diameter2(od.make_complete_multipartite((1, 1, 1)), limit=limit)
+
     def test_deterministic_order(self):
         topo = od.make_complete_multipartite((2, 2, 2))
         first = [D.arcs() for D in od.enumerate_diameter2(topo)]
