@@ -67,6 +67,13 @@ def _int(token: str) -> int:
     return int(token)
 
 
+def _decimal(token: str) -> float:
+    """A sign, ASCII digits with at most one point, an optional exponent, spaces around them."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", token.strip()):
+        raise ValueError(token)
+    return float(token)
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(_int(tok) for tok in text.split(","))
@@ -244,8 +251,15 @@ def cmd_verify_claims(args) -> int:
     return report.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, so main prints them as its one error line."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orientdiam",
         description="construct, verify and search diameter-2 orientations of complete multipartite graphs",
     )
@@ -255,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-seconds", type=float, default=SearchConfig.time_budget)
-    budget.add_argument("--budget-nodes", type=int, default=SearchConfig.node_budget)
+    budget.add_argument("--budget-seconds", type=_decimal, default=SearchConfig.time_budget)
+    budget.add_argument("--budget-nodes", type=_int, default=SearchConfig.node_budget)
     budget.add_argument("--no-symmetry", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[text_or_json], help="sign classes and case signature")
     p.add_argument("--file", required=True)
-    p.add_argument("--anchor", type=int)  # default: the first part of size 3
+    p.add_argument("--anchor", type=_int)  # default: the first part of size 3
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("decide", parents=[budget], help="decide diameter-2 orientability")
@@ -284,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all diameter-2 orientations")
     p.add_argument("--parts", required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 
@@ -312,8 +326,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)  # --help and --version still exit 0
         return args.func(args)
     except (OrientdiamError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

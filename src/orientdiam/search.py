@@ -55,12 +55,13 @@ for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
 procedure on every topology small enough to enumerate.  They are bit-sliced:
-one integer per ordered vertex pair holds, one bit per edge code of a
-2^16-code chunk, whether the pair is joined within k steps, so each BFS
-level serves every orientation of the chunk at once, and the codes of
-diameter <= k are the AND over all pairs.  Every orientation an oracle
-returns is re-measured by the exact BFS routine.  Results come in the order
-of a count-down over edge codes from all ones.
+one 2^E-bit integer per ordered vertex pair holds, one bit per edge code,
+whether the pair is joined within k steps, so each BFS level serves every
+orientation at once, and the codes of diameter <= k are the AND over all
+pairs.  At the 20-edge cap that is n^2 sets of 128 KB: K(2,10) peaks near
+45 MB.  Every orientation an oracle returns is re-measured by the exact
+BFS routine.  Results come in the order of a count-down over edge codes from
+all ones.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ MAX_BLOCK_EDGES = 16
 MAX_BLOCK_VERTICES = 10
 BRUTE_FORCE_EDGE_CAP = 20
 ENUMERATION_EDGE_CAP = 16
-SLICE_WIDTH = 16  # edge-code bits the oracles evaluate at once
 
 
 class SearchError(OrientdiamError):
@@ -545,50 +545,46 @@ def _assemble_witness(topology, big, bout, chosen_profiles) -> Orientation:
 @functools.cache
 def _slice_variables(w: int) -> tuple[int, ...]:
     """var[i]: the 2^w-bit set of slice codes c with bit i of c set."""
-    full = (1 << (1 << w)) - 1
-    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1 << (1 << i))
-                 for i in range(w))
+    var = []
+    for i in range(w):
+        bits, span = (1 << (1 << i)) - 1 << (1 << i), 2 << i  # 2^i clear, then 2^i set
+        while span < 1 << w:  # doubling the period keeps this linear in the 2^w bits
+            bits |= bits << span
+            span <<= 1
+        var.append(bits)
+    return tuple(var)
 
 
-def _diameter_levels(n: int, edges, w: int, high: int):
-    """Yield (k, codes of diameter <= k) for k = 1, 2, ... over one chunk.
+def _diameter_levels(n: int, edges):
+    """Yield (k, codes of diameter <= k) for k = 1, 2, ... over every edge code.
 
-    The chunk is every edge code (high << w) | c with c below 2^w.  A set of
-    codes is one 2^w-bit integer, bit c for code (high << w) | c, and
+    A set of codes is one 2^E-bit integer, bit c for edge code c, and
     rows[u][v] holds the codes under which u reaches v within k steps.  Edge
-    i of the slice runs low -> high under the codes of var[i], the reverse
-    arc under the others; an edge above the slice has one fixed direction.
-    Each level extends every route by one arc; the levels stop once none
-    grows, since later sets would repeat the last one.
+    i runs low -> high under the codes of var[i], the reverse arc under the
+    others.  Each level extends every route by one arc; the levels stop once
+    none grows, since later sets would repeat the last one.  A level
+    replaces its rows one at a time, so n^2 sets are live, plus one row: at
+    the 20-edge cap, K(2,10) holds 144 sets of 128 KB.
     """
-    full = (1 << (1 << w)) - 1
-    var = _slice_variables(w)
+    full = (1 << (1 << len(edges))) - 1
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (tail, codes of the arc)
-    for i, (a, b) in enumerate(edges):
-        fwd = var[i] if i < w else full * (high >> (i - w) & 1)
-        for tail, head, codes in ((a, b, fwd), (b, a, full ^ fwd)):
-            if codes:
-                into[head].append((tail, codes))
+    for (a, b), fwd in zip(edges, _slice_variables(len(edges))):
+        into[b].append((a, fwd))
+        into[a].append((b, full ^ fwd))
     rows = [[full * (u == v) for v in range(n)] for u in range(n)]
-    k = 0
-    while True:
-        nxt = []
-        for row in rows:
+    for k in itertools.count(1):
+        grew, ok = False, full
+        for u, row in enumerate(rows):  # row u of the next level reads only row u
             new = []
-            for v, arcs in enumerate(into):
-                reach = row[v]
+            for arcs, reach in zip(into, row):
                 for mid, codes in arcs:
                     reach |= row[mid] & codes
                 new.append(reach)
-            nxt.append(new)
-        if nxt == rows:
-            return
-        rows = nxt
-        k += 1
-        ok = full
-        for row in rows:
-            for reach in row:
                 ok &= reach
+            grew = grew or new != row
+            rows[u] = new
+        if not grew:
+            return
         yield k, ok
 
 
@@ -615,21 +611,11 @@ def brute_force_min_diameter(topology: GraphTopology):
     if topology.n_edges < n:  # a strong orientation needs an arc into every vertex
         return INFINITE
     edges = topology.edges()
-    w = min(len(edges), SLICE_WIDTH)
-    best = INFINITE
-    code = None
-    for high in range((1 << (len(edges) - w)) - 1, -1, -1):
-        for k, ok in _diameter_levels(n, edges, w, high):
-            if k >= best:
-                break
-            if ok:
-                best, code = k, high << w | ok.bit_length() - 1
-                break
-        if best <= 2:
-            break  # nothing beats 2 on two or more vertices
-    if code is not None:
-        _revalidate(n, edges, code, best)
-    return best
+    for k, ok in _diameter_levels(n, edges):
+        if ok:  # the highest code of the first level that reaches every pair
+            _revalidate(n, edges, ok.bit_length() - 1, k)
+            return k
+    return INFINITE
 
 
 def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
@@ -648,8 +634,7 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
     if topology.n_edges < n:  # too few arcs for every vertex to have one in
         return []
     edges = topology.edges()
-    # the cap keeps every edge inside the slice: one chunk
-    codes = next((ok for k, ok in _diameter_levels(n, edges, len(edges), 0) if k == 2), 0)
+    codes = next((ok for k, ok in _diameter_levels(n, edges) if k == 2), 0)
     found = []
     while codes and (limit is None or len(found) < limit):
         code = codes.bit_length() - 1

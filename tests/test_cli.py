@@ -153,11 +153,16 @@ def test_malformed_input_is_exit_2(capsys, tmp_path, command, text):
     ["construct", "--parts", "3,3,\uff14"],
     ["verify-claims", "--family", "33q", "--q-range", "1_0..12"],
     ["verify-claims", "--family", "33q", "--q-range", "7..\u0667"],
+    ["enumerate", "--parts", "1,1,1", "--limit", "1_0"],
+    ["analyze", "--file", "x.json", "--anchor", "\u0660"],
+    ["decide", "--parts", "3,3,3", "--budget-nodes", "\u0661\u0660"],
+    ["decide", "--parts", "3,3,3", "--budget-seconds", "1_0"],
+    ["decide", "--parts", "3,3,3", "--budget-seconds", "\u0661.5"],
 ])
 def test_integers_are_ascii_digits(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: CliError:")
+    assert err.startswith("error: CliError:") and err.count("\n") == 1
 
 
 def test_integers_take_a_sign_and_surrounding_spaces(capsys):
@@ -294,9 +299,24 @@ REJECTED = [
 
 @pytest.mark.parametrize("command", REJECTED)
 def test_unsupported_option_is_exit_2(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CliError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["decide"], ["verify-claims", "--format", "json"]])
+def test_missing_argument_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CliError:") and "required" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(command.split())
-    assert exc.value.code == 2
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: orientdiam", "orientdiam "))
 
 
 class TestAnalyze:
@@ -508,9 +528,9 @@ class TestVerifyClaims:
         assert [p.name for p in tmp_path.iterdir()] == ["k3_3_7.cnf"]
 
     def test_bad_family_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-claims", "--family", "55q"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "verify-claims", "--family", "55q")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: CliError:") and err.count("\n") == 1
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify-claims", "--family", "33q", "--q-range", "bogus")

@@ -56,8 +56,8 @@ PLAIN_TOPOLOGIES = [(1,), (3,)] + [
     if od.make_complete_multipartite(parts).n_edges <= 12
 ]
 
-# topologies past the 16-edge slice, so brute force runs in several chunks,
-# with the values the per-orientation oracle gave
+# topologies past the 16-edge enumeration cap, up to brute force's 20-edge
+# cap, with the values the per-orientation oracle gave
 CHUNKED_VALUES = [
     ((1, 1, 2, 3), 3),
     ((3, 6), 4),
@@ -766,10 +766,18 @@ def test_oracles_match_plain_enumeration(parts):
 
 
 def test_diameter_levels_stop_at_the_fixpoint():
-    # edges (0,2) and (1,2) run into vertex 2 under every code of the chunk:
-    # 2 is a sink, so no level reaches every pair and the reach sets stop growing
-    edges = od.make_complete_multipartite((1, 1, 1)).edges()
-    assert list(search._diameter_levels(3, edges, 1, 0b11)) == [(1, 0)]
+    # a leaf of the star K(1,2) is a source or a sink under every edge code,
+    # so no level reaches every pair and the reach sets stop growing
+    edges = od.make_complete_multipartite((1, 2)).edges()
+    assert list(search._diameter_levels(3, edges)) == [(1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("w", range(13))
+def test_slice_variables_spell_out_the_codes(w):
+    var = search._slice_variables(w)
+    assert len(var) == w
+    for i, bits in enumerate(var):
+        assert all((bits >> c & 1) == (c >> i & 1) for c in range(1 << w))
 
 
 class TestEnumerate:
