@@ -74,6 +74,10 @@ def _decimal(token: str) -> float:
     return float(token)
 
 
+# argparse names a rejected value by its type's __name__: "invalid integer value: '1_0'"
+_int.__name__, _decimal.__name__ = "integer", "decimal"
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(_int(tok) for tok in text.split(","))

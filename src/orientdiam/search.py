@@ -21,10 +21,13 @@ Profile sets are integers with one bit per profile code.  Per number m of
 vertices outside L, one table holds the supersets of every code.  A profile
 holding a vertex a and all of its out-neighbors leaves a no route back, and
 one missing a and all of its in-neighbors has no route to a: its complement
-holds a and all of a's out-neighbors on the reversed block.  So a block's
-infeasible profiles are m ORed table entries, plus the bit-reversal of m
-more (reversing a 2^m-bit set complements every code in it), and the
-routers of a cover pair are one AND.
+holds a and all of a's out-neighbors on the reversed block, and reversing a
+2^m-bit set complements every code in it.  Both rules read only the arcs at
+a, so per block shape and vertex a, a table built once maps each setting of
+a's edge slots to a's out-mask and the profiles a rules out: sum over a of
+2^deg(a) entries, 544 for the widest in-cap shape, (2,8).  A block's
+infeasible profiles are then m ORed lookups, and the routers of a cover
+pair (a, b) are one AND with a per-m set: the codes holding b and not a.
 Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
@@ -190,9 +193,44 @@ def _symmetric_chains(m: int) -> tuple[int, ...]:
     return tuple(chain_of)
 
 
+@functools.cache
+def _vertex_tables(m: int, bedges) -> tuple[tuple[int, dict[int, tuple[int, int]]], ...]:
+    """Per block vertex a: the mask of a's edge slots, and for every code
+    masked to them, a's out-mask and the profiles that the two rules of the
+    module docstring rule out at a.  Sum over a of 2^deg(a) entries."""
+    sup = _supersets(m)
+    tables = []
+    for a in range(m):
+        mask = sum(1 << i for i, e in enumerate(bedges) if a in e)
+        table = {}
+        bits = mask
+        while True:  # every submask of mask, down to 0
+            out = _out_masks(m, bedges, bits)[a]
+            ins = _out_masks(m, bedges, ~bits)[a]
+            # bit c of the reversal is bit full - c: the complement of code c
+            mirrored = int(f"{sup[1 << a | ins]:0{1 << m}b}"[::-1], 2)
+            table[bits] = out, sup[1 << a | out] | mirrored
+            if not bits:
+                break
+            bits = bits - 1 & mask
+        tables.append((mask, table))
+    return tuple(tables)
+
+
+@functools.cache
+def _pair_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """rows[a][b], the m-bit codes that hold b and not a as one 2^m-bit set,
+    and members[mask], the vertices of an m-bit mask in ascending order."""
+    sup = _supersets(m)
+    rows = tuple(tuple(sup[1 << b] & ~sup[1 << a] for b in range(m)) for a in range(m))
+    return rows, tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
+
+
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
+    bout and the infeasible profiles come from m lookups in the block shape's
+    per-vertex tables, one per vertex on the code masked to its edge slots.
     codes holds the feasible profile codes, one bit each (the kernel reads
     inclusion among them from the superset table), profiles lists them in
     ascending order, and routers[i] those that route cover pair i, (a, b):
@@ -203,35 +241,29 @@ class _BlockFrame:
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
     def __init__(self, m: int, bedges, bits: int, q: int):
-        self.bout = bout = _out_masks(m, bedges, bits)
-        bin_ = _out_masks(m, bedges, ~bits)  # the in-neighbors: every arc reversed
-        sup = _supersets(m)
+        self.bout = bout = []
+        infeasible = 0
+        for mask, table in _vertex_tables(m, tuple(bedges)):
+            out, ruled = table[bits & mask]
+            bout.append(out)
+            infeasible |= ruled
         full = (1 << m) - 1
-        infeasible = mirrored = 0
-        for a in range(m):
-            # a profile holding a beats a, and a needs a two-step route back:
-            # out if the profile holds all of bout[a].  One without a is
-            # beaten by a and needs a two-step route to a: out if it holds
-            # nothing of bin[a], that is, if its complement holds a and all
-            # of bin[a] -- the first rule on the reversed block.
-            infeasible |= sup[1 << a | bout[a]]
-            mirrored |= sup[1 << a | bin_[a]]
-        # complementing codes sends bit c to bit full ^ c = full - c: reverse the bits
-        infeasible |= int(f"{mirrored:0{full + 1}b}"[::-1], 2)
         self.codes = codes = ~infeasible & ((2 << full) - 1)
         self.profiles = list(_bit_members(codes))
+        self.cover_pairs, self.routers = pairs, routers = [], []
         if len(self.profiles) < q:
-            self.cover_pairs, self.routers, self.feasible = [], [], False
+            self.feasible = False
             return
         # ordered pairs outside L that the block alone does not satisfy
-        self.cover_pairs = []
-        for a in range(m):
-            reach = bout[a] | 1 << a
-            for b in _bit_members(bout[a]):
+        rows, members = _pair_tables(m)
+        for a, (out, row) in enumerate(zip(bout, rows)):
+            reach = out | 1 << a
+            for b in members[out]:
                 reach |= bout[b]
-            self.cover_pairs.extend((a, b) for b in _bit_members(full & ~reach))
-        self.routers = [codes & sup[1 << b] & ~sup[1 << a] for a, b in self.cover_pairs]
-        self.feasible = all(self.routers)
+            for b in members[full & ~reach]:
+                pairs.append((a, b))
+                routers.append(codes & row[b])
+        self.feasible = all(routers)
 
 
 class _Budget:
@@ -469,7 +501,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
             f"parts besides the largest span {m} vertices, cap is {MAX_BLOCK_VERTICES}"
         )
     # one part leaves an empty block, which has no topology
-    bedges = make_complete_multipartite(rest_parts).edges() if rest_parts else []
+    bedges = tuple(make_complete_multipartite(rest_parts).edges()) if rest_parts else ()
     if len(bedges) > MAX_BLOCK_EDGES:
         raise TooLarge(
             f"parts besides the largest induce {len(bedges)} edges, cap is {MAX_BLOCK_EDGES}"
@@ -477,7 +509,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
 
     reps = _block_representatives(rest_parts, bedges, cfg.symmetry_breaking)
     budget = _Budget(cfg, start)
-    cases_seen: set[tuple[int, int, int]] = set()
+    raw_cases: set[tuple[int, ...]] = set()
     # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
     anchor = ()
     if len(rest_parts) == 2 and 3 in rest_parts:
@@ -493,8 +525,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         blocks_explored += 1
         frame = _BlockFrame(m, bedges, bits, q)
         if anchor:
-            ijk = tuple(frame.bout[x].bit_count() for x in anchor)
-            cases_seen.add(canonicalize_case(ijk, m - 3))
+            raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
@@ -509,7 +540,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         max_depth=budget.max_depth,
         wall_time=time.monotonic() - start,
         blocks_explored=blocks_explored,
-        cases_enumerated=tuple(sorted(cases_seen)),
+        cases_enumerated=tuple(sorted({canonicalize_case(ijk, m - 3) for ijk in raw_cases})),
     )
     if witness is not None:
         return SearchOutcome(Verdict.EXISTS, witness, stats)

@@ -163,6 +163,19 @@ def test_integers_are_ascii_digits(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: CliError:") and err.count("\n") == 1
+    # argparse names a rejected value by its type; the helpers' names stay private
+    assert not any("_int" in line or "_decimal" in line for line in err.splitlines())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--parts", "1,1,1", "--limit", "1_0"],
+     "argument --limit: invalid integer value: '1_0'"),
+    (["decide", "--parts", "3,3,3", "--budget-seconds", "x"],
+     "argument --budget-seconds: invalid decimal value: 'x'"),
+])
+def test_rejected_value_names_its_type(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: CliError: {message}\n")
 
 
 def test_integers_take_a_sign_and_surrounding_spaces(capsys):

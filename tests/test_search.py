@@ -307,6 +307,15 @@ class TestDecide:
         outcome = od.decide_diameter2((3, 4, 12))
         assert outcome.stats.cases_enumerated == od.canonical_case_classes(4)
 
+    @pytest.mark.parametrize("parts,p", [((3, 3, 7), 3), ((3, 4, 12), 4)])
+    def test_case_split_exhaustiveness_with_symmetry_off(self, parts, p):
+        # every block code, so every raw anchor triple, reaches the one
+        # canonicalisation at the end of the search
+        outcome = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=False))
+        assert outcome.verdict is Verdict.NONE
+        assert outcome.stats.blocks_explored == 1 << 3 * p
+        assert outcome.stats.cases_enumerated == od.canonical_case_classes(p)
+
     @pytest.mark.parametrize("parts,p", [((7, 3, 3), 3), ((12, 3, 4), 4), ((4, 12, 3), 4)])
     def test_case_coverage_does_not_depend_on_listing(self, parts, p):
         outcome = od.decide_diameter2(parts)
@@ -573,7 +582,9 @@ def _with_vertex(out, pr):
 
 # every code of the small shapes, a seeded sample of the larger ones
 FRAME_SHAPES = [(3, 3), (3, 4), (2, 2, 2), (1, 1, 1, 1, 1)]
-FRAME_SAMPLES = [((4, 4), 64), ((3, 5), 64), ((3, 6), 16)]
+# (2,8), (1,9) and (1,1,7) give one vertex 8 or 9 edge slots: the largest
+# per-vertex tables of any in-cap shape
+FRAME_SAMPLES = [((4, 4), 64), ((3, 5), 64), ((3, 6), 16), ((2, 8), 32), ((1, 9), 32), ((1, 1, 7), 32)]
 
 
 class TestFrames:
