@@ -30,9 +30,10 @@ and the test suite checks both against exhaustive oracles.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 
-from .graphcore import Orientation, OrientdiamError, _bit_members, diameter
+from .graphcore import Orientation, OrientdiamError, _bit_members, _is_int, diameter
 from .search import MAX_BLOCK_VERTICES, _symmetric_chains, canonicalize_case
 
 SIGN_LABELS = ("+++", "++-", "+-+", "-++", "+--", "-+-", "--+", "---")
@@ -135,6 +136,8 @@ def resolve_anchor(parts, anchor_part: int | None) -> int:
         if 3 not in parts:
             raise AnchorNotSize3(f"no part of size 3 in {tuple(parts)}")
         return parts.index(3)
+    if not _is_int(anchor_part):
+        raise AnalysisError(f"anchor part index {reprlib.repr(anchor_part)} is not an integer")
     if not 0 <= anchor_part < len(parts):
         raise AnalysisError(
             f"anchor part index {anchor_part} out of range for {len(parts)} parts"
@@ -187,6 +190,8 @@ def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:
     topo = F.topology
     if len(topo.parts) != 2:
         raise NotBipartite(f"need exactly two parts, got {len(topo.parts)}")
+    if not (_is_int(big_side) and big_side in (0, 1)):
+        raise AnalysisError(f"big_side must be part index 0 or 1, got {reprlib.repr(big_side)}")
     small = sum(1 << y for y in topo.part_vertices(1 - big_side))
     masks = [F.out_adj[z] & small for z in topo.part_vertices(big_side)]
     family = tuple(frozenset(_bit_members(m)) for m in masks)
@@ -207,8 +212,8 @@ def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     optimal, so it is returned only after that check.  Capped at
     MAX_BLOCK_VERTICES, the largest code width the kernel serves.
     """
-    if p < 1:
-        raise AnalysisError(f"need p >= 1, got {p}")
+    if not (_is_int(p) and p >= 1):
+        raise AnalysisError(f"need an integer p >= 1, got {reprlib.repr(p)}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
     width = max(_symmetric_chains(p)) + 1  # chains are numbered 0, 1, ...

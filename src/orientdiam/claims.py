@@ -14,13 +14,16 @@ The baselines family re-derives small values by brute force.
 from __future__ import annotations
 
 import json
+import reprlib
 import time
 from dataclasses import asdict, dataclass
 
 from .analysis import canonical_case_classes
 from .cnf import TooManyClauses, export_cnf
 from .constructions import paper_families
-from .graphcore import INFINITE, MAX_VERTICES, OrientdiamError, diameter, make_complete_multipartite
+from .graphcore import (
+    INFINITE, MAX_VERTICES, OrientdiamError, _is_int, diameter, make_complete_multipartite,
+)
 from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
 
 # family -> p, for K(3, p, q)
@@ -94,11 +97,9 @@ class ClaimReport:
             )
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
                   for i, h in enumerate(headers)]
-        out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        out.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(out) + "\n"
+        lines = [headers, ["-" * w for w in widths], *rows]
+        return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+                       for line in lines)
 
 
 def _claim(claim_id, family, q, expected, method, observe) -> ClaimRecord:
@@ -147,6 +148,9 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     """
     if family not in FAMILIES:
         raise BadFamily(f"family must be one of {FAMILIES}, got {family!r}")
+    if q_range is not None and not (isinstance(q_range, (tuple, list)) and len(q_range) == 2
+                                    and all(map(_is_int, q_range))):
+        raise BadRange(f"q range must be two integers (lo, hi), got {reprlib.repr(q_range)}")
     if family == "baselines":
         if q_range is not None:
             # the baselines have no q, so a range would be ignored and pass vacuously

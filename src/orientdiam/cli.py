@@ -172,14 +172,13 @@ def cmd_analyze(args) -> int:
         return 0
     topo = D.topology
     print(f"sign partition of K{tuple(topo.parts)} anchored at part {anchor + 1}")
-    header = "class    " + "".join(f"part{pi + 1:<4}" for pi in sorted(partitions))
-    print(header)
+    print(("class    " + "".join(f"part{pi + 1:<4}" for pi in sorted(partitions))).rstrip())
     for label in SIGN_LABELS:
         row = f"{label:<9}"
         for pi in sorted(partitions):
             members = ",".join(topo.vertex_name(v) for v in partitions[pi][label])
             row += f"{members or '-':<8}"
-        print(row)
+        print(row.rstrip())
     print(f"diameter-2 necessary conditions: {verdict}")
     if violations:
         for v in violations:
@@ -262,7 +261,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on its first call; main and the tests share it."""
     parser = _Parser(
         prog="orientdiam",
         description="construct, verify and search diameter-2 orientations of complete multipartite graphs",
@@ -323,15 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser main reuses, built on its first call; build_parser() stays fresh."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)  # --help and --version still exit 0
+        args = build_parser().parse_args(argv)  # --help and --version still exit 0
         return args.func(args)
     except (OrientdiamError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

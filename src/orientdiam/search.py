@@ -23,11 +23,12 @@ holding a vertex a and all of its out-neighbors leaves a no route back, and
 one missing a and all of its in-neighbors has no route to a: its complement
 holds a and all of a's out-neighbors on the reversed block, and reversing a
 2^m-bit set complements every code in it.  Both rules read only the arcs at
-a, so per block shape and vertex a, a table built once maps each setting of
-a's edge slots to a's out-mask and the profiles a rules out: sum over a of
-2^deg(a) entries, 544 for the widest in-cap shape, (2,8).  A block's
-infeasible profiles are then m ORed lookups, and the routers of a cover
-pair (a, b) are one AND with a per-m set: the codes holding b and not a.
+a, so one table per block shape, built once, maps each setting of each
+vertex a's edge slots to a's out-mask and the profiles a rules out: sum
+over a of 2^deg(a) entries, 544 for the widest in-cap shape, (2,8).  The
+same table holds, per ordered pair (a, b), the codes holding b and not a.
+A block's infeasible profiles are then m ORed lookups, and the routers of
+a cover pair (a, b) one AND with that pair's codes.
 Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
@@ -194,10 +195,12 @@ def _symmetric_chains(m: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _vertex_tables(m: int, bedges) -> tuple[tuple[int, dict[int, tuple[int, int]]], ...]:
-    """Per block vertex a: the mask of a's edge slots, and for every code
-    masked to them, a's out-mask and the profiles that the two rules of the
-    module docstring rule out at a.  Sum over a of 2^deg(a) entries."""
+def _vertex_tables(m: int, bedges: tuple) -> tuple:
+    """Per block shape: tables[a], the mask of a's edge slots and, for every
+    code masked to them, a's out-mask and the profiles that the two rules of
+    the module docstring rule out at a (sum over a of 2^deg(a) entries);
+    rows[a][b], the codes that hold b and not a as one 2^m-bit set; and
+    members[mask], the vertices of an m-bit mask in ascending order."""
     sup = _supersets(m)
     tables = []
     for a in range(m):
@@ -214,36 +217,29 @@ def _vertex_tables(m: int, bedges) -> tuple[tuple[int, dict[int, tuple[int, int]
                 break
             bits = bits - 1 & mask
         tables.append((mask, table))
-    return tuple(tables)
-
-
-@functools.cache
-def _pair_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """rows[a][b], the m-bit codes that hold b and not a as one 2^m-bit set,
-    and members[mask], the vertices of an m-bit mask in ascending order."""
-    sup = _supersets(m)
     rows = tuple(tuple(sup[1 << b] & ~sup[1 << a] for b in range(m)) for a in range(m))
-    return rows, tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
+    return tuple(tables), rows, tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
 
 
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed.
 
-    bout and the infeasible profiles come from m lookups in the block shape's
-    per-vertex tables, one per vertex on the code masked to its edge slots.
-    codes holds the feasible profile codes, one bit each (the kernel reads
-    inclusion among them from the superset table), profiles lists them in
-    ascending order, and routers[i] those that route cover pair i, (a, b):
-    the ones without a that hold b.  With fewer than q feasible profiles the
-    frame stops there: no pairs, no routers, not feasible.
+    All of it is read from the block shape's one cached table: bout and the
+    infeasible profiles from m lookups, one per vertex on the code masked to
+    its edge slots.  codes holds the feasible profile codes, one bit each
+    (the kernel reads inclusion among them from the superset table), profiles
+    lists them in ascending order, and routers[i], from the table's rows,
+    those that route cover pair i, (a, b): the ones without a that hold b.
+    With fewer than q feasible profiles the frame stops there.
     """
 
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
-    def __init__(self, m: int, bedges, bits: int, q: int):
+    def __init__(self, m: int, bedges: tuple, bits: int, q: int):
+        tables, rows, members = _vertex_tables(m, bedges)
         self.bout = bout = []
         infeasible = 0
-        for mask, table in _vertex_tables(m, tuple(bedges)):
+        for mask, table in tables:
             out, ruled = table[bits & mask]
             bout.append(out)
             infeasible |= ruled
@@ -255,7 +251,6 @@ class _BlockFrame:
             self.feasible = False
             return
         # ordered pairs outside L that the block alone does not satisfy
-        rows, members = _pair_tables(m)
         for a, (out, row) in enumerate(zip(bout, rows)):
             reach = out | 1 << a
             for b in members[out]:

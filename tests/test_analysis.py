@@ -50,6 +50,14 @@ class TestSignPartition:
         with pytest.raises(AnchorNotSize3):
             od.sign_partition(D, 0)
 
+    # 0.0 used to index parts with a float (TypeError) and True to read part 1
+    @pytest.mark.parametrize("anchor", [0.0, True, "0"])
+    @pytest.mark.parametrize("read", [od.sign_partition, od.case_signature,
+                                      od.sign_condition_violations])
+    def test_anchor_must_be_an_int_index(self, read, anchor):
+        with pytest.raises(od.analysis.AnalysisError, match="anchor part index"):
+            read(od.construct_33q(6), anchor)
+
     @given(anchored_orientations())
     @settings(deadline=None)
     def test_partition_totality(self, D):
@@ -203,6 +211,12 @@ class TestOutNeighborhoodFamily:
         with pytest.raises(NotBipartite):
             od.out_neighborhood_family(od.construct_33q(4), big_side=1)
 
+    # 2 and -1 used to raise a bare IndexError, 1.0 a TypeError
+    @pytest.mark.parametrize("big_side", [2, -1, 1.0, True, None])
+    def test_big_side_must_be_part_0_or_1(self, big_side):
+        with pytest.raises(od.analysis.AnalysisError, match="big_side"):
+            od.out_neighborhood_family(od.middle_layer_bipartite(4, 6), big_side)
+
     def test_k23_always_has_far_pair(self):
         # q = 3 beats the antichain capacity of a 2-set: all 64 orientations fail
         topo = od.make_complete_multipartite([2, 3])
@@ -257,6 +271,11 @@ class TestMaxAntichain:
             od.max_antichain(MAX_BLOCK_VERTICES + 1)
         with pytest.raises(od.analysis.AnalysisError):
             od.max_antichain(0)
+
+    @pytest.mark.parametrize("p", [2.5, 4.0, True, "4", None])
+    def test_p_must_be_an_int(self, p):
+        with pytest.raises(od.analysis.AnalysisError, match="integer p"):
+            od.max_antichain(p)
 
     def test_p4_maximum_is_unique_middle_layer(self):
         # oracle: enumerate every antichain family over the 4-set power set

@@ -47,6 +47,15 @@ class TestFamilies:
         with pytest.raises(BadRange):
             verify_claims("baselines", q_range=q_range)
 
+    # (6.5, 7) used to raise TypeError, (3, 4, 5) a bare ValueError, and
+    # (True, 4) ran q = 3, 4
+    @pytest.mark.parametrize("family", ["33q", "baselines"])
+    @pytest.mark.parametrize("q_range", [(6.5, 7), (3, 4, 5), (True, 4), (3,), 7, "3..7"],
+                             ids=repr)
+    def test_q_range_must_be_two_ints(self, family, q_range):
+        with pytest.raises(BadRange, match="two integers"):
+            verify_claims(family, q_range=q_range)
+
     def test_bad_family(self):
         with pytest.raises(BadFamily):
             verify_claims("77q")

@@ -259,15 +259,14 @@ def test_reused_parser_reaches_a_patched_function(capsys, monkeypatch):
     # main builds its parser once; the subcommands look up what they call
     # at call time, so a patch made after an earlier run still takes effect
     assert run(capsys, "decide", "--parts", "3,3,3")[0] == 0
-    parser = cli._parser()
+    parser = build_parser()
 
     def refuse(*args):
         raise SearchError("patched")
 
     monkeypatch.setattr(cli, "decide_diameter2", refuse)
     assert run(capsys, "decide", "--parts", "3,3,3") == (2, "", "error: SearchError: patched\n")
-    assert cli._parser() is parser
-    assert build_parser() is not build_parser()
+    assert build_parser() is parser
 
 
 # Every option of every subcommand, and every SearchConfig field: a change
@@ -341,6 +340,14 @@ class TestAnalyze:
         assert "sign partition" in out
         assert "pass" in out
         assert "raw (1, 1, 2)" in out
+
+    @pytest.mark.parametrize("anchor", ["0", "1"])
+    def test_text_lines_end_without_spaces(self, capsys, tmp_path, anchor):
+        path = tmp_path / "d6.json"
+        run(capsys, "construct", "--parts", "3,3,6", "--out", str(path))
+        code, out, _ = run(capsys, "analyze", "--file", str(path), "--anchor", anchor)
+        assert code == 0 and "part3" in out
+        assert [line for line in out.splitlines() if line != line.rstrip()] == []
 
     def test_text_report_lists_violations(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "d6.json"
@@ -497,6 +504,11 @@ class TestVerifyClaims:
             "baseline-K(2,3)": 4,
         }
 
+    def test_text_lines_end_without_spaces(self, capsys):
+        code, out, _ = run(capsys, "verify-claims", "--family", "baselines")
+        assert code == 0 and out.count("\n") == 6
+        assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
     def test_reports_deterministic_modulo_timing(self, capsys):
         def snapshot():
             _, out, _ = run(capsys, "verify-claims", "--family", "baselines",
@@ -518,11 +530,13 @@ class TestVerifyClaims:
         assert doc["cnf_emitted"] == [] and doc["exit_code"] == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_33q_without_symmetry_matches_the_default(self, capsys):
+    @pytest.mark.parametrize("family", ["33q", "34q"])
+    def test_without_symmetry_matches_the_default(self, capsys, family):
         # symmetry breaking off enumerates all 512 blocks of K(3,3,7) (746
-        # nodes), an independent route to the same verdicts
+        # nodes) and all 4,096 of K(3,4,12) (5,896 nodes), an independent
+        # route to the same verdicts at both of the paper's thresholds
         def observed(*extra):
-            code, out, _ = run(capsys, "verify-claims", "--family", "33q", "--format", "json",
+            code, out, _ = run(capsys, "verify-claims", "--family", family, "--format", "json",
                                *extra)
             assert code == 0
             rows = json.loads(out)["claims"]

@@ -166,7 +166,8 @@ def block_frames(draw):
 
 
 def _block_edges(rest_parts):
-    return od.make_complete_multipartite(rest_parts).edges()
+    # a tuple, as decide_diameter2 passes: the frame table is cached by it
+    return tuple(od.make_complete_multipartite(rest_parts).edges())
 
 
 def _arcs(outcome):
