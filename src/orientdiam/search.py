@@ -50,7 +50,10 @@ part-internal relabelings and global arc reversal (every code with symmetry
 breaking off).  The orbits are flooded over the quotient by the block's
 largest part: its vertices' code bits towards the rest of the block, sorted,
 stand for all their relabelings, so the flood visits multisets of those
-keys instead of every code.  The verdict is sound both ways: Exists
+keys instead of every code.  Each such state is one int, the rest bits plus
+a count per key, on which every generator is an XOR and delta swaps; the
+states are swept in ascending code order, so the first state of each orbit
+the sweep meets holds its least code.  The verdict is sound both ways: Exists
 re-validates its witness with the exact diameter routine, and None means
 every block orientation was enumerated or is the image of an enumerated
 one.  With a size-3 part outside L, cases_enumerated holds the canonical
@@ -121,12 +124,18 @@ class SearchConfig:
     symmetry_breaking: bool = True
 
     def __post_init__(self):
-        # NaN fails every comparison, so it would never trip a budget
-        if not (0 < self.node_budget < math.inf and 0 < self.time_budget < math.inf):
+        # NaN fails every comparison, so it would never trip a budget; bool
+        # is an int, so True would read as one node or one second
+        nodes, seconds = self.node_budget, self.time_budget
+        typed = _is_int(nodes) and isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
+        if not (typed and 0 < nodes and 0 < seconds < math.inf):
             raise SearchError(
-                f"budgets must be positive and finite, got {self.node_budget} nodes"
-                f" and {self.time_budget} seconds"
+                "budgets must be positive and finite, a whole number of nodes and a number"
+                f" of seconds, got {nodes!r} nodes and {seconds!r} seconds"
             )
+        if not isinstance(self.symmetry_breaking, bool):
+            raise SearchError(
+                f"symmetry_breaking must be True or False, got {self.symmetry_breaking!r}")
 
 
 @dataclass(frozen=True)
@@ -395,16 +404,28 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     inside P only permute keys, and towards each O[i] the later vertex of P
     owns the more significant slot, so the least code of such a sub-orbit
     lists the keys in non-increasing order along P.  A state is one
-    sub-orbit: rest, the code bits of the slots off P, and that descending
-    key tuple.  P's relabelings commute with every other generator, so the
-    flood from a state reaches exactly the sub-orbits of its orbit, whose
-    least code is the least state code.
+    sub-orbit, packed into one int: rest, the code bits of the slots off P,
+    in the low E bits, then the count of each key in its own w-bit field
+    (w = p.bit_length()), then the same counts indexed by the complemented
+    key.  P's relabelings commute with every other generator, so the flood
+    from a state reaches exactly the sub-orbits of its orbit.
 
-    Global reversal flips rest and complements the keys, which reverses
-    their order.  An adjacent transposition t <-> t+1 inside another part
-    flips no arc, since every other endpoint lies below t or above t+1: it
-    trades the bits of the slots of (t, c) and (t+1, c), one delta swap per
-    slot distance, and so swaps key bits O.index(t) and O.index(t) + 1.
+    Every generator is an XOR mask plus delta swaps.  Global reversal XORs
+    rest and complements every key, which swaps the two count blocks.  An
+    adjacent transposition t <-> t+1 inside another part flips no arc, since
+    every other endpoint lies below t or above t+1: it trades the bits of
+    the slots of (t, c) and (t+1, c), one delta swap per slot distance, and
+    swaps key bits i = O.index(t) and i + 1, which trades the count of each
+    key reading 1 and 0 there with that of the key 2^i above it, at distance
+    w << i.  A rest swap and a count swap of one distance share a mask.
+    Reversal commutes with the transpositions, so an orbit is the
+    transpositions' flood from a state and from its reversal, and reversal
+    runs once per orbit.
+
+    Each state's code is summed once, along P, from per-vertex tables of
+    every key's code bits and its two count units, and packed above the
+    state in one int.  The states are swept in ascending order of those
+    ints, so the first unseen state of each orbit holds its least code.
     """
     total = 1 << len(bedges)
     if not symmetry_breaking or not bedges:
@@ -414,62 +435,78 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     lo = sum(rest_parts[:big])
     others = [v for v in range(sum(rest_parts)) if not lo <= v < lo + p]
     slot = {e: i for i, e in enumerate(bedges)}
-    keys_full = (1 << len(others)) - 1
-    spread = []  # spread[j][key]: the code bits of key on P's j-th vertex
+    n_keys = 1 << len(others)
+    w = p.bit_length()
+    base = len(bedges)  # the count of key k sits w * k bits above base
+    half = w * n_keys  # and again half + w * ~k bits above it
+    width = base + 2 * half
     rest_full = total - 1
+    tables = []  # tables[j][key]: key's code bits on P's j-th vertex, packed above its count units
     for v in range(lo, lo + p):
         bit = [1 << slot[min(v, o), max(v, o)] for o in others]
-        sp = [0] * (keys_full + 1)
-        for key in range(1, keys_full + 1):
+        sp = [0] * n_keys
+        for key in range(1, n_keys):
             sp[key] = sp[key & key - 1] | bit[(key & -key).bit_length() - 1]
-        spread.append(sp)
+        tables.append([c << width | 1 << base + w * k | 1 << base + half + w * (n_keys - 1 - k)
+                       for k, c in enumerate(sp)])
         rest_full ^= sp[-1]
-    moves = []  # per transposition outside P: delta swaps, and the key map
+    field = (1 << w) - 1
+    moves = []  # per transposition outside P: its delta swaps
     for t in range(len(others) - 1):
         u = others[t]
         if others[t + 1] == u + 1 and (u, u + 1) not in slot:  # u, u+1 share a part
-            masks = {}  # slot distance -> the lower slots off P
+            masks = {}  # distance -> the lower bits of each swapped pair
             for i, (a, b) in enumerate(bedges):
                 if u in (a, b) and rest_full >> i & 1:
                     d = slot[(u + 1, b) if a == u else (a, u + 1)] - i
                     masks[d] = masks.get(d, 0) | 1 << i
-            swap = [k ^ (k >> t ^ k >> t + 1) % 2 * (3 << t) for k in range(keys_full + 1)]
-            moves.append((tuple(masks.items()), swap.__getitem__))
+            # keys reading 1 at bit t and 0 at bit t+1, in both count blocks
+            counts = sum(field << base + w * k | field << base + half + w * k
+                         for k in range(n_keys) if k >> t & 3 == 1)
+            masks[w << t] = masks.get(w << t, 0) | counts
+            moves.append(tuple(masks.items()))
 
+    # sums[k]: the tables summed along P so far, one entry per non-increasing
+    # key tuple that ends in k
+    sums = [[c] for c in tables[0]]
+    for table in tables[1:]:
+        above = []
+        for k in range(n_keys - 1, -1, -1):
+            above += sums[k]
+            sums[k] = [s + table[k] for s in above]
+    entries = []
+    rest = rest_full
+    while True:  # every submask of rest_full, down to 0
+        head = rest << width | rest
+        for ending in sums:
+            entries += [head + s for s in ending]
+        if not rest:
+            break
+        rest = rest - 1 & rest_full
+    entries.sort()
+
+    state_full = (1 << width) - 1
+    low_counts = (1 << half) - 1 << base
     seen = set()
     reps = []
-    descending = range(keys_full, -1, -1)
-    flip = descending.__getitem__  # key -> its complement
-    rest0 = rest_full
-    while True:
-        for keys0 in itertools.combinations_with_replacement(descending, p):
-            if (rest0, keys0) in seen:
-                continue
-            seen.add((rest0, keys0))
-            stack = [(rest0, keys0)]
-            least = total
-            while stack:
-                rest, keys = stack.pop()
-                code = rest
-                for sp, key in zip(spread, keys):
-                    code |= sp[key]
-                least = min(least, code)
-                images = [(rest ^ rest_full, tuple(map(flip, reversed(keys))))]
-                for swaps, swap in moves:
-                    img = rest
-                    for d, mask in swaps:
-                        x = (img ^ img >> d) & mask
-                        img ^= x | x << d
-                    images.append((img, tuple(sorted(map(swap, keys), reverse=True))))
-                for state in images:
-                    if state not in seen:
-                        seen.add(state)
-                        stack.append(state)
-            reps.append(least)
-        if not rest0:
-            break
-        rest0 = rest0 - 1 & rest_full  # the next submask down
-    reps.sort()
+    for entry in entries:
+        state = entry & state_full
+        if state in seen:
+            continue
+        reps.append(entry >> width)
+        x = (state ^ state >> half) & low_counts
+        stack = [state, state ^ rest_full ^ (x | x << half)]  # and its reversal
+        seen.update(stack)
+        while stack:
+            cur = stack.pop()
+            for swaps in moves:
+                img = cur
+                for d, mask in swaps:
+                    x = (img ^ img >> d) & mask
+                    img ^= x | x << d
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
     return reps
 
 

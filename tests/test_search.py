@@ -233,10 +233,17 @@ class TestDecide:
         ((4, 4, 26), True, Verdict.EXISTS, 269),
         ((4, 4, 34), True, Verdict.EXISTS, 231),
         ((3, 5, 19), True, Verdict.EXISTS, 68),
+        ((4, 4, 35), True, Verdict.NONE, 189),
     ])
     def test_node_counts_are_pinned(self, parts, symmetry, verdict, nodes):
         outcome = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
         assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
+
+    def test_k4435_visits_one_block_per_orbit(self):
+        # a None run explores every representative, so exactly the orbits of [4,4]
+        outcome = od.decide_diameter2((4, 4, 35))
+        assert outcome.verdict is Verdict.NONE
+        assert outcome.stats.blocks_explored == _burnside_orbits((4, 4)) == 173
 
     def test_k37q_past_the_edge_cap(self, monkeypatch):
         # the [3,7] block has 21 edges; ascending code order alone needs
@@ -290,6 +297,22 @@ class TestDecide:
             SearchConfig(node_budget=0)
         with pytest.raises(SearchError):
             SearchConfig(time_budget=-1.0)
+
+    # bool is an int, and a string or a float node count is no count at all
+    @pytest.mark.parametrize("nodes", [True, 2.5, "5"])
+    def test_node_budget_must_be_an_int(self, nodes):
+        with pytest.raises(SearchError, match="whole number of nodes"):
+            SearchConfig(node_budget=nodes)
+
+    def test_time_budget_must_not_be_a_bool(self):
+        with pytest.raises(SearchError, match="number of seconds"):
+            SearchConfig(time_budget=True)
+
+    # a truthy or falsy stand-in would silently pick one of the two routes
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_symmetry_breaking_must_be_a_bool(self, flag):
+        with pytest.raises(SearchError, match="symmetry_breaking must be True or False"):
+            SearchConfig(symmetry_breaking=flag)
 
     @pytest.mark.parametrize("seconds", [math.nan, math.inf])
     def test_non_finite_time_budget_rejected(self, seconds):
@@ -434,8 +457,10 @@ class TestOrbits:
         assert sum(sizes[r] for r in reps) == total
         assert _block_representatives(list(rest_parts), bedges, False) == list(range(total))
 
-    @pytest.mark.parametrize(
-        "rest_parts", [(3, 5), (5, 3), (4, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)], ids=str)
+    # in (2,2,2) a rest-slot swap and a key-count swap share one distance
+    @pytest.mark.parametrize("rest_parts", list(dict.fromkeys(
+        [(3, 5), (5, 3), (4, 4), (2, 2, 3), (3, 2, 2), (2, 3, 2)]
+        + [shape for shape in IN_CAP_SHAPES if len(shape) >= 3])), ids=str)
     def test_matches_flood_over_every_code(self, rest_parts):
         bedges = _block_edges(rest_parts)
         assert (_block_representatives(list(rest_parts), bedges, True)
