@@ -34,31 +34,36 @@ row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
 so a child's candidates are the parent's ANDed with the later profiles
 incomparable to the one just chosen.  An antichain meets a chain at most
-once, so each kernel call first counts the chains of the symmetric chain
-decomposition of all m-bit codes that the feasible profiles meet: with
-fewer than q, the block is out with no matching at all.  Otherwise it splits
-the feasible profiles into the fewest chains under inclusion, by a maximum
-matching of profiles to strict supersets read from the superset table
-(Dilworth's theorem by Fulkerson's construction), seeded with the links
-along the symmetric chains; a block with fewer chains than q is out at once.
-A node is pruned when fewer chains meet its candidates than profiles are
-still needed (the colouring bound of bit-parallel max-clique, read on the
-incomparability graph, whose colour classes are chains), or when some cover
-pair's routers miss both the chosen profiles and the candidates.
+once, so each kernel call first counts the chains that the feasible
+profiles meet in the symmetric chain decomposition of all m-bit codes, and
+in its mirror on bit-reversed codes: with fewer than q in either, the block
+is out with no matching at all.  Otherwise it splits the feasible profiles
+into the fewest chains under inclusion, by a maximum matching of profiles
+to strict supersets read from the superset table (Dilworth's theorem by
+Fulkerson's construction), seeded with the links along the symmetric
+chains; a block with fewer chains than q is out at once.  A node is pruned
+when fewer chains meet its candidates than profiles are still needed (the
+colouring bound of bit-parallel max-clique, read on the incomparability
+graph, whose colour classes are chains), or when some cover pair's routers
+miss both the chosen profiles and the candidates.
 Blocks run in ascending code order over the least code of each orbit under
-part-internal relabelings and global arc reversal (every code with symmetry
-breaking off).  The orbits are flooded over the quotient by the block's
-largest part: its vertices' code bits towards the rest of the block, sorted,
-stand for all their relabelings, so the flood visits multisets of those
-keys instead of every code.  Each such state is one int, the rest bits plus
-a count per key, on which every generator is an XOR and delta swaps; the
-states are swept in ascending code order, so the first state of each orbit
-the sweep meets holds its least code.  The verdict is sound both ways: Exists
-re-validates its witness with the exact diameter routine, and None means
-every block orientation was enumerated or is the image of an enumerated
-one.  With a size-3 part outside L, cases_enumerated holds the canonical
-cases of the blocks explored: all blocks for None, those up to the witness
-for Exists.
+part-internal relabelings and global arc reversal.  The orbits are flooded
+over the quotient by the block's largest part: its vertices' code bits
+towards the rest of the block, sorted, stand for all their relabelings, so
+the flood visits multisets of those keys instead of every code.  Each such
+state is one int, the rest bits plus a count per key, on which every
+generator is an XOR and delta swaps; the states are swept in ascending code
+order, so the first state of each orbit the sweep meets holds its least code.
+With symmetry breaking off every code is a block, and the two root tests
+that need no node (q feasible profiles, a feasible router for every
+unsatisfied pair) run bit-sliced over windows of 2^ROOT_WINDOW_BITS codes,
+as in the oracles below: pr is ruled out at a iff every edge between a and
+the other side of pr runs into pr.  Only live codes get a frame.
+The verdict is sound both ways: Exists re-validates its witness with the
+exact diameter routine, and None means every block orientation was
+enumerated or is the image of an enumerated one.  With a size-3 part outside
+L, cases_enumerated holds the canonical cases of the blocks explored: all
+blocks for None, those up to the witness for Exists.
 
 Brute-force oracles over full orientation spaces back the decision
 procedure on every topology small enough to enumerate.  They are bit-sliced:
@@ -97,6 +102,7 @@ MAX_BLOCK_EDGES = 16
 MAX_BLOCK_VERTICES = 10
 BRUTE_FORCE_EDGE_CAP = 20
 ENUMERATION_EDGE_CAP = 16
+ROOT_WINDOW_BITS = 12
 
 
 class SearchError(OrientdiamError):
@@ -179,7 +185,7 @@ def _supersets(m: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _symmetric_chains(m: int) -> tuple[int, ...]:
+def _symmetric_chains(m: int, mirrored: bool = False) -> tuple[int, ...]:
     """The chain of every m-bit code in the symmetric chain decomposition.
 
     Read bit i as "(" when set and ")" when clear, and match brackets.  The
@@ -189,7 +195,13 @@ def _symmetric_chains(m: int) -> tuple[int, ...]:
     (de Bruijn, van Ebbenhorst Tengbergen and Kruyswijk, 1951).  A chain is
     keyed by its least member, the code with its unmatched set bits cleared,
     and chains are numbered in ascending key order: C(m, m // 2) in all.
+    Reversing the bit order is an automorphism of the codes under inclusion,
+    so mirrored, the chains of every code's bit reversal, is a second such
+    decomposition.
     """
+    if mirrored:
+        chain_of = _symmetric_chains(m)
+        return tuple(chain_of[int(f"{c:0{m}b}"[::-1], 2)] for c in range(1 << m))
     index: dict[int, int] = {}
     chain_of = []
     for c in range(1 << m):
@@ -239,26 +251,31 @@ class _BlockFrame:
     (the kernel reads inclusion among them from the superset table), profiles
     lists them in ascending order, and routers[i], from the table's rows,
     those that route cover pair i, (a, b): the ones without a that hold b.
-    With fewer than q feasible profiles the frame stops there.
+    With fewer than q feasible profiles the frame stops there.  The frame of
+    a live block, one that passed both root tests, is feasible as built and
+    leaves cover_pairs empty and routers None until route() is called.
     """
 
-    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
+    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible", "tables")
 
-    def __init__(self, m: int, bedges: tuple, bits: int, q: int):
-        tables, rows, members = _vertex_tables(m, bedges)
+    def __init__(self, m: int, bedges: tuple, bits: int, q: int, live: bool = False):
+        self.tables = tables = _vertex_tables(m, bedges)
         self.bout = bout = []
         infeasible = 0
-        for mask, table in tables:
+        for mask, table in tables[0]:
             out, ruled = table[bits & mask]
             bout.append(out)
             infeasible |= ruled
-        full = (1 << m) - 1
-        self.codes = codes = ~infeasible & ((2 << full) - 1)
+        self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
         self.profiles = list(_bit_members(codes))
+        self.cover_pairs, self.routers = [], None if live else []
+        self.feasible = live or len(self.profiles) >= q and self.route()
+
+    def route(self) -> bool:
+        """Build the cover pairs and their routers; True iff every pair has one."""
+        _, rows, members = self.tables
+        bout, codes, full = self.bout, self.codes, len(members) - 1
         self.cover_pairs, self.routers = pairs, routers = [], []
-        if len(self.profiles) < q:
-            self.feasible = False
-            return
         # ordered pairs outside L that the block alone does not satisfy
         for a, (out, row) in enumerate(zip(bout, rows)):
             reach = out | 1 << a
@@ -267,7 +284,7 @@ class _BlockFrame:
             for b in members[full & ~reach]:
                 pairs.append((a, b))
                 routers.append(codes & row[b])
-        self.feasible = all(routers)
+        return all(routers)
 
 
 class _Budget:
@@ -295,6 +312,15 @@ class _Budget:
         if depth > self.max_depth:
             self.max_depth = depth
         return True
+
+    def tick_closed(self, count: int) -> int:
+        """Account count blocks closed at the root, one depth-0 node each, on
+        one clock read; the number that fit, fewer once the budget is gone."""
+        fit = 0 if time.monotonic() > self.deadline else min(count, self.node_budget - self.nodes)
+        self.nodes += fit
+        if fit < count:
+            self.exhausted = True
+        return fit
 
 
 def _chain_partition(codes: int, m: int) -> list[int]:
@@ -354,24 +380,32 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
     Profile sets hold codes, one bit each.  An antichain meets a chain at
-    most once.  So a block whose profiles meet fewer than q symmetric chains
-    is out at the root, before any matching; otherwise the feasible codes are
-    split into a minimum chain partition, and a node is pruned when fewer
-    than q - depth of its chains meet the node's candidates (at the root, all
-    feasible codes: the poset is narrower than q, by Dilworth's theorem), or
-    when some cover pair's router set misses both the picks and the candidates.
-    Pruning only cuts subtrees without a solution, so the first antichain in
+    most once.  So a block whose profiles meet fewer than q chains of either
+    symmetric chain decomposition is out at the root, before any matching;
+    otherwise the feasible codes are split into a minimum chain partition,
+    and a block with fewer than q chains is out too: the poset is narrower
+    than q, by Dilworth's theorem.  Each of these exits costs one node.  Past
+    them the cover pairs are routed, and a node is pruned when fewer than
+    q - depth of its chains meet the node's candidates, or when some cover
+    pair's router set misses both the picks and the candidates.  Pruning
+    only cuts subtrees without a solution, so the first antichain in
     ascending code order is found whatever the bound.
     """
     if not frame.feasible:
         return None
     m = len(frame.bout)
-    symmetric = _symmetric_chains(m)
-    if len({symmetric[pr] for pr in frame.profiles}) < q:
+    for mirrored in (False, True):
+        chain_of = _symmetric_chains(m, mirrored)
+        if len({chain_of[pr] for pr in frame.profiles}) < q:
+            budget.tick(0)
+            return None
+    chains = _chain_partition(frame.codes, m)
+    if len(chains) < q:
         budget.tick(0)
         return None
+    if frame.routers is None:
+        frame.route()
     codes, routers, sup = frame.codes, frame.routers, _supersets(m)
-    chains = _chain_partition(codes, m)
 
     def extend(picked: int, cand: int):
         depth = picked.bit_count()
@@ -510,6 +544,83 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     return reps
 
 
+@functools.cache
+def _case_reader(bedges: tuple, anchor: range):
+    """A function from block code to the out-degrees of the three anchors,
+    packed a byte each: setting edge i's bit moves an out-arc from its high
+    end to its low end, so it is a table sum over the low and the high bits."""
+    unit = {x: 1 << 8 * k for k, x in enumerate(anchor)}
+    half = len(bedges) // 2
+    low, high = [0], [sum(unit.get(b, 0) for a, b in bedges)]
+    for i, (a, b) in enumerate(bedges):
+        step, sums = unit.get(a, 0) - unit.get(b, 0), high if i >= half else low
+        sums += [s + step for s in sums]
+    return lambda code: low[code & (1 << half) - 1] + high[code >> half]
+
+
+def _root_tested(m: int, bedges: tuple, q: int):
+    """Yield (closed, code) over every block code in ascending order: closed
+    codes that the root tests close with no node, then code, the next live
+    one, or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
+    w = min(len(bedges), ROOT_WINDOW_BITS)
+    first = 0
+    for base in range(0, 1 << len(bedges), 1 << w):
+        for j in _bit_members(_live_window(m, bedges, q, base, w)):
+            yield base + j - first, base + j
+            first = base + j + 1
+        yield base + (1 << w) - first, None
+        first = base + (1 << w)
+
+
+def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
+    """Bit j set iff the _BlockFrame of code base + j, j < 2^w, has q profiles
+    and is feasible.  Edge i runs low -> high under var[i], and the code bits
+    past the window are read from base."""
+    full = (1 << (1 << w)) - 1
+    var = _slice_variables(w)
+    arc = [[0] * m for _ in range(m)]  # arc[a][b]: the codes under which a -> b
+    nbrs = [0] * m
+    for i, (a, b) in enumerate(bedges):
+        fwd = var[i] if i < w else full * (base >> i & 1)
+        arc[a][b], arc[b][a] = fwd, full ^ fwd
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    rules = []  # per a: ANDs of the arcs into a and out of a, by set of neighbours
+    for a in range(m):
+        into, out = {0: full}, {0: full}
+        for b in _bit_members(nbrs[a]):
+            into.update([(s | 1 << b, x & arc[b][a]) for s, x in into.items()])
+            out.update([(s | 1 << b, x & arc[a][b]) for s, x in out.items()])
+        rules.append((a, nbrs[a], into, out))
+    # the feasible profiles are counted one set per binary digit, from 2^d - q
+    # up, so the count carries out of its top digit once it reaches q
+    d = max(m + 1, q.bit_length())
+    count = [full * ((1 << d) - q >> k & 1) for k in range(d)]
+    feasible, live = [], 0 if q else full
+    for pr in range(1 << m):
+        ruled = 0
+        for a, nb, into, out in rules:
+            ruled |= into[nb & ~pr] if pr >> a & 1 else out[nb & pr]
+        carry = full ^ ruled
+        feasible.append(carry)
+        for k, digit in enumerate(count):
+            if not carry:
+                break
+            count[k], carry = digit ^ carry, digit & carry
+        live |= carry
+    routed = [[0] * m for _ in range(m)]  # routed[a][b]: a feasible profile holds b and not a
+    for pr, codes in enumerate(feasible):
+        for a in _bit_members((1 << m) - 1 & ~pr if codes else 0):
+            for b in _bit_members(pr):
+                routed[a][b] |= codes
+    for a, b in itertools.permutations(range(m), 2):
+        near = arc[a][b] | routed[a][b]
+        for c in range(m):
+            near |= arc[a][c] & arc[c][b]
+        live &= near
+    return live
+
+
 def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether the complete multipartite graph admits a diameter-2 orientation.
 
@@ -539,25 +650,30 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
             f"parts besides the largest induce {len(bedges)} edges, cap is {MAX_BLOCK_EDGES}"
         )
 
-    reps = _block_representatives(rest_parts, bedges, cfg.symmetry_breaking)
+    # reps: the block codes in the order the loop explores them
+    if cfg.symmetry_breaking:
+        reps = _block_representatives(rest_parts, bedges, True)
+        blocks = zip(itertools.repeat(0), reps)
+    else:
+        reps = range(1 << len(bedges))
+        blocks = _root_tested(m, bedges, q)
     budget = _Budget(cfg, start)
-    raw_cases: set[tuple[int, ...]] = set()
-    # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
-    anchor = ()
-    if len(rest_parts) == 2 and 3 in rest_parts:
-        anchor = range(3) if rest_parts[0] == 3 else range(rest_parts[0], m)
-
     blocks_explored = 0
     witness = None
-    # a whole block search can take fewer than 1,024 nodes, so every block
-    # reads the clock, the first one right after orbit enumeration
-    for bits in reps:
+    # a whole block search can take fewer than 1,024 nodes, so every live
+    # block and every run of closed ones reads the clock, the first one
+    # right after orbit enumeration or the first window's root tests
+    for closed, bits in blocks:
+        if closed:
+            blocks_explored += budget.tick_closed(closed)
+            if budget.exhausted:
+                break
+        if bits is None:
+            continue
         if not budget.tick(0, timed=True):
             break
         blocks_explored += 1
-        frame = _BlockFrame(m, bedges, bits, q)
-        if anchor:
-            raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
+        frame = _BlockFrame(m, bedges, bits, q, live=not cfg.symmetry_breaking)
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
@@ -567,12 +683,18 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
                 raise SearchError("internal error: candidate witness failed re-validation")
             break
 
+    # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
+    cases: set[tuple[int, int, int]] = set()
+    if len(rest_parts) == 2 and 3 in rest_parts:
+        case = _case_reader(bedges, range(3) if rest_parts[0] == 3 else range(rest_parts[0], m))
+        cases = {canonicalize_case((c & 255, c >> 8 & 255, c >> 16), m - 3)
+                 for c in set(map(case, reps[:blocks_explored]))}
     stats = SearchStats(
         nodes=budget.nodes,
         max_depth=budget.max_depth,
         wall_time=time.monotonic() - start,
         blocks_explored=blocks_explored,
-        cases_enumerated=tuple(sorted({canonicalize_case(ijk, m - 3) for ijk in raw_cases})),
+        cases_enumerated=tuple(sorted(cases)),
     )
     if witness is not None:
         return SearchOutcome(Verdict.EXISTS, witness, stats)

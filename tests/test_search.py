@@ -193,6 +193,43 @@ def _covers(chosen, cover_pairs) -> bool:
                for a, b in cover_pairs)
 
 
+def _per_block_decide(parts, cfg):
+    """Symmetry-off decide_diameter2 as one frame and one kernel call per block code.
+
+    Returns verdict, witness arcs, nodes, max_depth, blocks_explored and
+    cases_enumerated.
+    """
+    topology = od.make_complete_multipartite(parts)
+    big = max(range(len(parts)), key=lambda i: (parts[i], i))
+    q, rest = parts[big], [p for i, p in enumerate(parts) if i != big]
+    m, bedges = sum(rest), _block_edges(rest)
+    anchor = ()
+    if len(rest) == 2 and 3 in rest:
+        anchor = range(3) if rest[0] == 3 else range(rest[0], m)
+    budget = _Budget(cfg, time.monotonic())
+    raw_cases, explored, witness = set(), 0, None
+    for bits in range(1 << len(bedges)):
+        if not budget.tick(0, timed=True):
+            break
+        explored += 1
+        frame = _BlockFrame(m, bedges, bits, q)
+        if anchor:
+            raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
+        chosen = _antichain_cover(frame, q, budget)
+        if budget.exhausted:
+            break
+        if chosen is not None:
+            witness = search._assemble_witness(topology, big, frame.bout, chosen)
+            break
+    if witness is not None:
+        verdict = Verdict.EXISTS
+    else:
+        verdict = Verdict.UNKNOWN if budget.exhausted else Verdict.NONE
+    cases = tuple(sorted({search.canonicalize_case(ijk, m - 3) for ijk in raw_cases}))
+    return (verdict, None if witness is None else witness.arcs(), budget.nodes,
+            budget.max_depth, explored, cases)
+
+
 class TestDecide:
     def test_k336_exists(self):
         outcome = od.decide_diameter2((3, 3, 6))
@@ -370,11 +407,14 @@ class TestDecide:
             if W is not None:
                 assert od.orient(W.topology, W.arcs()).out_adj == W.out_adj
 
+    @pytest.mark.parametrize("symmetry", [True, False])
     @pytest.mark.parametrize("parts", [(3, 5, 20), (4, 4, 26)])
-    def test_time_budget_checked_per_block(self, parts):
-        # both searches finish in fewer than 1,024 nodes, so only the clock
-        # reads after orbit enumeration and per block can stop them
-        outcome = od.decide_diameter2(parts, SearchConfig(time_budget=1e-9))
+    def test_time_budget_checked_per_block(self, parts, symmetry):
+        # both searches finish in fewer than 1,024 nodes with symmetry on, so
+        # only the clock reads after orbit enumeration and per block can stop
+        # them; with it off, the read on the first run of closed codes does
+        cfg = SearchConfig(time_budget=1e-9, symmetry_breaking=symmetry)
+        outcome = od.decide_diameter2(parts, cfg)
         assert outcome.verdict is Verdict.UNKNOWN
         assert outcome.witness is None
         assert outcome.stats.blocks_explored == 0
@@ -391,6 +431,32 @@ class TestDecide:
         else:
             assert od.diameter(outcome.witness) == 2
             assert od.has_diameter_at_most_2(outcome.witness)
+
+    # the last budget is the default, which none of these runs reaches
+    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 200, 5_000, SearchConfig().node_budget])
+    @pytest.mark.parametrize("parts", [
+        (3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 4), (3, 4, 9), (3, 4, 11),
+        (3, 4, 12), (2, 2, 3, 8), (2, 2, 3, 19), (1, 3, 3, 3), (2, 3, 6)])
+    def test_symmetry_off_matches_the_per_block_loop(self, parts, node_budget):
+        # the root tests run bit-sliced over windows of codes and close runs
+        # of blocks in one budget step; that must change no count
+        cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=False)
+        outcome = od.decide_diameter2(parts, cfg)
+        stats = outcome.stats
+        got = (outcome.verdict, _arcs(outcome), stats.nodes, stats.max_depth,
+               stats.blocks_explored, stats.cases_enumerated)
+        assert got == _per_block_decide(parts, cfg)
+
+    @pytest.mark.parametrize("q,verdict", [(19, Verdict.EXISTS), (20, Verdict.NONE)])
+    def test_three_part_block_with_symmetry_off(self, q, verdict):
+        # the [2,2,3] block has 16 edges and parts of size 2 and 3: orbits
+        # under three parts' relabelings, none of which the two-part cases see
+        with_sym = od.decide_diameter2((2, 2, 3, q))
+        without = od.decide_diameter2((2, 2, 3, q), SearchConfig(symmetry_breaking=False))
+        assert with_sym.verdict is without.verdict is verdict
+        assert _arcs(with_sym) == _arcs(without)
+        if verdict is Verdict.NONE:
+            assert (without.stats.blocks_explored, without.stats.nodes) == (65_536, 121_572)
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -641,6 +707,52 @@ class TestFrames:
             assert frame.feasible == all(routers)
 
 
+def _root_truth(shape, bits):
+    """The feasible profile count of a block, and whether every cover pair has a router."""
+    frame = _BlockFrame(sum(shape), _block_edges(shape), bits, 0)
+    return len(frame.profiles), frame.feasible
+
+
+class TestRootTests:
+    """The bit-sliced root tests against one _BlockFrame per code.
+
+    A code is live exactly when its frame has at least q profiles and is
+    feasible; each code is checked at q = |profiles| and |profiles| + 1.
+    """
+
+    @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
+    def test_every_code_matches_frames(self, shape):
+        m, bedges = sum(shape), _block_edges(shape)
+        truth = [_root_truth(shape, bits) for bits in range(1 << len(bedges))]
+        # and at q = 0, where only the routers count
+        for q in sorted({0} | {n + k for n, _ in truth for k in (0, 1)}):
+            live, first = [], 0
+            for closed, bits in search._root_tested(m, bedges, q):
+                # the runs and the live codes tile every code in ascending order
+                first += closed
+                if bits is not None:
+                    assert bits == first
+                    live.append(bits)
+                    first += 1
+            assert first == len(truth)
+            assert live == [bits for bits, (n, routed) in enumerate(truth) if n >= q and routed], q
+
+    @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
+    def test_sampled_codes_match_frames(self, shape, count):
+        m, bedges = sum(shape), _block_edges(shape)
+        w = min(len(bedges), search.ROOT_WINDOW_BITS)
+        rng = random.Random(f"root tests {shape}")
+        codes = rng.sample(range(1 << len(bedges)), count)
+        if len(bedges) > w:  # both sides of the first window boundary
+            codes += [(1 << w) - 1, 1 << w]
+        for bits in codes:
+            n, routed = _root_truth(shape, bits)
+            base = bits >> w << w
+            for q in (n, n + 1):
+                live = search._live_window(m, bedges, q, base, w)
+                assert bool(live >> bits - base & 1) == (n >= q and routed), (bits, q)
+
+
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(block_frames())
@@ -679,22 +791,33 @@ class TestChainPartition:
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=str)
     def test_root_count_bounds_the_width(self, shape):
-        # every code, as with symmetry breaking off: the symmetric chains
-        # the profiles meet never undercount the width, and the seeded
+        # every code, as with symmetry breaking off: the chains of either
+        # symmetric decomposition that the profiles meet never undercount
+        # the width, and the seeded
         # matching still ends minimum
         m, bedges = sum(shape), _block_edges(shape)
-        chain_of = _symmetric_chains(m)
+        decompositions = _symmetric_chains(m), _symmetric_chains(m, True)
         for bits in range(1 << len(bedges)):
             frame = _BlockFrame(m, bedges, bits, 0)
             width = _width(tuple(frame.profiles))
-            assert len({chain_of[pr] for pr in frame.profiles}) >= width, bits
+            for chain_of in decompositions:
+                assert len({chain_of[pr] for pr in frame.profiles}) >= width, bits
             assert len(_chain_partition(frame.codes, m)) == width, bits
 
 
 class TestSymmetricChains:
     @pytest.mark.parametrize("m", range(1, MAX_BLOCK_VERTICES + 1))
     def test_decomposition(self, m):
-        chain_of = _symmetric_chains(m)
+        self._check(m, _symmetric_chains(m))
+
+    @pytest.mark.parametrize("m", range(1, MAX_BLOCK_VERTICES + 1))
+    def test_mirrored_decomposition(self, m):
+        chains = self._check(m, _symmetric_chains(m, True))
+        if m > 1:  # a second partition, not the first renumbered
+            assert set(map(tuple, chains)) != set(map(tuple, self._check(m, _symmetric_chains(m))))
+
+    @staticmethod
+    def _check(m, chain_of):
         assert len(chain_of) == 1 << m
         chains = [[] for _ in range(math.comb(m, m // 2))]
         for code, index in enumerate(chain_of):
@@ -705,6 +828,7 @@ class TestSymmetricChains:
             sizes = [code.bit_count() for code in chain]
             k = sizes[0]
             assert sizes == list(range(k, m - k + 1)), (m, chain)
+        return chains
 
 
 class TestBruteForce:
