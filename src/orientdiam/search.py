@@ -54,11 +54,14 @@ the flood visits multisets of those keys instead of every code.  Each such
 state is one int, the rest bits plus a count per key, on which every
 generator is an XOR and delta swaps; the states are swept in ascending code
 order, so the first state of each orbit the sweep meets holds its least code.
-With symmetry breaking off every code is a block, and the two root tests
-that need no node (q feasible profiles, a feasible router for every
-unsatisfied pair) run bit-sliced over windows of 2^ROOT_WINDOW_BITS codes,
-as in the oracles below: pr is ruled out at a iff every edge between a and
-the other side of pr runs into pr.  Only live codes get a frame.
+With symmetry breaking off every code is a block, and the root tests that
+need no matching (q feasible profiles, a feasible router for every
+unsatisfied pair, q chains met in each symmetric chain decomposition) run
+bit-sliced over windows of 2^ROOT_WINDOW_BITS codes, as in the oracles
+below: pr is ruled out at a iff every edge between a and the other side of
+pr runs into pr, and a chain is met under the codes that leave one of its
+profiles feasible.  Each code these tests close costs one node; only live
+codes get a frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -252,8 +255,9 @@ class _BlockFrame:
     lists them in ascending order, and routers[i], from the table's rows,
     those that route cover pair i, (a, b): the ones without a that hold b.
     With fewer than q feasible profiles the frame stops there.  The frame of
-    a live block, one that passed both root tests, is feasible as built and
-    leaves cover_pairs empty and routers None until route() is called.
+    a live block, one that passed every root test of _live_window, is
+    feasible as built and leaves cover_pairs empty and routers None until
+    route() is called.
     """
 
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible", "tables")
@@ -381,7 +385,8 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
 
     Profile sets hold codes, one bit each.  An antichain meets a chain at
     most once.  So a block whose profiles meet fewer than q chains of either
-    symmetric chain decomposition is out at the root, before any matching;
+    symmetric chain decomposition is out at the root, before any matching
+    (with symmetry breaking off, _live_window has closed those blocks);
     otherwise the feasible codes are split into a minimum chain partition,
     and a block with fewer than q chains is out too: the poset is narrower
     than q, by Dilworth's theorem.  Each of these exits costs one node.  Past
@@ -428,8 +433,8 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     return extend(0, codes)
 
 
-def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
-    """Least code of every block orbit in ascending order (or every code).
+def _block_representatives(rest_parts, bedges):
+    """Least code of every block orbit in ascending order.
 
     The orbits are those of relabelings inside each part and of global
     reversal, flooded over the quotient by the largest part P (the first on
@@ -462,8 +467,8 @@ def _block_representatives(rest_parts, bedges, symmetry_breaking: bool):
     ints, so the first unseen state of each orbit holds its least code.
     """
     total = 1 << len(bedges)
-    if not symmetry_breaking or not bedges:
-        return list(range(total))
+    if not bedges:  # the empty block, a single code
+        return [0]
     big = max(range(len(rest_parts)), key=lambda i: (rest_parts[i], -i))
     p = rest_parts[big]
     lo = sum(rest_parts[:big])
@@ -560,8 +565,8 @@ def _case_reader(bedges: tuple, anchor: range):
 
 def _root_tested(m: int, bedges: tuple, q: int):
     """Yield (closed, code) over every block code in ascending order: closed
-    codes that the root tests close with no node, then code, the next live
-    one, or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
+    codes that the root tests close, at one node each, then code, the next
+    live one, or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
     w = min(len(bedges), ROOT_WINDOW_BITS)
     first = 0
     for base in range(0, 1 << len(bedges), 1 << w):
@@ -573,9 +578,12 @@ def _root_tested(m: int, bedges: tuple, q: int):
 
 
 def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
-    """Bit j set iff the _BlockFrame of code base + j, j < 2^w, has q profiles
-    and is feasible.  Edge i runs low -> high under var[i], and the code bits
-    past the window are read from base."""
+    """Bit j set iff the _BlockFrame of code base + j, j < 2^w, has q profiles,
+    is feasible, and meets at least q chains of both symmetric chain
+    decompositions: the kernel's root tests short of the matching.  Edge i
+    runs low -> high under var[i], and the code bits past the window are read
+    from base.  A chain's codes are those under which one of its profiles is
+    feasible, and the chain step is skipped once no code is live."""
     full = (1 << (1 << w)) - 1
     var = _slice_variables(w)
     arc = [[0] * m for _ in range(m)]  # arc[a][b]: the codes under which a -> b
@@ -592,22 +600,13 @@ def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
             into.update([(s | 1 << b, x & arc[b][a]) for s, x in into.items()])
             out.update([(s | 1 << b, x & arc[a][b]) for s, x in out.items()])
         rules.append((a, nbrs[a], into, out))
-    # the feasible profiles are counted one set per binary digit, from 2^d - q
-    # up, so the count carries out of its top digit once it reaches q
-    d = max(m + 1, q.bit_length())
-    count = [full * ((1 << d) - q >> k & 1) for k in range(d)]
-    feasible, live = [], 0 if q else full
+    feasible = []  # feasible[pr]: the codes under which profile pr is feasible
     for pr in range(1 << m):
         ruled = 0
         for a, nb, into, out in rules:
             ruled |= into[nb & ~pr] if pr >> a & 1 else out[nb & pr]
-        carry = full ^ ruled
-        feasible.append(carry)
-        for k, digit in enumerate(count):
-            if not carry:
-                break
-            count[k], carry = digit ^ carry, digit & carry
-        live |= carry
+        feasible.append(full ^ ruled)
+    live = _at_least(q, feasible, full)
     routed = [[0] * m for _ in range(m)]  # routed[a][b]: a feasible profile holds b and not a
     for pr, codes in enumerate(feasible):
         for a in _bit_members((1 << m) - 1 & ~pr if codes else 0):
@@ -618,7 +617,36 @@ def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
         for c in range(m):
             near |= arc[a][c] & arc[c][b]
         live &= near
+    for mirrored in (False, True):
+        if not live:  # no code of the window is left to count
+            break
+        chain_of = _symmetric_chains(m, mirrored)
+        met = [0] * math.comb(m, m // 2)  # met[i]: the live codes with a feasible profile on chain i
+        for pr, codes in enumerate(feasible):
+            met[chain_of[pr]] |= codes & live
+        live &= _at_least(q, met, full)
     return live
+
+
+def _at_least(q: int, sets: list[int], full: int) -> int:
+    """The codes of full that lie in at least q of sets, one bit per code.
+
+    The sets are counted one per binary digit, from 2^d - q up, so a code's
+    count carries out of its top digit once it reaches q; with 2^d above
+    both q and len(sets), it carries out at most once.
+    """
+    if not q:
+        return full
+    d = max(q, len(sets)).bit_length()
+    count = [full * ((1 << d) - q >> k & 1) for k in range(d)]
+    reached = 0
+    for carry in sets:
+        for k, digit in enumerate(count):
+            if not carry:
+                break
+            count[k], carry = digit ^ carry, digit & carry
+        reached |= carry
+    return reached
 
 
 def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -652,7 +680,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
 
     # reps: the block codes in the order the loop explores them
     if cfg.symmetry_breaking:
-        reps = _block_representatives(rest_parts, bedges, True)
+        reps = _block_representatives(rest_parts, bedges)
         blocks = zip(itertools.repeat(0), reps)
     else:
         reps = range(1 << len(bedges))

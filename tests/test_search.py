@@ -193,9 +193,18 @@ def _covers(chosen, cover_pairs) -> bool:
                for a, b in cover_pairs)
 
 
-def _per_block_decide(parts, cfg):
-    """Symmetry-off decide_diameter2 as one frame and one kernel call per block code.
+def _chain_counts(frame) -> tuple[int, int]:
+    """The chains that a frame's profiles meet in each symmetric chain decomposition."""
+    m = len(frame.bout)
+    return tuple(len({_symmetric_chains(m, mirrored)[pr] for pr in frame.profiles})
+                 for mirrored in (False, True))
 
+
+def _per_block_decide(parts, cfg):
+    """Symmetry-off decide_diameter2 as one frame and at most one kernel call per block code.
+
+    A feasible frame that meets fewer than q chains of either symmetric chain
+    decomposition is closed at its one block node, with no kernel call.
     Returns verdict, witness arcs, nodes, max_depth, blocks_explored and
     cases_enumerated.
     """
@@ -215,6 +224,8 @@ def _per_block_decide(parts, cfg):
         frame = _BlockFrame(m, bedges, bits, q)
         if anchor:
             raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
+        if frame.feasible and min(_chain_counts(frame)) < q:
+            continue
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
@@ -258,19 +269,23 @@ class TestDecide:
         assert outcome.verdict is Verdict.NONE
         assert outcome.stats.nodes == 65  # 1,505 without the chain bound
 
-    # None counts come from root exits alone and must never move; Exists
-    # counts follow the chain partition fixed at each kernel root
+    # None counts come from root exits alone: with symmetry on they must
+    # never move, and with it off a block the bit-sliced root tests close
+    # costs one node; Exists counts follow the chain partition fixed at
+    # each kernel root
     @pytest.mark.parametrize("parts,symmetry,verdict,nodes", [
         ((3, 3, 7), True, Verdict.NONE, 24),
         ((3, 4, 12), True, Verdict.NONE, 65),
         ((3, 5, 20), True, Verdict.NONE, 122),
-        ((3, 3, 7), False, Verdict.NONE, 746),
-        ((3, 4, 12), False, Verdict.NONE, 5_896),
+        ((3, 3, 7), False, Verdict.NONE, 518),
+        ((3, 4, 12), False, Verdict.NONE, 4_178),
         ((3, 4, 11), True, Verdict.EXISTS, 47),
         ((4, 4, 26), True, Verdict.EXISTS, 269),
         ((4, 4, 34), True, Verdict.EXISTS, 231),
         ((3, 5, 19), True, Verdict.EXISTS, 68),
         ((4, 4, 35), True, Verdict.NONE, 189),
+        # every [4,4] block closes at the root tests, one node each
+        ((4, 4, 35), False, Verdict.NONE, 65_536),
     ])
     def test_node_counts_are_pinned(self, parts, symmetry, verdict, nodes):
         outcome = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
@@ -456,7 +471,7 @@ class TestDecide:
         assert with_sym.verdict is without.verdict is verdict
         assert _arcs(with_sym) == _arcs(without)
         if verdict is Verdict.NONE:
-            assert (without.stats.blocks_explored, without.stats.nodes) == (65_536, 121_572)
+            assert (without.stats.blocks_explored, without.stats.nodes) == (65_536, 66_392)
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -518,10 +533,9 @@ class TestOrbits:
                 members = orbit(code)
                 seen |= members
                 sizes[min(members)] = len(members)
-        reps = _block_representatives(list(rest_parts), bedges, True)
+        reps = _block_representatives(list(rest_parts), bedges)
         assert reps == sorted(sizes)
         assert sum(sizes[r] for r in reps) == total
-        assert _block_representatives(list(rest_parts), bedges, False) == list(range(total))
 
     # in (2,2,2) a rest-slot swap and a key-count swap share one distance
     @pytest.mark.parametrize("rest_parts", list(dict.fromkeys(
@@ -529,7 +543,7 @@ class TestOrbits:
         + [shape for shape in IN_CAP_SHAPES if len(shape) >= 3])), ids=str)
     def test_matches_flood_over_every_code(self, rest_parts):
         bedges = _block_edges(rest_parts)
-        assert (_block_representatives(list(rest_parts), bedges, True)
+        assert (_block_representatives(list(rest_parts), bedges)
                 == _flood_representatives(rest_parts, bedges))
 
     # representative counts of the shapes past the 16-edge cap, from the
@@ -538,13 +552,13 @@ class TestOrbits:
         ((3, 6), 200), ((6, 3), 200), ((4, 5), 545), ((3, 7), 367), ((2, 2, 4), 8_388),
     ], ids=str)
     def test_representative_counts_past_the_edge_cap(self, rest_parts, count):
-        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts), True)
+        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts))
         assert len(reps) == count == _burnside_orbits(rest_parts)
         assert all(a < b for a, b in zip(reps, reps[1:]))
 
     @pytest.mark.parametrize("rest_parts", IN_CAP_SHAPES, ids=str)
     def test_representative_count_matches_burnside(self, rest_parts):
-        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts), True)
+        reps = _block_representatives(list(rest_parts), _block_edges(rest_parts))
         assert len(reps) == _burnside_orbits(rest_parts)
 
 
@@ -708,16 +722,21 @@ class TestFrames:
 
 
 def _root_truth(shape, bits):
-    """The feasible profile count of a block, and whether every cover pair has a router."""
+    """The three counts that a block's root tests compare with q (its feasible
+    profiles, and the chains they meet in each symmetric chain decomposition,
+    read on frame.profiles as the kernel reads them), and whether every cover
+    pair has a router."""
     frame = _BlockFrame(sum(shape), _block_edges(shape), bits, 0)
-    return len(frame.profiles), frame.feasible
+    return (len(frame.profiles), *_chain_counts(frame)), frame.feasible
 
 
 class TestRootTests:
     """The bit-sliced root tests against one _BlockFrame per code.
 
-    A code is live exactly when its frame has at least q profiles and is
-    feasible; each code is checked at q = |profiles| and |profiles| + 1.
+    A code is live exactly when its frame is feasible and has at least q
+    profiles and meets at least q chains of each symmetric chain
+    decomposition; each code is checked at each of those three counts and
+    at each count + 1.
     """
 
     @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
@@ -725,7 +744,7 @@ class TestRootTests:
         m, bedges = sum(shape), _block_edges(shape)
         truth = [_root_truth(shape, bits) for bits in range(1 << len(bedges))]
         # and at q = 0, where only the routers count
-        for q in sorted({0} | {n + k for n, _ in truth for k in (0, 1)}):
+        for q in sorted({0} | {n + k for counts, _ in truth for n in counts for k in (0, 1)}):
             live, first = [], 0
             for closed, bits in search._root_tested(m, bedges, q):
                 # the runs and the live codes tile every code in ascending order
@@ -735,7 +754,8 @@ class TestRootTests:
                     live.append(bits)
                     first += 1
             assert first == len(truth)
-            assert live == [bits for bits, (n, routed) in enumerate(truth) if n >= q and routed], q
+            assert live == [bits for bits, (counts, routed) in enumerate(truth)
+                            if routed and min(counts) >= q], q
 
     @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
     def test_sampled_codes_match_frames(self, shape, count):
@@ -746,11 +766,22 @@ class TestRootTests:
         if len(bedges) > w:  # both sides of the first window boundary
             codes += [(1 << w) - 1, 1 << w]
         for bits in codes:
-            n, routed = _root_truth(shape, bits)
+            counts, routed = _root_truth(shape, bits)
             base = bits >> w << w
-            for q in (n, n + 1):
+            for q in sorted({n + k for n in counts for k in (0, 1)}):
                 live = search._live_window(m, bedges, q, base, w)
-                assert bool(live >> bits - base & 1) == (n >= q and routed), (bits, q)
+                assert bool(live >> bits - base & 1) == (routed and min(counts) >= q), (bits, q)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_at_least_counts_like_a_plain_count(self, seed):
+        rng = random.Random(seed)
+        width = rng.randrange(1, 70)
+        full = (1 << width) - 1
+        sets = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(40))]
+        # q = 0 keeps every code, and a q past the number of sets none
+        for q in sorted({0, 1, len(sets), len(sets) + 1, len(sets) + 5, rng.randrange(70)}):
+            want = sum(1 << c for c in range(width) if sum(x >> c & 1 for x in sets) >= q)
+            assert search._at_least(q, sets, full) == want, q
 
 
 class TestKernel:
@@ -796,12 +827,10 @@ class TestChainPartition:
         # the width, and the seeded
         # matching still ends minimum
         m, bedges = sum(shape), _block_edges(shape)
-        decompositions = _symmetric_chains(m), _symmetric_chains(m, True)
         for bits in range(1 << len(bedges)):
             frame = _BlockFrame(m, bedges, bits, 0)
             width = _width(tuple(frame.profiles))
-            for chain_of in decompositions:
-                assert len({chain_of[pr] for pr in frame.profiles}) >= width, bits
+            assert min(_chain_counts(frame)) >= width, bits
             assert len(_chain_partition(frame.codes, m)) == width, bits
 
 
