@@ -34,18 +34,20 @@ row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
 so a child's candidates are the parent's ANDed with the later profiles
 incomparable to the one just chosen.  An antichain meets a chain at most
-once, so each kernel call first counts the chains that the feasible
-profiles meet in the symmetric chain decomposition of all m-bit codes, and
-in its mirror on bit-reversed codes: with fewer than q in either, the block
-is out with no matching at all.  Otherwise it splits the feasible profiles
-into the fewest chains under inclusion, by a maximum matching of profiles
-to strict supersets read from the superset table (Dilworth's theorem by
-Fulkerson's construction), seeded with the links along the symmetric
-chains; a block with fewer chains than q is out at once.  A node is pruned
-when fewer chains meet its candidates than profiles are still needed (the
-colouring bound of bit-parallel max-clique, read on the incomparability
-graph, whose colour classes are chains), or when some cover pair's routers
-miss both the chosen profiles and the candidates.
+once, so a block's frame tests its root with no matching at all: at least
+q feasible profiles, at least q chains met in the symmetric chain
+decomposition of all m-bit codes and in its mirror on bit-reversed codes,
+and a router for every cover pair.  The kernel starts past them: it splits
+the feasible profiles into the fewest chains under inclusion, by a maximum
+matching of profiles to strict supersets read from the superset table
+(Dilworth's theorem by Fulkerson's construction), seeded with the links
+along the symmetric chains; a block with fewer chains than q is out at
+once.  A node is pruned when fewer chains meet its candidates than
+profiles are still needed (the colouring bound of bit-parallel
+max-clique, read on the incomparability graph, whose colour classes are
+chains), or when some cover pair's routers miss both the chosen profiles
+and the candidates.  Each block costs one node, whichever test closes it,
+and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal.  The orbits are flooded
 over the quotient by the block's largest part: its vertices' code bits
@@ -54,14 +56,12 @@ the flood visits multisets of those keys instead of every code.  Each such
 state is one int, the rest bits plus a count per key, on which every
 generator is an XOR and delta swaps; the states are swept in ascending code
 order, so the first state of each orbit the sweep meets holds its least code.
-With symmetry breaking off every code is a block, and the root tests that
-need no matching (q feasible profiles, a feasible router for every
-unsatisfied pair, q chains met in each symmetric chain decomposition) run
-bit-sliced over windows of 2^ROOT_WINDOW_BITS codes, as in the oracles
-below: pr is ruled out at a iff every edge between a and the other side of
-pr runs into pr, and a chain is met under the codes that leave one of its
-profiles feasible.  Each code these tests close costs one node; only live
-codes get a frame.
+With symmetry breaking off every code is a block, and the frame's root
+tests run bit-sliced over windows of 2^ROOT_WINDOW_BITS codes, as in the
+oracles below: pr is ruled out at a iff every edge between a and the
+other side of pr runs into pr, and a chain is met under the codes that
+leave one of its profiles feasible.  A code these tests close costs its
+one block node, as through its frame; only live codes get a frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -246,7 +246,8 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
 
 
 class _BlockFrame:
-    """Everything the per-block profile search for q profiles needs, precomputed.
+    """Everything the per-block profile search for q profiles needs, precomputed,
+    and every root test short of the matching.
 
     All of it is read from the block shape's one cached table: bout and the
     infeasible profiles from m lookups, one per vertex on the code masked to
@@ -254,32 +255,32 @@ class _BlockFrame:
     (the kernel reads inclusion among them from the superset table), profiles
     lists them in ascending order, and routers[i], from the table's rows,
     those that route cover pair i, (a, b): the ones without a that hold b.
-    With fewer than q feasible profiles the frame stops there.  The frame of
-    a live block, one that passed every root test of _live_window, is
-    feasible as built and leaves cover_pairs empty and routers None until
-    route() is called.
+    The block is feasible iff it has at least q feasible profiles, they meet
+    at least q chains of each symmetric chain decomposition (an antichain
+    meets a chain at most once), and every cover pair has a router.  The
+    tests run in that order and stop at the first that fails; the cover
+    pairs are listed only past the chain counts, and stay empty otherwise.
     """
 
-    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible", "tables")
+    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
-    def __init__(self, m: int, bedges: tuple, bits: int, q: int, live: bool = False):
-        self.tables = tables = _vertex_tables(m, bedges)
+    def __init__(self, m: int, bedges: tuple, bits: int, q: int):
+        tables, rows, members = _vertex_tables(m, bedges)
         self.bout = bout = []
         infeasible = 0
-        for mask, table in tables[0]:
+        for mask, table in tables:
             out, ruled = table[bits & mask]
             bout.append(out)
             infeasible |= ruled
         self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
-        self.profiles = list(_bit_members(codes))
-        self.cover_pairs, self.routers = [], None if live else []
-        self.feasible = live or len(self.profiles) >= q and self.route()
-
-    def route(self) -> bool:
-        """Build the cover pairs and their routers; True iff every pair has one."""
-        _, rows, members = self.tables
-        bout, codes, full = self.bout, self.codes, len(members) - 1
+        self.profiles = profiles = list(_bit_members(codes))
         self.cover_pairs, self.routers = pairs, routers = [], []
+        self.feasible = len(profiles) >= q and all(
+            len({chain_of[pr] for pr in profiles}) >= q
+            for chain_of in (_symmetric_chains(m), _symmetric_chains(m, True)))
+        if not self.feasible:
+            return
+        full = len(members) - 1
         # ordered pairs outside L that the block alone does not satisfy
         for a, (out, row) in enumerate(zip(bout, rows)):
             reach = out | 1 << a
@@ -288,7 +289,7 @@ class _BlockFrame:
             for b in members[full & ~reach]:
                 pairs.append((a, b))
                 routers.append(codes & row[b])
-        return all(routers)
+        self.feasible = all(routers)
 
 
 class _Budget:
@@ -301,15 +302,11 @@ class _Budget:
         self.max_depth = 0
         self.exhausted = False
 
-    def tick(self, depth: int, timed: bool = False) -> bool:
-        """Account one node; False, counting nothing, once the budget is gone.
-
-        The clock is read on every timed tick and every 1,024 nodes.
-        """
+    def tick(self, depth: int) -> bool:
+        """Account one kernel node; False, counting nothing, once the budget is
+        gone.  The clock is read every 1,024 nodes."""
         nodes = self.nodes + 1
-        if nodes > self.node_budget or (
-            (timed or not nodes & 0x3FF) and time.monotonic() > self.deadline
-        ):
+        if nodes > self.node_budget or not nodes & 0x3FF and time.monotonic() > self.deadline:
             self.exhausted = True
             return False
         self.nodes = nodes
@@ -317,9 +314,9 @@ class _Budget:
             self.max_depth = depth
         return True
 
-    def tick_closed(self, count: int) -> int:
-        """Account count blocks closed at the root, one depth-0 node each, on
-        one clock read; the number that fit, fewer once the budget is gone."""
+    def blocks(self, count: int) -> int:
+        """Account count blocks, one depth-0 node each, on one clock read; the
+        number that fit, fewer once the budget is gone."""
         fit = 0 if time.monotonic() > self.deadline else min(count, self.node_budget - self.nodes)
         self.nodes += fit
         if fit < count:
@@ -383,33 +380,22 @@ def _chain_partition(codes: int, m: int) -> list[int]:
 def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
-    Profile sets hold codes, one bit each.  An antichain meets a chain at
-    most once.  So a block whose profiles meet fewer than q chains of either
-    symmetric chain decomposition is out at the root, before any matching
-    (with symmetry breaking off, _live_window has closed those blocks);
-    otherwise the feasible codes are split into a minimum chain partition,
-    and a block with fewer than q chains is out too: the poset is narrower
-    than q, by Dilworth's theorem.  Each of these exits costs one node.  Past
-    them the cover pairs are routed, and a node is pruned when fewer than
-    q - depth of its chains meet the node's candidates, or when some cover
-    pair's router set misses both the picks and the candidates.  Pruning
-    only cuts subtrees without a solution, so the first antichain in
-    ascending code order is found whatever the bound.
+    Profile sets hold codes, one bit each.  A block that fails a root test
+    of its frame is out, and so is one whose feasible codes split into fewer
+    than q chains of a minimum chain partition: the poset is narrower than
+    q, by Dilworth's theorem.  Neither exit costs a node; the search starts
+    at the matching.  A node is pruned when fewer than q - depth of its
+    chains meet the node's candidates, or when some cover pair's router set
+    misses both the picks and the candidates.  Pruning only cuts subtrees
+    without a solution, so the first antichain in ascending code order is
+    found whatever the bound.
     """
     if not frame.feasible:
         return None
     m = len(frame.bout)
-    for mirrored in (False, True):
-        chain_of = _symmetric_chains(m, mirrored)
-        if len({chain_of[pr] for pr in frame.profiles}) < q:
-            budget.tick(0)
-            return None
     chains = _chain_partition(frame.codes, m)
     if len(chains) < q:
-        budget.tick(0)
         return None
-    if frame.routers is None:
-        frame.route()
     codes, routers, sup = frame.codes, frame.routers, _supersets(m)
 
     def extend(picked: int, cand: int):
@@ -565,8 +551,8 @@ def _case_reader(bedges: tuple, anchor: range):
 
 def _root_tested(m: int, bedges: tuple, q: int):
     """Yield (closed, code) over every block code in ascending order: closed
-    codes that the root tests close, at one node each, then code, the next
-    live one, or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
+    codes whose frames fail their root tests, then code, the next live one,
+    or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
     w = min(len(bedges), ROOT_WINDOW_BITS)
     first = 0
     for base in range(0, 1 << len(bedges), 1 << w):
@@ -578,12 +564,11 @@ def _root_tested(m: int, bedges: tuple, q: int):
 
 
 def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
-    """Bit j set iff the _BlockFrame of code base + j, j < 2^w, has q profiles,
-    is feasible, and meets at least q chains of both symmetric chain
-    decompositions: the kernel's root tests short of the matching.  Edge i
-    runs low -> high under var[i], and the code bits past the window are read
-    from base.  A chain's codes are those under which one of its profiles is
-    feasible, and the chain step is skipped once no code is live."""
+    """Bit j is _BlockFrame(m, bedges, base + j, q).feasible, j < 2^w: the
+    frame's root tests, bit-sliced over the window.  Edge i runs low -> high
+    under var[i], and the code bits past the window are read from base.  A
+    chain's codes are those under which one of its profiles is feasible, and
+    the chain step is skipped once no code is live."""
     full = (1 << (1 << w)) - 1
     var = _slice_variables(w)
     arc = [[0] * m for _ in range(m)]  # arc[a][b]: the codes under which a -> b
@@ -688,20 +673,17 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     budget = _Budget(cfg, start)
     blocks_explored = 0
     witness = None
-    # a whole block search can take fewer than 1,024 nodes, so every live
-    # block and every run of closed ones reads the clock, the first one
-    # right after orbit enumeration or the first window's root tests
+    # a whole block search can take fewer than 1,024 nodes, so each block
+    # charge (a live block, the run of closed ones before it, or both)
+    # reads the clock, the first one right after orbit enumeration or the
+    # first window's root tests
     for closed, bits in blocks:
-        if closed:
-            blocks_explored += budget.tick_closed(closed)
-            if budget.exhausted:
-                break
+        blocks_explored += budget.blocks(closed + (bits is not None))
+        if budget.exhausted:
+            break
         if bits is None:
             continue
-        if not budget.tick(0, timed=True):
-            break
-        blocks_explored += 1
-        frame = _BlockFrame(m, bedges, bits, q, live=not cfg.symmetry_breaking)
+        frame = _BlockFrame(m, bedges, bits, q)
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break

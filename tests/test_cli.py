@@ -532,8 +532,8 @@ class TestVerifyClaims:
 
     @pytest.mark.parametrize("family", ["33q", "34q"])
     def test_without_symmetry_matches_the_default(self, capsys, family):
-        # symmetry breaking off enumerates all 512 blocks of K(3,3,7) (518
-        # nodes) and all 4,096 of K(3,4,12) (4,178 nodes), an independent
+        # symmetry breaking off enumerates all 512 blocks of K(3,3,7) (512
+        # nodes) and all 4,096 of K(3,4,12) (4,096 nodes), an independent
         # route to the same verdicts at both of the paper's thresholds
         def observed(*extra):
             code, out, _ = run(capsys, "verify-claims", "--family", family, "--format", "json",

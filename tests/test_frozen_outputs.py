@@ -122,13 +122,13 @@ DIGESTS = {
     ("analyze", "3,4,11"):
         "0d8f970cad288e3a31dbb6f02e5b4a15817e2504dd1246ee31186084907cc4f5",
     ("decide", "3,3,7"):
-        "dc366e15b5aadc41220de7188828842d4582b65abfbab4f9ff1858c74a959fea",
+        "0f612620fdaacba1c2e7a7eb2d5051413bf29dde108d807b83edf28da6c5d186",
     ("decide", "3,4,12"):
-        "00a7a3de7455b0be800fdbad098bf24e3a4641e7edeece8ccaa14e7b62f1127b",
+        "4a14f9c43f4d7b4990730bcecd9262991ea57cac29d842421030da52cf4b5eaf",
     ("decide", "3,4,11"):
-        "9964aa7a17c6e3ce382062687aa4c048069c64ebb4fc13ebf37c70969114cade",
+        "2746b574bc878470950fd1d02b39f98f9530230cd2e5c83a080440841c6ed1a4",
     ("decide", "4,4,26"):
-        "ba7e032cc4936320b2709068a40f05f05efdf95f3bda56640bc692de3a5da62a",
+        "c007098d8e4f92e83f6e500150a30b9c2c237f5f2163cc7c75c5c6b8eb8e8e4d",
     ("export-cnf", "3,3,7"):
         "1bcabfc369ddbe8698023d0357c41a2ecc964935e4885cd7108b2527868ada78",
     ("enumerate", "2,2,2"):

@@ -80,6 +80,21 @@ THRESHOLD_LISTINGS = sorted(
 # cheap even with symmetry breaking off
 K3519_LISTINGS = [(3, 5, 19), (5, 3, 19), (19, 3, 5)]
 
+# (parts, symmetry breaking, verdict, nodes), the largest part last
+_NODE_PINS = [
+    ((3, 3, 7), True, Verdict.NONE, 18),
+    ((3, 4, 12), True, Verdict.NONE, 47),
+    ((3, 5, 20), True, Verdict.NONE, 95),
+    ((3, 3, 7), False, Verdict.NONE, 512),
+    ((3, 4, 12), False, Verdict.NONE, 4_096),
+    ((3, 4, 11), True, Verdict.EXISTS, 38),
+    ((4, 4, 26), True, Verdict.EXISTS, 185),
+    ((4, 4, 34), True, Verdict.EXISTS, 206),
+    ((3, 5, 19), True, Verdict.EXISTS, 61),
+    ((4, 4, 35), True, Verdict.NONE, 173),
+    ((4, 4, 35), False, Verdict.NONE, 65_536),
+]
+
 # the brute-force kernel check enumerates C(|profiles|, q) subsets; a q drawn
 # at the frame's width is kept only while that stays below this many
 COMBINATION_CAP = 30_000
@@ -144,7 +159,8 @@ _K222_FIRST_THREE = [
 
 @st.composite
 def block_frames(draw):
-    """The kernel's input (frame, q) for a random orientation of a small block.
+    """The kernel's input (frame, q) for a random orientation of a small block,
+    and the block's cover pairs, from a q = 0 frame, which lists them all.
 
     Half the draws put q at the width of the feasible profiles or one above
     it, where the chain bound decides the block at the root.
@@ -155,14 +171,14 @@ def block_frames(draw):
     bedges = _block_edges(rest_parts)
     bits = draw(st.integers(0, (1 << len(bedges)) - 1))
     m = sum(rest_parts)
-    profiles = _BlockFrame(m, bedges, bits, 0).profiles
-    width = _width(tuple(profiles))
-    edge = [q for q in (width, width + 1) if math.comb(len(profiles), q) <= COMBINATION_CAP]
+    every = _BlockFrame(m, bedges, bits, 0)
+    width = _width(tuple(every.profiles))
+    edge = [q for q in (width, width + 1) if math.comb(len(every.profiles), q) <= COMBINATION_CAP]
     if edge and draw(st.booleans()):
         q = draw(st.sampled_from(edge))
     else:
         q = draw(st.integers(1, 4))
-    return _BlockFrame(m, bedges, bits, q), q
+    return _BlockFrame(m, bedges, bits, q), q, every.cover_pairs
 
 
 def _block_edges(rest_parts):
@@ -201,10 +217,9 @@ def _chain_counts(frame) -> tuple[int, int]:
 
 
 def _per_block_decide(parts, cfg):
-    """Symmetry-off decide_diameter2 as one frame and at most one kernel call per block code.
+    """Symmetry-off decide_diameter2 as one block node, one frame and one
+    kernel call per block code.
 
-    A feasible frame that meets fewer than q chains of either symmetric chain
-    decomposition is closed at its one block node, with no kernel call.
     Returns verdict, witness arcs, nodes, max_depth, blocks_explored and
     cases_enumerated.
     """
@@ -218,14 +233,12 @@ def _per_block_decide(parts, cfg):
     budget = _Budget(cfg, time.monotonic())
     raw_cases, explored, witness = set(), 0, None
     for bits in range(1 << len(bedges)):
-        if not budget.tick(0, timed=True):
+        if not budget.blocks(1):
             break
         explored += 1
         frame = _BlockFrame(m, bedges, bits, q)
         if anchor:
             raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
-        if frame.feasible and min(_chain_counts(frame)) < q:
-            continue
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
@@ -251,7 +264,7 @@ class TestDecide:
         outcome = od.decide_diameter2((3, 3, 7))
         assert outcome.verdict is Verdict.NONE
         assert outcome.witness is None
-        assert outcome.stats.nodes == 24  # 77 without the chain bound
+        assert outcome.stats.nodes == 18  # one node per block
 
     def test_one_part(self):
         # the block is empty and its one profile serves a single vertex only
@@ -267,29 +280,23 @@ class TestDecide:
     def test_k3412_none(self):
         outcome = od.decide_diameter2((3, 4, 12))
         assert outcome.verdict is Verdict.NONE
-        assert outcome.stats.nodes == 65  # 1,505 without the chain bound
+        assert outcome.stats.nodes == 47  # one node per block
 
-    # None counts come from root exits alone: with symmetry on they must
-    # never move, and with it off a block the bit-sliced root tests close
-    # costs one node; Exists counts follow the chain partition fixed at
-    # each kernel root
-    @pytest.mark.parametrize("parts,symmetry,verdict,nodes", [
-        ((3, 3, 7), True, Verdict.NONE, 24),
-        ((3, 4, 12), True, Verdict.NONE, 65),
-        ((3, 5, 20), True, Verdict.NONE, 122),
-        ((3, 3, 7), False, Verdict.NONE, 518),
-        ((3, 4, 12), False, Verdict.NONE, 4_178),
-        ((3, 4, 11), True, Verdict.EXISTS, 47),
-        ((4, 4, 26), True, Verdict.EXISTS, 269),
-        ((4, 4, 34), True, Verdict.EXISTS, 231),
-        ((3, 5, 19), True, Verdict.EXISTS, 68),
-        ((4, 4, 35), True, Verdict.NONE, 189),
-        # every [4,4] block closes at the root tests, one node each
-        ((4, 4, 35), False, Verdict.NONE, 65_536),
-    ])
+    # every block costs one node and each kernel search node one more; every
+    # block of these None runs closes at its root tests or at the Dilworth
+    # exit, so each count is the number of blocks: the Burnside orbit count
+    # with symmetry on and 2^|block edges| with it off; Exists counts follow
+    # the chain partition fixed at each kernel root
+    @pytest.mark.parametrize("parts,symmetry,verdict,nodes", _NODE_PINS, ids=[
+        f"{','.join(map(str, parts))}-{'on' if symmetry else 'off'}"
+        for parts, symmetry, *_ in _NODE_PINS])
     def test_node_counts_are_pinned(self, parts, symmetry, verdict, nodes):
         outcome = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
         assert (outcome.verdict, outcome.stats.nodes) == (verdict, nodes)
+        if verdict is Verdict.NONE:
+            rest = parts[:-1]
+            blocks = _burnside_orbits(rest) if symmetry else 1 << len(_block_edges(rest))
+            assert nodes == outcome.stats.blocks_explored == blocks
 
     def test_k4435_visits_one_block_per_orbit(self):
         # a None run explores every representative, so exactly the orbits of [4,4]
@@ -326,7 +333,7 @@ class TestDecide:
     @pytest.mark.parametrize("parts,symmetry", [((3, 4, 12), True), ((3, 4, 12), False),
                                                 ((4, 4, 26), True), ((3, 5, 19), True)])
     def test_node_budget_never_exceeded(self, parts, symmetry, node_budget):
-        # the tick that breaks the budget is not counted; K(3,5,19) at 200
+        # the tick that breaks the budget is not counted; K(3,5,19) at 40
         # nodes runs out inside the kernel, below its root
         cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=symmetry)
         outcome = od.decide_diameter2(parts, cfg)
@@ -471,7 +478,7 @@ class TestDecide:
         assert with_sym.verdict is without.verdict is verdict
         assert _arcs(with_sym) == _arcs(without)
         if verdict is Verdict.NONE:
-            assert (without.stats.blocks_explored, without.stats.nodes) == (65_536, 66_392)
+            assert (without.stats.blocks_explored, without.stats.nodes) == (65_536, 65_536)
 
     @pytest.mark.parametrize("parts", SMALL_TOPOLOGIES)
     def test_agreement_with_brute_force(self, parts):
@@ -708,35 +715,42 @@ class TestFrames:
     def _check(self, shape, bits):
         profiles, cover_pairs, routers = _reference_frame(shape, bits)
         m, bedges = sum(shape), _block_edges(shape)
-        # q on both sides of the too-few-profiles cut
-        for q in (len(profiles), len(profiles) + 1):
+        # at q = 0 every count passes, so the frame routes every cover pair
+        frame = _BlockFrame(m, bedges, bits, 0)
+        assert frame.profiles == profiles, (shape, bits)
+        assert frame.codes == sum(1 << pr for pr in profiles)
+        assert frame.cover_pairs == cover_pairs, (shape, bits)
+        assert frame.routers == routers, (shape, bits)
+        assert frame.feasible == all(routers)
+        counts = _chain_counts(frame)
+        # the frame routes only past the chain counts, and stops at the
+        # first test that fails
+        for q in sorted({min(counts), len(profiles)}):
             frame = _BlockFrame(m, bedges, bits, q)
-            assert frame.profiles == profiles, (shape, bits)
-            assert frame.codes == sum(1 << pr for pr in profiles)
-            if q > len(profiles):
-                assert (frame.cover_pairs, frame.routers, frame.feasible) == ([], [], False)
-                continue
-            assert frame.cover_pairs == cover_pairs, (shape, bits)
-            assert frame.routers == routers, (shape, bits)
-            assert frame.feasible == all(routers)
+            chained = min(counts) >= q
+            assert frame.feasible == (chained and all(routers)), (shape, bits, q)
+            assert (frame.cover_pairs, frame.routers) == (
+                (cover_pairs, routers) if chained else ([], [])), (shape, bits, q)
+        frame = _BlockFrame(m, bedges, bits, len(profiles) + 1)
+        assert (frame.profiles, frame.cover_pairs, frame.routers, frame.feasible) == (
+            profiles, [], [], False), (shape, bits)
 
 
 def _root_truth(shape, bits):
     """The three counts that a block's root tests compare with q (its feasible
-    profiles, and the chains they meet in each symmetric chain decomposition,
-    read on frame.profiles as the kernel reads them), and whether every cover
-    pair has a router."""
+    profiles, and the chains they meet in each symmetric chain decomposition),
+    and whether every cover pair has a router."""
     frame = _BlockFrame(sum(shape), _block_edges(shape), bits, 0)
     return (len(frame.profiles), *_chain_counts(frame)), frame.feasible
 
 
 class TestRootTests:
-    """The bit-sliced root tests against one _BlockFrame per code.
+    """The bit-sliced root tests against one _BlockFrame per code and q.
 
-    A code is live exactly when its frame is feasible and has at least q
-    profiles and meets at least q chains of each symmetric chain
-    decomposition; each code is checked at each of those three counts and
-    at each count + 1.
+    Bit j of a window is the feasible of code base + j's frame: at least q
+    profiles, at least q chains met in each symmetric chain decomposition,
+    and a router for every cover pair.  Each code is checked at each of its
+    three counts and at each count + 1.
     """
 
     @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
@@ -754,8 +768,8 @@ class TestRootTests:
                     live.append(bits)
                     first += 1
             assert first == len(truth)
-            assert live == [bits for bits, (counts, routed) in enumerate(truth)
-                            if routed and min(counts) >= q], q
+            assert live == [bits for bits in range(len(truth))
+                            if _BlockFrame(m, bedges, bits, q).feasible], q
 
     @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
     def test_sampled_codes_match_frames(self, shape, count):
@@ -770,7 +784,9 @@ class TestRootTests:
             base = bits >> w << w
             for q in sorted({n + k for n in counts for k in (0, 1)}):
                 live = search._live_window(m, bedges, q, base, w)
-                assert bool(live >> bits - base & 1) == (routed and min(counts) >= q), (bits, q)
+                feasible = _BlockFrame(m, bedges, bits, q).feasible
+                assert bool(live >> bits - base & 1) == feasible, (bits, q)
+                assert feasible == (routed and min(counts) >= q), (bits, q)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_at_least_counts_like_a_plain_count(self, seed):
@@ -788,19 +804,21 @@ class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(block_frames())
     def test_agrees_with_brute_force(self, frame_q):
-        frame, q = frame_q
+        # the cover pairs come from the q = 0 frame, since a frame that fails
+        # a count lists none
+        frame, q, cover_pairs = frame_q
         if len(frame.profiles) < q:
             # the frame stops at its profiles: nothing else is built
             assert (frame.cover_pairs, frame.feasible) == ([], False)
         found = _antichain_cover(frame, q, _Budget(SearchConfig(), time.monotonic()))
-        exists = any(_is_antichain(c) and _covers(c, frame.cover_pairs)
+        exists = any(_is_antichain(c) and _covers(c, cover_pairs)
                      for c in itertools.combinations(frame.profiles, q))
         assert (found is not None) == exists
         if found is not None:
             assert len(set(found)) == q
             assert set(found) <= set(frame.profiles)
             assert _is_antichain(found)
-            assert _covers(found, frame.cover_pairs)
+            assert _covers(found, cover_pairs)
 
 
 class TestChainPartition:
