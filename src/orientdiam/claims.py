@@ -24,7 +24,7 @@ from .constructions import paper_families
 from .graphcore import (
     INFINITE, MAX_VERTICES, OrientdiamError, _is_int, diameter, make_complete_multipartite,
 )
-from .search import SearchConfig, Verdict, brute_force_min_diameter, decide_diameter2
+from .search import SearchConfig, Verdict, _config, brute_force_min_diameter, decide_diameter2
 
 # family -> p, for K(3, p, q)
 _TABLES = {f"3{p}q": p for p in paper_families()}
@@ -151,6 +151,7 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     if q_range is not None and not (isinstance(q_range, (tuple, list)) and len(q_range) == 2
                                     and all(map(_is_int, q_range))):
         raise BadRange(f"q range must be two integers (lo, hi), got {reprlib.repr(q_range)}")
+    cfg = _config(cfg)
     if family == "baselines":
         if q_range is not None:
             # the baselines have no q, so a range would be ignored and pass vacuously
@@ -161,8 +162,6 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
                    lambda: _measured(brute_force_min_diameter(make_complete_multipartite(parts))))
             for name, parts, expected in _BASELINES
         ))
-    if cfg is None:
-        cfg = SearchConfig()
     p = _TABLES[family]
     last_built, builder = paper_families()[p]
     lo, hi = q_range if q_range is not None else (p, last_built + 1)

@@ -17,18 +17,18 @@ three exact facts:
     chosen profile to route it (out-bit clear at the source, set at the
     target) -- a covering constraint.
 
-Profile sets are integers with one bit per profile code.  Per number m of
-vertices outside L, one table holds the supersets of every code.  A profile
-holding a vertex a and all of its out-neighbors leaves a no route back, and
-one missing a and all of its in-neighbors has no route to a: its complement
-holds a and all of a's out-neighbors on the reversed block, and reversing a
-2^m-bit set complements every code in it.  Both rules read only the arcs at
-a, so one table per block shape, built once, maps each setting of each
-vertex a's edge slots to a's out-mask and the profiles a rules out: sum
-over a of 2^deg(a) entries, 544 for the widest in-cap shape, (2,8).  The
-same table holds, per ordered pair (a, b), the codes holding b and not a.
-A block's infeasible profiles are then m ORed lookups, and the routers of
-a cover pair (a, b) one AND with that pair's codes.
+Profile sets are integers with one bit per profile code, each an AND of
+slice variables (var[i], the codes holding vertex i) from one helper that
+ANDs a family of sets over every subset.  The supersets of c are the AND of
+var[i] over c's bits, and the codes holding no vertex of s the AND of the
+complements over s.  A profile holding a vertex a and all of its
+out-neighbors leaves a no route back, and one holding none of a and its
+in-neighbors has no route to a.  Both rules read only the arcs at a, so one
+table per block shape, built once, maps each setting of each vertex a's
+edge slots to a's out-mask and the profiles a rules out: sum over a of
+2^deg(a) entries, 544 for the widest in-cap shape, (2,8).  A block's
+infeasible profiles are then m ORed lookups, and the routers of a cover
+pair (a, b) are its feasible codes & var[b] & ~var[a].
 Chosen profiles are explored in ascending code order, which doubles as the
 row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
@@ -56,12 +56,12 @@ the flood visits multisets of those keys instead of every code.  Each such
 state is one int, the rest bits plus a count per key, on which every
 generator is an XOR and delta swaps; the states are swept in ascending code
 order, so the first state of each orbit the sweep meets holds its least code.
-With symmetry breaking off every code is a block, and the frame's root
-tests run bit-sliced over windows of 2^ROOT_WINDOW_BITS codes, as in the
-oracles below: pr is ruled out at a iff every edge between a and the
-other side of pr runs into pr, and a chain is met under the codes that
-leave one of its profiles feasible.  A code these tests close costs its
-one block node, as through its frame; only live codes get a frame.
+With symmetry breaking off every code is a block, and the frame's root tests
+run bit-sliced in one pass over all codes (8 KiB sets at the 16-edge cap),
+as in the oracles below: pr is ruled out at a iff every edge between a and
+the other side of pr runs into pr, an AND over those arcs, and a chain is
+met under the codes that leave one of its profiles feasible.  A code these
+tests close costs its one block node; only live codes get a frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -105,7 +105,6 @@ MAX_BLOCK_EDGES = 16
 MAX_BLOCK_VERTICES = 10
 BRUTE_FORCE_EDGE_CAP = 20
 ENUMERATION_EDGE_CAP = 16
-ROOT_WINDOW_BITS = 12
 
 
 class SearchError(OrientdiamError):
@@ -163,6 +162,13 @@ class SearchOutcome:
     stats: SearchStats
 
 
+def _config(cfg) -> SearchConfig:
+    """cfg itself, or the default SearchConfig for None; anything else is refused."""
+    if not isinstance(cfg, (SearchConfig, type(None))):
+        raise SearchError(f"cfg must be a SearchConfig or None, got {type(cfg).__name__}")
+    return cfg or SearchConfig()
+
+
 def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
     """Least of the sorted case and its reversal (p-i, p-j, p-k), sorted."""
     direct = tuple(sorted(ijk))
@@ -171,20 +177,33 @@ def canonicalize_case(ijk, p: int) -> tuple[int, int, int]:
 
 
 @functools.cache
-def _supersets(m: int) -> tuple[int, ...]:
-    """sup[c]: the supersets of code c over m bits, one 2^m-bit set.
+def _slice_variables(w: int) -> tuple[int, ...]:
+    """var[i]: the 2^w-bit set of slice codes c with bit i of c set."""
+    var = []
+    for i in range(w):
+        bits, span = (1 << (1 << i)) - 1 << (1 << i), 2 << i  # 2^i clear, then 2^i set
+        while span < 1 << w:  # doubling the period keeps this linear in the 2^w bits
+            bits |= bits << span
+            span <<= 1
+        var.append(bits)
+    return tuple(var)
 
-    With low the least bit missing from c, the supersets of c are those of
-    c | low and their images without low, a shift down by low.
-    """
-    full = (1 << m) - 1
-    sup = [0] * (full + 1)
-    sup[full] = 1 << full
-    for c in range(full - 1, -1, -1):
-        low = ~c & (c + 1)
-        s = sup[c | low]
-        sup[c] = s | s >> low
-    return tuple(sup)
+
+def _ands(full: int, family) -> dict[int, int]:
+    """ands[s]: the AND of x over the pairs (i, x) of family with bit i in s,
+    for every mask s of the family's bits (full for s = 0).  Each pair
+    doubles the dict, so with the bits ascending along family, the keys do."""
+    ands = {0: full}
+    for i, x in family:
+        ands.update([(s | 1 << i, y & x) for s, y in ands.items()])
+    return ands
+
+
+@functools.cache
+def _supersets(m: int) -> tuple[int, ...]:
+    """sup[c]: the supersets of code c over m bits, one 2^m-bit set, the
+    AND of the slice variables of c's bits."""
+    return tuple(_ands((1 << (1 << m)) - 1, enumerate(_slice_variables(m))).values())
 
 
 @functools.cache
@@ -222,10 +241,12 @@ def _symmetric_chains(m: int, mirrored: bool = False) -> tuple[int, ...]:
 def _vertex_tables(m: int, bedges: tuple) -> tuple:
     """Per block shape: tables[a], the mask of a's edge slots and, for every
     code masked to them, a's out-mask and the profiles that the two rules of
-    the module docstring rule out at a (sum over a of 2^deg(a) entries);
-    rows[a][b], the codes that hold b and not a as one 2^m-bit set; and
+    the module docstring rule out at a (sum over a of 2^deg(a) entries); and
     members[mask], the vertices of an m-bit mask in ascending order."""
+    full = (1 << (1 << m)) - 1
     sup = _supersets(m)
+    # none[s]: the codes holding no vertex of s
+    none = _ands(full, [(i, full ^ x) for i, x in enumerate(_slice_variables(m))])
     tables = []
     for a in range(m):
         mask = sum(1 << i for i, e in enumerate(bedges) if a in e)
@@ -234,26 +255,23 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
         while True:  # every submask of mask, down to 0
             out = _out_masks(m, bedges, bits)[a]
             ins = _out_masks(m, bedges, ~bits)[a]
-            # bit c of the reversal is bit full - c: the complement of code c
-            mirrored = int(f"{sup[1 << a | ins]:0{1 << m}b}"[::-1], 2)
-            table[bits] = out, sup[1 << a | out] | mirrored
+            table[bits] = out, sup[1 << a | out] | none[1 << a | ins]
             if not bits:
                 break
             bits = bits - 1 & mask
         tables.append((mask, table))
-    rows = tuple(tuple(sup[1 << b] & ~sup[1 << a] for b in range(m)) for a in range(m))
-    return tuple(tables), rows, tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
+    return tuple(tables), tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
 
 
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed,
     and every root test short of the matching.
 
-    All of it is read from the block shape's one cached table: bout and the
-    infeasible profiles from m lookups, one per vertex on the code masked to
-    its edge slots.  codes holds the feasible profile codes, one bit each
+    bout and the infeasible profiles are read from the block shape's one
+    cached table, m lookups, one per vertex on the code masked to its edge
+    slots.  codes holds the feasible profile codes, one bit each
     (the kernel reads inclusion among them from the superset table), profiles
-    lists them in ascending order, and routers[i], from the table's rows,
+    lists them in ascending order, and routers[i], codes & var[b] & ~var[a],
     those that route cover pair i, (a, b): the ones without a that hold b.
     The block is feasible iff it has at least q feasible profiles, they meet
     at least q chains of each symmetric chain decomposition (an antichain
@@ -265,7 +283,7 @@ class _BlockFrame:
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
 
     def __init__(self, m: int, bedges: tuple, bits: int, q: int):
-        tables, rows, members = _vertex_tables(m, bedges)
+        tables, members = _vertex_tables(m, bedges)
         self.bout = bout = []
         infeasible = 0
         for mask, table in tables:
@@ -280,15 +298,15 @@ class _BlockFrame:
             for chain_of in (_symmetric_chains(m), _symmetric_chains(m, True)))
         if not self.feasible:
             return
-        full = len(members) - 1
+        full, var = len(members) - 1, _slice_variables(m)
         # ordered pairs outside L that the block alone does not satisfy
-        for a, (out, row) in enumerate(zip(bout, rows)):
+        for a, out in enumerate(bout):
             reach = out | 1 << a
             for b in members[out]:
                 reach |= bout[b]
             for b in members[full & ~reach]:
                 pairs.append((a, b))
-                routers.append(codes & row[b])
+                routers.append(codes & var[b] & ~var[a])
         self.feasible = all(routers)
 
 
@@ -552,39 +570,29 @@ def _case_reader(bedges: tuple, anchor: range):
 def _root_tested(m: int, bedges: tuple, q: int):
     """Yield (closed, code) over every block code in ascending order: closed
     codes whose frames fail their root tests, then code, the next live one,
-    or None after the last run of each window of 2^ROOT_WINDOW_BITS."""
-    w = min(len(bedges), ROOT_WINDOW_BITS)
+    or None after the last."""
     first = 0
-    for base in range(0, 1 << len(bedges), 1 << w):
-        for j in _bit_members(_live_window(m, bedges, q, base, w)):
-            yield base + j - first, base + j
-            first = base + j + 1
-        yield base + (1 << w) - first, None
-        first = base + (1 << w)
+    for code in _bit_members(_live_codes(m, bedges, q)):
+        yield code - first, code
+        first = code + 1
+    yield (1 << len(bedges)) - first, None
 
 
-def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
-    """Bit j is _BlockFrame(m, bedges, base + j, q).feasible, j < 2^w: the
-    frame's root tests, bit-sliced over the window.  Edge i runs low -> high
-    under var[i], and the code bits past the window are read from base.  A
-    chain's codes are those under which one of its profiles is feasible, and
-    the chain step is skipped once no code is live."""
-    full = (1 << (1 << w)) - 1
-    var = _slice_variables(w)
+def _live_codes(m: int, bedges: tuple, q: int) -> int:
+    """Bit c is _BlockFrame(m, bedges, c, q).feasible: the frame's root tests,
+    bit-sliced over every block code.  Edge i runs low -> high under var[i].
+    A chain's codes are those under which one of its profiles is feasible."""
+    full = (1 << (1 << len(bedges))) - 1
     arc = [[0] * m for _ in range(m)]  # arc[a][b]: the codes under which a -> b
     nbrs = [0] * m
-    for i, (a, b) in enumerate(bedges):
-        fwd = var[i] if i < w else full * (base >> i & 1)
+    for (a, b), fwd in zip(bedges, _slice_variables(len(bedges))):
         arc[a][b], arc[b][a] = fwd, full ^ fwd
         nbrs[a] |= 1 << b
         nbrs[b] |= 1 << a
-    rules = []  # per a: ANDs of the arcs into a and out of a, by set of neighbours
-    for a in range(m):
-        into, out = {0: full}, {0: full}
-        for b in _bit_members(nbrs[a]):
-            into.update([(s | 1 << b, x & arc[b][a]) for s, x in into.items()])
-            out.update([(s | 1 << b, x & arc[a][b]) for s, x in out.items()])
-        rules.append((a, nbrs[a], into, out))
+    # per a: ANDs of the arcs into a and out of a, by set of neighbours
+    rules = [(a, nb, _ands(full, [(b, arc[b][a]) for b in _bit_members(nb)]),
+              _ands(full, [(b, arc[a][b]) for b in _bit_members(nb)]))
+             for a, nb in enumerate(nbrs)]
     feasible = []  # feasible[pr]: the codes under which profile pr is feasible
     for pr in range(1 << m):
         ruled = 0
@@ -603,8 +611,6 @@ def _live_window(m: int, bedges: tuple, q: int, base: int, w: int) -> int:
             near |= arc[a][c] & arc[c][b]
         live &= near
     for mirrored in (False, True):
-        if not live:  # no code of the window is left to count
-            break
         chain_of = _symmetric_chains(m, mirrored)
         met = [0] * math.comb(m, m // 2)  # met[i]: the live codes with a feasible profile on chain i
         for pr, codes in enumerate(feasible):
@@ -642,8 +648,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     budget ran out.  Supported sizes: the parts other than the largest must
     induce at most MAX_BLOCK_EDGES edges and MAX_BLOCK_VERTICES vertices.
     """
-    if cfg is None:
-        cfg = SearchConfig()
+    cfg = _config(cfg)
     topology = make_complete_multipartite(parts)
     start = time.monotonic()
 
@@ -676,7 +681,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     # a whole block search can take fewer than 1,024 nodes, so each block
     # charge (a live block, the run of closed ones before it, or both)
     # reads the clock, the first one right after orbit enumeration or the
-    # first window's root tests
+    # root pass
     for closed, bits in blocks:
         blocks_explored += budget.blocks(closed + (bits is not None))
         if budget.exhausted:
@@ -737,19 +742,6 @@ def _assemble_witness(topology, big, bout, chosen_profiles) -> Orientation:
 # Brute-force oracles.
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _slice_variables(w: int) -> tuple[int, ...]:
-    """var[i]: the 2^w-bit set of slice codes c with bit i of c set."""
-    var = []
-    for i in range(w):
-        bits, span = (1 << (1 << i)) - 1 << (1 << i), 2 << i  # 2^i clear, then 2^i set
-        while span < 1 << w:  # doubling the period keeps this linear in the 2^w bits
-            bits |= bits << span
-            span <<= 1
-        var.append(bits)
-    return tuple(var)
-
-
 def _diameter_levels(n: int, edges):
     """Yield (k, codes of diameter <= k) for k = 1, 2, ... over every edge code.
 
@@ -797,6 +789,8 @@ def brute_force_min_diameter(topology: GraphTopology):
     Returns INFINITE when no orientation is strong (bridged inputs).  Capped
     at BRUTE_FORCE_EDGE_CAP edges.
     """
+    if not isinstance(topology, GraphTopology):
+        raise SearchError(f"topology must be a GraphTopology, got {type(topology).__name__}")
     if topology.n_edges > BRUTE_FORCE_EDGE_CAP:
         raise TooManyEdges(
             f"{topology.n_edges} edges exceed the cap of {BRUTE_FORCE_EDGE_CAP} edges")
@@ -820,6 +814,8 @@ def enumerate_diameter2(topology: GraphTopology, limit: int | None = None):
     order is deterministic.  Capped at ENUMERATION_EDGE_CAP edges; a limit
     must be an int of at least 1.
     """
+    if not isinstance(topology, GraphTopology):
+        raise SearchError(f"topology must be a GraphTopology, got {type(topology).__name__}")
     if limit is not None and not (_is_int(limit) and limit >= 1):
         raise SearchError(f"limit must be an integer of at least 1, got {limit!r}")
     if topology.n_edges > ENUMERATION_EDGE_CAP:

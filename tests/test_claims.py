@@ -9,7 +9,9 @@ import pytest
 from orientdiam import claims
 from orientdiam.analysis import canonical_case_classes
 from orientdiam.claims import BadFamily, BadRange, verify_claims
-from orientdiam.search import SearchConfig, SearchOutcome, SearchStats, Verdict, decide_diameter2
+from orientdiam.search import (
+    SearchConfig, SearchError, SearchOutcome, SearchStats, Verdict, decide_diameter2,
+)
 
 
 class TestFamilies:
@@ -122,6 +124,17 @@ class TestExitCodes:
         assert record.observed == 2 and not record.passed and not record.unknown
         assert report.exit_code == 1
         assert " FAIL " in report.to_text()
+
+    # a dict used to reach decide_diameter2 and fail there with an
+    # AttributeError, after the constructive rows had run
+    @pytest.mark.parametrize("family", ["33q", "baselines"])
+    def test_cfg_must_be_a_search_config(self, monkeypatch, family):
+        def unexpected(*args):
+            raise AssertionError("a row ran under a refused config")
+
+        monkeypatch.setattr(claims, "_claim", unexpected)
+        with pytest.raises(SearchError, match="cfg must be a SearchConfig or None, got dict"):
+            verify_claims(family, cfg={"node_budget": 5})
 
     def test_all_pass_gives_exit_0(self):
         assert verify_claims("baselines").exit_code == 0

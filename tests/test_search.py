@@ -351,6 +351,17 @@ class TestDecide:
             with pytest.raises(TooLarge, match=cap):
                 od.decide_diameter2(parts)
 
+    # anything but a SearchConfig or None used to end in an AttributeError
+    # on the first field read; it is refused before the graph is built
+    @pytest.mark.parametrize("cfg", [{"node_budget": 5}, "fast", 0], ids=repr)
+    def test_config_must_be_a_search_config(self, monkeypatch, cfg):
+        def unexpected(*args):
+            raise AssertionError("graph built for a refused config")
+
+        monkeypatch.setattr(search, "make_complete_multipartite", unexpected)
+        with pytest.raises(SearchError, match="cfg must be a SearchConfig or None, got"):
+            od.decide_diameter2((3, 3, 7), cfg)
+
     def test_config_validation(self):
         with pytest.raises(SearchError):
             SearchConfig(node_budget=0)
@@ -747,7 +758,7 @@ def _root_truth(shape, bits):
 class TestRootTests:
     """The bit-sliced root tests against one _BlockFrame per code and q.
 
-    Bit j of a window is the feasible of code base + j's frame: at least q
+    Bit c of the live set is the feasible of code c's frame: at least q
     profiles, at least q chains met in each symmetric chain decomposition,
     and a router for every cover pair.  Each code is checked at each of its
     three counts and at each count + 1.
@@ -774,18 +785,13 @@ class TestRootTests:
     @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
     def test_sampled_codes_match_frames(self, shape, count):
         m, bedges = sum(shape), _block_edges(shape)
-        w = min(len(bedges), search.ROOT_WINDOW_BITS)
+        live = functools.cache(lambda q: search._live_codes(m, bedges, q))  # once per q
         rng = random.Random(f"root tests {shape}")
-        codes = rng.sample(range(1 << len(bedges)), count)
-        if len(bedges) > w:  # both sides of the first window boundary
-            codes += [(1 << w) - 1, 1 << w]
-        for bits in codes:
+        for bits in rng.sample(range(1 << len(bedges)), count):
             counts, routed = _root_truth(shape, bits)
-            base = bits >> w << w
             for q in sorted({n + k for n in counts for k in (0, 1)}):
-                live = search._live_window(m, bedges, q, base, w)
                 feasible = _BlockFrame(m, bedges, bits, q).feasible
-                assert bool(live >> bits - base & 1) == feasible, (bits, q)
+                assert bool(live(q) >> bits & 1) == feasible, (bits, q)
                 assert feasible == (routed and min(counts) >= q), (bits, q)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -927,6 +933,14 @@ def test_oracles_skip_graphs_with_fewer_edges_than_vertices(monkeypatch, oracle,
     assert oracle(od.make_complete_multipartite(parts)) == answer
 
 
+# a parts tuple used to end in an AttributeError on topology.n_edges
+@pytest.mark.parametrize("oracle", [od.brute_force_min_diameter, od.enumerate_diameter2])
+@pytest.mark.parametrize("topology", [(2, 2), [1, 1, 1], "2,2", None], ids=repr)
+def test_oracles_refuse_anything_but_a_topology(oracle, topology):
+    with pytest.raises(SearchError, match="topology must be a GraphTopology, got"):
+        oracle(topology)
+
+
 class TestOracleRevalidation:
     """Every orientation an oracle returns is re-measured by the exact BFS."""
 
@@ -978,6 +992,35 @@ def test_diameter_levels_stop_at_the_fixpoint():
     # so no level reaches every pair and the reach sets stop growing
     edges = od.make_complete_multipartite((1, 2)).edges()
     assert list(search._diameter_levels(3, edges)) == [(1, 0), (2, 0)]
+
+
+class TestAnds:
+    """Every bit-sliced set of the decision procedure is one _ands entry."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_supersets_are_the_plain_supersets(self, m):
+        sup = search._supersets(m)
+        assert len(sup) == 1 << m
+        for c, got in enumerate(sup):
+            assert got == sum(1 << d for d in range(1 << m) if not c & ~d), (m, c)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_mask_is_a_plain_and(self, seed):
+        rng = random.Random(seed)
+        width = rng.randrange(1, 70)
+        full = (1 << width) - 1
+        bits = sorted(rng.sample(range(12), rng.randrange(7)))
+        family = [(i, rng.getrandbits(width) | rng.getrandbits(width)) for i in bits]
+        ands = search._ands(full, family)
+        # every mask of the family's bits, inserted in ascending order
+        assert list(ands) == sorted(sum(1 << i for i in sub) for k in range(len(bits) + 1)
+                                    for sub in itertools.combinations(bits, k))
+        for mask, got in ands.items():
+            want = full
+            for i, x in family:
+                if mask >> i & 1:
+                    want &= x
+            assert got == want, mask
 
 
 @pytest.mark.parametrize("w", range(13))
