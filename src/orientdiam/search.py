@@ -49,7 +49,9 @@ chains), or when some cover pair's routers miss both the chosen profiles
 and the candidates.  Each block costs one node, whichever test closes it,
 and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
-part-internal relabelings and global arc reversal.  The orbits are flooded
+part-internal relabelings and global arc reversal.  They do not depend
+on q, so each block shape's list is cached per process, and a later decide
+of the shape at any q floods no orbits.  The orbits are flooded
 over the quotient by the block's largest part: its vertices' code bits
 towards the rest of the block, sorted, stand for all their relabelings, so
 the flood visits multisets of those keys instead of every code.  Each such
@@ -249,16 +251,20 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
     none = _ands(full, [(i, full ^ x) for i, x in enumerate(_slice_variables(m))])
     tables = []
     for a in range(m):
-        mask = sum(1 << i for i, e in enumerate(bedges) if a in e)
+        # edge i = (x, y), x < y, runs x -> y under bit i: it leaves a iff its
+        # bit is set where a = x, clear where a = y
+        slots = [(i, 1 << x + y - a) for i, (x, y) in enumerate(bedges) if a in (x, y)]
+        mask = sum(1 << i for i, _ in slots)
+        low = sum(1 << i for i, (x, _) in enumerate(bedges) if x == a)
+        nbrs = sum(b for _, b in slots)
+        # away[s]: a's neighbours at the far end of no slot of s; the code
+        # whose arcs leave a on exactly the slots s reads mask ^ low ^ s on
+        # them, and away[s] holds its in-neighbours
+        away = _ands(nbrs, [(i, nbrs ^ b) for i, b in slots])
         table = {}
-        bits = mask
-        while True:  # every submask of mask, down to 0
-            out = _out_masks(m, bedges, bits)[a]
-            ins = _out_masks(m, bedges, ~bits)[a]
-            table[bits] = out, sup[1 << a | out] | none[1 << a | ins]
-            if not bits:
-                break
-            bits = bits - 1 & mask
+        for s, ins in away.items():
+            out = nbrs ^ ins
+            table[mask ^ low ^ s] = out, sup[1 << a | out] | none[1 << a | ins]
         tables.append((mask, table))
     return tuple(tables), tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
 
@@ -554,6 +560,13 @@ def _block_representatives(rest_parts, bedges):
 
 
 @functools.cache
+def _block_plan(rest_parts: tuple, bedges: tuple) -> tuple[int, ...]:
+    """_block_representatives of a block shape, computed once per process:
+    the orbits do not depend on q, so every decide of the shape shares them."""
+    return tuple(_block_representatives(list(rest_parts), bedges))
+
+
+@functools.cache
 def _case_reader(bedges: tuple, anchor: range):
     """A function from block code to the out-degrees of the three anchors,
     packed a byte each: setting edge i's bit moves an out-arc from its high
@@ -670,7 +683,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
 
     # reps: the block codes in the order the loop explores them
     if cfg.symmetry_breaking:
-        reps = _block_representatives(rest_parts, bedges)
+        reps = _block_plan(tuple(rest_parts), bedges)
         blocks = zip(itertools.repeat(0), reps)
     else:
         reps = range(1 << len(bedges))
@@ -680,8 +693,8 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     witness = None
     # a whole block search can take fewer than 1,024 nodes, so each block
     # charge (a live block, the run of closed ones before it, or both)
-    # reads the clock, the first one right after orbit enumeration or the
-    # root pass
+    # reads the clock, the first one right after orbit enumeration (or its
+    # cached result) or the root pass
     for closed, bits in blocks:
         blocks_explored += budget.blocks(closed + (bits is not None))
         if budget.exhausted:

@@ -806,6 +806,64 @@ class TestRootTests:
             assert search._at_least(q, sets, full) == want, q
 
 
+# the first blocks' canonical cases of K(3,5,20), the first 7 and the first 50
+# orbit representatives: what a node budget of 7 or 50 lets it explore
+_K3520_CASES_7 = ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4), (0, 0, 5), (0, 1, 1))
+_K3520_CASES_50 = _K3520_CASES_7 + (
+    (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 2), (0, 2, 3), (0, 2, 4), (0, 2, 5),
+    (0, 3, 3), (0, 3, 4), (0, 4, 4), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 2))
+
+
+def _observed(outcome):
+    """What a decide answers: its verdict, witness arcs and every stat but wall time."""
+    stats = outcome.stats
+    return (outcome.verdict, _arcs(outcome), stats.nodes, stats.max_depth,
+            stats.blocks_explored, stats.cases_enumerated)
+
+
+class TestBlockPlan:
+    """The per-shape cache of orbit representatives, which no decide of any q
+    may make answer differently from a fresh process."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (3, 5), (4, 4), (2, 8), (2, 2, 3)], ids=str)
+    def test_plan_is_the_flood_computed_once(self, shape):
+        bedges = _block_edges(shape)
+        search._block_plan.cache_clear()
+        reps = search._block_plan(shape, bedges)
+        assert reps == tuple(_block_representatives(list(shape), bedges))
+        assert search._block_plan(shape, bedges) is reps
+
+    @pytest.mark.parametrize("parts,qs,threshold", [((3, 4), range(4, 13), 12),
+                                                    ((4, 4), range(25, 36), 35)], ids=str)
+    def test_warm_plan_answers_like_a_fresh_one(self, parts, qs, threshold):
+        def decide(q):
+            return _observed(od.decide_diameter2((*parts, q)))
+
+        fresh = {}
+        for q in qs:
+            search._block_plan.cache_clear()
+            fresh[q] = decide(q)
+        assert [fresh[q][0] is Verdict.NONE for q in qs] == [q >= threshold for q in qs]
+        exists = [q for q in qs if q < threshold]
+        orders = {"ascending": list(qs), "descending": list(qs)[::-1],
+                  "exists then none": exists[::-1] + [q for q in qs if q >= threshold]}
+        for name, order in orders.items():
+            search._block_plan.cache_clear()
+            for q in order:
+                assert decide(q) == fresh[q], (name, q)
+
+    @pytest.mark.parametrize("budget,cases", [(7, _K3520_CASES_7), (50, _K3520_CASES_50)])
+    def test_node_budget_stops_cold_and_warm_plans_alike(self, budget, cases):
+        # every block of K(3,5,20) is closed; the budget stops the loop at
+        # exactly that many blocks, with a cold plan and a warm one
+        search._block_plan.cache_clear()
+        for _ in range(2):
+            outcome = od.decide_diameter2((3, 5, 20), SearchConfig(node_budget=budget))
+            assert outcome.verdict is Verdict.UNKNOWN
+            assert outcome.stats.nodes == outcome.stats.blocks_explored == budget
+            assert outcome.stats.cases_enumerated == cases
+
+
 class TestKernel:
     @settings(max_examples=200, deadline=None)
     @given(block_frames())
