@@ -1,0 +1,8 @@
+"""python -m orientdiam: the command line of orientdiam.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,12 +58,13 @@ the flood visits multisets of those keys instead of every code.  Each such
 state is one int, the rest bits plus a count per key, on which every
 generator is an XOR and delta swaps; the states are swept in ascending code
 order, so the first state of each orbit the sweep meets holds its least code.
-With symmetry breaking off every code is a block, and the frame's root tests
-run bit-sliced in one pass over all codes (8 KiB sets at the 16-edge cap),
-as in the oracles below: pr is ruled out at a iff every edge between a and
-the other side of pr runs into pr, an AND over those arcs, and a chain is
-met under the codes that leave one of its profiles feasible.  A code these
-tests close costs its one block node; only live codes get a frame.
+With symmetry breaking off every code is a block, and the frame's two
+symmetric-chain counts run bit-sliced in one pass over all codes (8 KiB
+sets at the 16-edge cap), as in the oracles below: pr is ruled out at a iff
+every edge between a and the other side of pr runs into pr, an AND over
+those arcs, and a chain is met under the codes that leave one of its
+profiles feasible.  A code the counts close costs its one block node; every
+live code gets a frame, which runs all its root tests, routing included.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -582,8 +583,8 @@ def _case_reader(bedges: tuple, anchor: range):
 
 def _root_tested(m: int, bedges: tuple, q: int):
     """Yield (closed, code) over every block code in ascending order: closed
-    codes whose frames fail their root tests, then code, the next live one,
-    or None after the last."""
+    codes that fail a symmetric-chain count, then code, the next live one, or
+    None after the last.  Every frame that passes its root tests is live."""
     first = 0
     for code in _bit_members(_live_codes(m, bedges, q)):
         yield code - first, code
@@ -592,44 +593,29 @@ def _root_tested(m: int, bedges: tuple, q: int):
 
 
 def _live_codes(m: int, bedges: tuple, q: int) -> int:
-    """Bit c is _BlockFrame(m, bedges, c, q).feasible: the frame's root tests,
-    bit-sliced over every block code.  Edge i runs low -> high under var[i].
-    A chain's codes are those under which one of its profiles is feasible."""
-    full = (1 << (1 << len(bedges))) - 1
-    arc = [[0] * m for _ in range(m)]  # arc[a][b]: the codes under which a -> b
-    nbrs = [0] * m
-    for (a, b), fwd in zip(bedges, _slice_variables(len(bedges))):
-        arc[a][b], arc[b][a] = fwd, full ^ fwd
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
-    # per a: ANDs of the arcs into a and out of a, by set of neighbours
-    rules = [(a, nb, _ands(full, [(b, arc[b][a]) for b in _bit_members(nb)]),
-              _ands(full, [(b, arc[a][b]) for b in _bit_members(nb)]))
-             for a, nb in enumerate(nbrs)]
-    feasible = []  # feasible[pr]: the codes under which profile pr is feasible
+    """Bit c: code c's feasible profiles meet at least q chains of each
+    symmetric chain decomposition, bit-sliced over every block code.  Every
+    code whose _BlockFrame(m, bedges, c, q) is feasible is live, and a live
+    code has at least q feasible profiles, one per chain met; routing is left
+    to the frame.  Edge i runs low -> high under var[i].  A chain is met
+    under the codes that leave one of its profiles feasible."""
+    full, var = (1 << (1 << len(bedges))) - 1, _slice_variables(len(bedges))
+    rules = []  # per a: its neighbours and the ANDs of its arcs in and out, by set of them
+    for a in range(m):
+        # edge i = (x, y), x < y, runs into a under var[i] where a = y
+        into = [(x + y - a, var[i] if a == y else full ^ var[i])
+                for i, (x, y) in enumerate(bedges) if a in (x, y)]
+        rules.append((a, sum(1 << b for b, _ in into), _ands(full, into),
+                      _ands(full, [(b, full ^ codes) for b, codes in into])))
+    chains = _symmetric_chains(m), _symmetric_chains(m, True)
+    met = [[0] * math.comb(m, m // 2) for _ in chains]  # met[k][i]: codes meeting chain i
     for pr in range(1 << m):
         ruled = 0
         for a, nb, into, out in rules:
             ruled |= into[nb & ~pr] if pr >> a & 1 else out[nb & pr]
-        feasible.append(full ^ ruled)
-    live = _at_least(q, feasible, full)
-    routed = [[0] * m for _ in range(m)]  # routed[a][b]: a feasible profile holds b and not a
-    for pr, codes in enumerate(feasible):
-        for a in _bit_members((1 << m) - 1 & ~pr if codes else 0):
-            for b in _bit_members(pr):
-                routed[a][b] |= codes
-    for a, b in itertools.permutations(range(m), 2):
-        near = arc[a][b] | routed[a][b]
-        for c in range(m):
-            near |= arc[a][c] & arc[c][b]
-        live &= near
-    for mirrored in (False, True):
-        chain_of = _symmetric_chains(m, mirrored)
-        met = [0] * math.comb(m, m // 2)  # met[i]: the live codes with a feasible profile on chain i
-        for pr, codes in enumerate(feasible):
-            met[chain_of[pr]] |= codes & live
-        live &= _at_least(q, met, full)
-    return live
+        for chain_of, met_k in zip(chains, met):
+            met_k[chain_of[pr]] |= full ^ ruled
+    return _at_least(q, met[0], full) & _at_least(q, met[1], full)
 
 
 def _at_least(q: int, sets: list[int], full: int) -> int:

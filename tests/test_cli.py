@@ -6,7 +6,11 @@ import argparse
 import dataclasses
 import importlib
 import json
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -329,6 +333,20 @@ def test_help_and_version_exit_0(capsys, flag):
         main([flag])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(("usage: orientdiam", "orientdiam "))
+
+
+# python -m orientdiam, in a real process, answers as main does
+@pytest.mark.parametrize("argv,code,out,err", [
+    ("brute-force --parts 2,2,3", 0, "3\n", ""),
+    ("decide --parts 3,x", 2, "",
+     "error: CliError: --parts expects comma-separated integers, got '3,x'\n"),
+])
+def test_package_runs_as_a_module(argv, code, out, err):
+    src = pathlib.Path(od.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "orientdiam", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 class TestAnalyze:

@@ -471,8 +471,8 @@ class TestDecide:
         (3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 4), (3, 4, 9), (3, 4, 11),
         (3, 4, 12), (2, 2, 3, 8), (2, 2, 3, 19), (1, 3, 3, 3), (2, 3, 6)])
     def test_symmetry_off_matches_the_per_block_loop(self, parts, node_budget):
-        # the root tests run bit-sliced over windows of codes and close runs
-        # of blocks in one budget step; that must change no count
+        # the chain counts run bit-sliced in one pass over all codes and close
+        # runs of blocks in one budget step; that must change no count
         cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=False)
         outcome = od.decide_diameter2(parts, cfg)
         stats = outcome.stats
@@ -756,19 +756,20 @@ def _root_truth(shape, bits):
 
 
 class TestRootTests:
-    """The bit-sliced root tests against one _BlockFrame per code and q.
+    """The bit-sliced symmetric-chain counts against one _BlockFrame per code and q.
 
-    Bit c of the live set is the feasible of code c's frame: at least q
-    profiles, at least q chains met in each symmetric chain decomposition,
-    and a router for every cover pair.  Each code is checked at each of its
-    three counts and at each count + 1.
+    Bit c of the live set is exactly "code c's feasible profiles meet at
+    least q chains in each symmetric chain decomposition", and every code
+    whose frame passes all its root tests is live; the frame alone tests
+    routing.  Each code is checked at each of its three counts and at each
+    count + 1.
     """
 
     @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
     def test_every_code_matches_frames(self, shape):
         m, bedges = sum(shape), _block_edges(shape)
         truth = [_root_truth(shape, bits) for bits in range(1 << len(bedges))]
-        # and at q = 0, where only the routers count
+        # and at q = 0, where every code is live
         for q in sorted({0} | {n + k for counts, _ in truth for n in counts for k in (0, 1)}):
             live, first = [], 0
             for closed, bits in search._root_tested(m, bedges, q):
@@ -779,8 +780,10 @@ class TestRootTests:
                     live.append(bits)
                     first += 1
             assert first == len(truth)
-            assert live == [bits for bits in range(len(truth))
-                            if _BlockFrame(m, bedges, bits, q).feasible], q
+            assert live == [bits for bits, (counts, _) in enumerate(truth)
+                            if min(counts[1:]) >= q], q
+            assert set(live) >= {bits for bits in range(len(truth))
+                                 if _BlockFrame(m, bedges, bits, q).feasible}, q
 
     @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
     def test_sampled_codes_match_frames(self, shape, count):
@@ -790,9 +793,19 @@ class TestRootTests:
         for bits in rng.sample(range(1 << len(bedges)), count):
             counts, routed = _root_truth(shape, bits)
             for q in sorted({n + k for n in counts for k in (0, 1)}):
+                is_live = bool(live(q) >> bits & 1)
                 feasible = _BlockFrame(m, bedges, bits, q).feasible
-                assert bool(live(q) >> bits & 1) == feasible, (bits, q)
+                assert is_live == (min(counts[1:]) >= q), (bits, q)
+                assert is_live or not feasible, (bits, q)
                 assert feasible == (routed and min(counts) >= q), (bits, q)
+
+    def test_frames_close_what_the_pass_lets_through(self):
+        # the pass leaves routing to the frame: at (3,3), q = 3, it lets 492
+        # codes through, and their frames pass 444
+        m, bedges = 6, _block_edges((3, 3))
+        live = [bits for closed, bits in search._root_tested(m, bedges, 3) if bits is not None]
+        feasible = [bits for bits in live if _BlockFrame(m, bedges, bits, 3).feasible]
+        assert (len(live), len(feasible)) == (492, 444)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_at_least_counts_like_a_plain_count(self, seed):
