@@ -123,7 +123,7 @@ class GraphTopology:
 
 def make_complete_multipartite(parts: list[int] | tuple[int, ...]) -> GraphTopology:
     """Build the canonical topology for the given part sizes."""
-    parts = tuple(parts)
+    parts = tuple(_listed(parts, "part sizes"))
     for p in parts:
         if not _is_int(p):
             raise GraphError(f"part sizes must be integers, got {reprlib.repr(p)}")
@@ -194,7 +194,11 @@ def orient(topology: GraphTopology, arcs) -> Orientation:
     """
     n = topology.n_vertices
     out = [0] * n
-    for u, v in arcs:
+    for arc in _listed(arcs, "arcs"):
+        try:
+            u, v = arc
+        except (TypeError, ValueError):
+            raise GraphError(f"arc {reprlib.repr(arc)} is not a pair of vertex ids") from None
         if not (_is_int(u) and _is_int(v)):
             raise GraphError(f"arc {reprlib.repr((u, v))} has a vertex id that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
@@ -285,7 +289,7 @@ def induced_suborientation(D: Orientation, keep) -> Orientation:
     The surviving parts keep their relative order, and new vertex i is the
     i-th smallest kept vertex.
     """
-    keep = list(keep)
+    keep = _listed(keep, "keep set")
     if not all(_is_int(v) for v in keep):
         raise GraphError(f"keep set {reprlib.repr(keep)} has a vertex id that is not an integer")
     keep = sorted(set(keep))
@@ -329,6 +333,15 @@ def dumps(D: Orientation, completion_log=None) -> str:
     if completion_log is not None:
         doc["completion_log"] = list(completion_log)
     return stable_json_dumps(doc)
+
+
+def _listed(values, what: str) -> list:
+    """values as a list; a GraphError naming what, not a bare TypeError, if
+    they are not iterable."""
+    try:
+        return list(values)
+    except TypeError:
+        raise GraphError(f"{what} must be iterable, got {reprlib.repr(values)}") from None
 
 
 def _is_int(value) -> bool:

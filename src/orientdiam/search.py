@@ -63,8 +63,9 @@ symmetric-chain counts run bit-sliced in one pass over all codes (8 KiB
 sets at the 16-edge cap), as in the oracles below: pr is ruled out at a iff
 every edge between a and the other side of pr runs into pr, an AND over
 those arcs, and a chain is met under the codes that leave one of its
-profiles feasible.  A code the counts close costs its one block node; every
-live code gets a frame, which runs all its root tests, routing included.
+profiles feasible.  Every live code gets a frame, which runs all its root
+tests, routing included; a block is charged by its position in explored
+order, so a code the counts close costs its one block node with no frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -340,8 +341,9 @@ class _Budget:
         return True
 
     def blocks(self, count: int) -> int:
-        """Account count blocks, one depth-0 node each, on one clock read; the
-        number that fit, fewer once the budget is gone."""
+        """Account count blocks, one depth-0 node each, on one clock read: a
+        framed block with the closed ones before it, or the closed ones after
+        the last frame.  The number that fit, fewer once the budget is gone."""
         fit = 0 if time.monotonic() > self.deadline else min(count, self.node_budget - self.nodes)
         self.nodes += fit
         if fit < count:
@@ -581,24 +583,14 @@ def _case_reader(bedges: tuple, anchor: range):
     return lambda code: low[code & (1 << half) - 1] + high[code >> half]
 
 
-def _root_tested(m: int, bedges: tuple, q: int):
-    """Yield (closed, code) over every block code in ascending order: closed
-    codes that fail a symmetric-chain count, then code, the next live one, or
-    None after the last.  Every frame that passes its root tests is live."""
-    first = 0
-    for code in _bit_members(_live_codes(m, bedges, q)):
-        yield code - first, code
-        first = code + 1
-    yield (1 << len(bedges)) - first, None
-
-
 def _live_codes(m: int, bedges: tuple, q: int) -> int:
     """Bit c: code c's feasible profiles meet at least q chains of each
     symmetric chain decomposition, bit-sliced over every block code.  Every
     code whose _BlockFrame(m, bedges, c, q) is feasible is live, and a live
     code has at least q feasible profiles, one per chain met; routing is left
-    to the frame.  Edge i runs low -> high under var[i].  A chain is met
-    under the codes that leave one of its profiles feasible."""
+    to the frame, and the other codes close unframed.  Edge i runs low ->
+    high under var[i].  A chain is met under the codes that leave one of its
+    profiles feasible."""
     full, var = (1 << (1 << len(bedges))) - 1, _slice_variables(len(bedges))
     rules = []  # per a: its neighbours and the ANDs of its arcs in and out, by set of them
     for a in range(m):
@@ -667,26 +659,24 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
             f"parts besides the largest induce {len(bedges)} edges, cap is {MAX_BLOCK_EDGES}"
         )
 
-    # reps: the block codes in the order the loop explores them
+    # reps: the block codes in explored order; blocks: (position, code) per frame
     if cfg.symmetry_breaking:
         reps = _block_plan(tuple(rest_parts), bedges)
-        blocks = zip(itertools.repeat(0), reps)
+        blocks = enumerate(reps)
     else:
         reps = range(1 << len(bedges))
-        blocks = _root_tested(m, bedges, q)
+        blocks = ((c, c) for c in _bit_members(_live_codes(m, bedges, q)))
     budget = _Budget(cfg, start)
     blocks_explored = 0
     witness = None
-    # a whole block search can take fewer than 1,024 nodes, so each block
-    # charge (a live block, the run of closed ones before it, or both)
-    # reads the clock, the first one right after orbit enumeration (or its
-    # cached result) or the root pass
-    for closed, bits in blocks:
-        blocks_explored += budget.blocks(closed + (bits is not None))
+    # a whole block search can take fewer than 1,024 nodes, so every charge
+    # reads the clock: per framed block, with the closed codes before it, the
+    # first right after orbit enumeration (or its cached result) or the root
+    # pass, and, past the last frame, one for the closed codes after it
+    for i, bits in blocks:
+        blocks_explored += budget.blocks(i + 1 - blocks_explored)
         if budget.exhausted:
             break
-        if bits is None:
-            continue
         frame = _BlockFrame(m, bedges, bits, q)
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
@@ -696,6 +686,8 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
             if not diameter(witness) <= 2:  # soundness gate; never expected to fire
                 raise SearchError("internal error: candidate witness failed re-validation")
             break
+    else:
+        blocks_explored += budget.blocks(len(reps) - blocks_explored)
 
     # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
     cases: set[tuple[int, int, int]] = set()

@@ -288,6 +288,25 @@ def transitive_closure_reaches_all(D) -> bool:
     return all(all(row) for row in reach)
 
 
+# a non-iterable argument, or an arc that is not a pair, used to escape as a
+# bare TypeError or ValueError instead of an error of the package
+@pytest.mark.parametrize("call,message", [
+    (lambda: od.make_complete_multipartite(7), "part sizes must be iterable, got 7$"),
+    (lambda: od.make_complete_multipartite(None), "part sizes must be iterable, got None$"),
+    (lambda: od.decide_diameter2(7), "part sizes must be iterable, got 7$"),
+    (lambda: od.encode_diameter2(None), "part sizes must be iterable, got None$"),
+    (lambda: od.orient(three_cycle().topology, [(0, 2, 1)]),
+     r"arc \(0, 2, 1\) is not a pair of vertex ids$"),
+    (lambda: od.orient(three_cycle().topology, [5]), "arc 5 is not a pair of vertex ids$"),
+    (lambda: od.orient(three_cycle().topology, None), "arcs must be iterable, got None$"),
+    (lambda: od.induced_suborientation(three_cycle(), None), "keep set must be iterable, got None$"),
+], ids=["parts-int", "parts-none", "decide-int", "cnf-none", "arc-triple", "arc-int",
+        "arcs-none", "keep-none"])
+def test_malformed_argument_is_a_graph_error(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
+
+
 class TestProperties:
     @given(orientations(max_vertices=12))
     @settings(deadline=None)

@@ -29,7 +29,7 @@ from orientdiam.search import (
     _chain_partition,
     _symmetric_chains,
 )
-from orientdiam.graphcore import Orientation, _diameter_below
+from orientdiam.graphcore import Orientation, _bit_members, _diameter_below
 
 from conftest import all_orientations, bfs_diameter, distance
 
@@ -329,22 +329,25 @@ class TestDecide:
         assert outcome.verdict is Verdict.UNKNOWN
         assert outcome.witness is None
 
-    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 5_000, 200])
+    @pytest.mark.parametrize("node_budget", [1, 2, 3, 40, 5_000, 200, 4_095, 4_096])
     @pytest.mark.parametrize("parts,symmetry", [((3, 4, 12), True), ((3, 4, 12), False),
                                                 ((4, 4, 26), True), ((3, 5, 19), True)])
     def test_node_budget_never_exceeded(self, parts, symmetry, node_budget):
         # the tick that breaks the budget is not counted; K(3,5,19) at 40
-        # nodes runs out inside the kernel, below its root
+        # nodes runs out inside the kernel, below its root.  K(3,4,12) with
+        # symmetry off frames no code past 3,988 of its 4,096, so at 4,095
+        # nodes the budget runs out on the closed codes after the last frame,
+        # and at 4,096 the run reads None.  An unbudgeted run reads its pin
         cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=symmetry)
         outcome = od.decide_diameter2(parts, cfg)
-        full = od.decide_diameter2(parts, SearchConfig(symmetry_breaking=symmetry))
-        if full.stats.nodes > node_budget:
+        verdict, nodes = next((v, n) for p, s, v, n in _NODE_PINS if (p, s) == (parts, symmetry))
+        if nodes > node_budget:
             assert outcome.verdict is Verdict.UNKNOWN
             assert outcome.witness is None
             assert outcome.stats.nodes <= node_budget
         else:
-            assert outcome.verdict is full.verdict
-            assert outcome.stats.nodes == full.stats.nodes
+            assert outcome.verdict is verdict
+            assert outcome.stats.nodes == nodes
 
     def test_too_large(self):
         for parts, cap in (((5, 5, 5), "25 edges, cap is 16"), ((6, 6, 6), "12 vertices, cap is 10")):
@@ -771,15 +774,7 @@ class TestRootTests:
         truth = [_root_truth(shape, bits) for bits in range(1 << len(bedges))]
         # and at q = 0, where every code is live
         for q in sorted({0} | {n + k for counts, _ in truth for n in counts for k in (0, 1)}):
-            live, first = [], 0
-            for closed, bits in search._root_tested(m, bedges, q):
-                # the runs and the live codes tile every code in ascending order
-                first += closed
-                if bits is not None:
-                    assert bits == first
-                    live.append(bits)
-                    first += 1
-            assert first == len(truth)
+            live = list(_bit_members(search._live_codes(m, bedges, q)))
             assert live == [bits for bits, (counts, _) in enumerate(truth)
                             if min(counts[1:]) >= q], q
             assert set(live) >= {bits for bits in range(len(truth))
@@ -803,7 +798,7 @@ class TestRootTests:
         # the pass leaves routing to the frame: at (3,3), q = 3, it lets 492
         # codes through, and their frames pass 444
         m, bedges = 6, _block_edges((3, 3))
-        live = [bits for closed, bits in search._root_tested(m, bedges, 3) if bits is not None]
+        live = list(_bit_members(search._live_codes(m, bedges, 3)))
         feasible = [bits for bits in live if _BlockFrame(m, bedges, bits, 3).feasible]
         assert (len(live), len(feasible)) == (492, 444)
 
