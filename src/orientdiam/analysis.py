@@ -162,7 +162,9 @@ def case_signature(D: Orientation, anchor_part: int | None = None) -> CaseSignat
 
 
 def canonical_case_classes(p: int) -> tuple[tuple[int, int, int], ...]:
-    """All canonical (i,j,k) classes over {0..p}^3, sorted."""
+    """All canonical (i,j,k) classes over {0..p}^3, sorted; p is an int >= 1."""
+    if not (_is_int(p) and p >= 1):
+        raise AnalysisError(f"need an integer p >= 1, got {reprlib.repr(p)}")
     classes = {canonicalize_case(ijk, p) for ijk in itertools.product(range(p + 1), repeat=3)}
     return tuple(sorted(classes))
 
@@ -206,7 +208,7 @@ def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Largest antichain over subsets of a p-set, with a proof of its size.
 
     The width is the number of chains in the symmetric chain decomposition
-    of all 2^p codes, the one the search kernel seeds its matching with.  The
+    of all 2^p codes, the one each search frame seeds its matching with.  The
     witness is the middle layer, which meets every one of those chains once;
     an antichain and a chain partition of equal size prove each other
     optimal, so it is returned only after that check.  Capped at

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import Orientation, OrientdiamError, _out_masks, make_complete_multipartite
+from .graphcore import Orientation, OrientdiamError, _listed, _out_masks, make_complete_multipartite
 
 
 # well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
@@ -142,9 +142,10 @@ def _add_lex_leq(clauses, n_vars, row_a, row_b) -> int:
 
 def export_cnf(parts, out_path) -> CnfStats:
     """Write the DIMACS file; returns variable and clause counts."""
-    clauses, stats = encode_diameter2(parts)
+    sizes = make_complete_multipartite(parts).parts  # parts may be a one-shot iterable
+    clauses, stats = encode_diameter2(sizes)
     lines = [
-        f"c diameter-2 orientation of K{tuple(parts)}",
+        f"c diameter-2 orientation of K{sizes}",
         "c edge variables first (lex edge order, true = low index -> high index),",
         "c then two-step path variables grouped by ordered pair, then lex-ordering prefixes",
         f"p cnf {stats.variables} {stats.clauses}",
@@ -163,6 +164,6 @@ def decode_model(parts, true_vars) -> Orientation:
     the edge variables matter, read as the bits of an edge code.
     """
     topology = make_complete_multipartite(parts)
-    truthy = set(true_vars)
+    truthy = set(_listed(true_vars, "true_vars"))
     code = sum(1 << i for i in range(topology.n_edges) if i + 1 in truthy)
     return Orientation(topology, tuple(_out_masks(topology.n_vertices, topology.edges(), code)))

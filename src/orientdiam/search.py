@@ -34,20 +34,20 @@ row-ordering symmetry break inside L.  The kernel keeps its candidate set as
 one such integer: the antichain is a clique of the incomparability graph,
 so a child's candidates are the parent's ANDed with the later profiles
 incomparable to the one just chosen.  An antichain meets a chain at most
-once, so a block's frame tests its root with no matching at all: at least
-q feasible profiles, at least q chains met in the symmetric chain
+once, so a block's frame runs every root test, in this order: at least q
+feasible profiles, at least q chains met in the symmetric chain
 decomposition of all m-bit codes and in its mirror on bit-reversed codes,
-and a router for every cover pair.  The kernel starts past them: it splits
-the feasible profiles into the fewest chains under inclusion, by a maximum
-matching of profiles to strict supersets read from the superset table
-(Dilworth's theorem by Fulkerson's construction), seeded with the links
-along the symmetric chains; a block with fewer chains than q is out at
-once.  A node is pruned when fewer chains meet its candidates than
-profiles are still needed (the colouring bound of bit-parallel
-max-clique, read on the incomparability graph, whose colour classes are
-chains), or when some cover pair's routers miss both the chosen profiles
-and the candidates.  Each block costs one node, whichever test closes it,
-and each kernel search node one more.
+a router for every cover pair, and at least q chains in the fewest that
+split the feasible profiles under inclusion, by a maximum matching of
+profiles to strict supersets read from the superset table (Dilworth's
+theorem by Fulkerson's construction), seeded with the links along the
+symmetric chains.  The kernel searches only the blocks that pass all
+four, so its None means a searched block.  A node is pruned when fewer of
+the frame's chains meet its candidates than profiles are still needed (the
+colouring bound of bit-parallel max-clique, read on the incomparability
+graph, whose colour classes are chains), or when some cover pair's routers
+miss both the chosen profiles and the candidates.  Each block costs one
+node, whichever test closes it, and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal.  They do not depend
 on q, so each block shape's list is cached per process, and a later decide
@@ -273,22 +273,24 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
 
 class _BlockFrame:
     """Everything the per-block profile search for q profiles needs, precomputed,
-    and every root test short of the matching.
+    and every root test.
 
     bout and the infeasible profiles are read from the block shape's one
     cached table, m lookups, one per vertex on the code masked to its edge
     slots.  codes holds the feasible profile codes, one bit each
     (the kernel reads inclusion among them from the superset table), profiles
-    lists them in ascending order, and routers[i], codes & var[b] & ~var[a],
-    those that route cover pair i, (a, b): the ones without a that hold b.
+    lists them in ascending order, routers[i], codes & var[b] & ~var[a],
+    those that route cover pair i, (a, b): the ones without a that hold b,
+    and chains a minimum chain partition of the feasible profiles.
     The block is feasible iff it has at least q feasible profiles, they meet
     at least q chains of each symmetric chain decomposition (an antichain
-    meets a chain at most once), and every cover pair has a router.  The
-    tests run in that order and stop at the first that fails; the cover
-    pairs are listed only past the chain counts, and stay empty otherwise.
+    meets a chain at most once), every cover pair has a router, and chains
+    holds at least q chains (Dilworth's theorem).  The tests run in that
+    order and stop at the first that fails; cover pairs are listed only past
+    the chain counts, chains only past routing, and both stay empty otherwise.
     """
 
-    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "feasible")
+    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
 
     def __init__(self, m: int, bedges: tuple, bits: int, q: int):
         tables, members = _vertex_tables(m, bedges)
@@ -301,6 +303,7 @@ class _BlockFrame:
         self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
         self.profiles = profiles = list(_bit_members(codes))
         self.cover_pairs, self.routers = pairs, routers = [], []
+        self.chains = []
         self.feasible = len(profiles) >= q and all(
             len({chain_of[pr] for pr in profiles}) >= q
             for chain_of in (_symmetric_chains(m), _symmetric_chains(m, True)))
@@ -316,6 +319,9 @@ class _BlockFrame:
                 pairs.append((a, b))
                 routers.append(codes & var[b] & ~var[a])
         self.feasible = all(routers)
+        if self.feasible:
+            self.chains = _chain_partition(codes, m)
+            self.feasible = len(self.chains) >= q
 
 
 class _Budget:
@@ -408,22 +414,16 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
     """Find q pairwise-incomparable feasible profiles hitting every cover pair.
 
     Profile sets hold codes, one bit each.  A block that fails a root test
-    of its frame is out, and so is one whose feasible codes split into fewer
-    than q chains of a minimum chain partition: the poset is narrower than
-    q, by Dilworth's theorem.  Neither exit costs a node; the search starts
-    at the matching.  A node is pruned when fewer than q - depth of its
-    chains meet the node's candidates, or when some cover pair's router set
-    misses both the picks and the candidates.  Pruning only cuts subtrees
-    without a solution, so the first antichain in ascending code order is
-    found whatever the bound.
+    of its frame is out without a node, so None costs a node only for a
+    searched block.  A node is pruned when fewer than q - depth of the
+    frame's chains meet the node's candidates, or when some cover pair's
+    router set misses both the picks and the candidates.  Pruning only cuts
+    subtrees without a solution, so the first antichain in ascending code
+    order is found whatever the bound.
     """
     if not frame.feasible:
         return None
-    m = len(frame.bout)
-    chains = _chain_partition(frame.codes, m)
-    if len(chains) < q:
-        return None
-    codes, routers, sup = frame.codes, frame.routers, _supersets(m)
+    routers, chains, sup = frame.routers, frame.chains, _supersets(len(frame.bout))
 
     def extend(picked: int, cand: int):
         depth = picked.bit_count()
@@ -443,7 +443,7 @@ def _antichain_cover(frame: _BlockFrame, q: int, budget: _Budget):
                 return found
         return None
 
-    return extend(0, codes)
+    return extend(0, frame.codes)
 
 
 def _block_representatives(rest_parts, bedges):

@@ -190,6 +190,12 @@ class TestCaseSignature:
             for ijk in itertools.product(range(p + 1), repeat=3):
                 assert canonicalize_case(ijk, p) in classes
 
+    # -1 used to give no classes and True those of p = 1; 2.5 and "3" a bare TypeError
+    @pytest.mark.parametrize("p", [-1, 0, True, 2.5, "3", None])
+    def test_p_must_be_a_positive_int(self, p):
+        with pytest.raises(od.analysis.AnalysisError, match="integer p"):
+            od.canonical_case_classes(p)
+
 
 class TestOutNeighborhoodFamily:
     def test_middle_layer_is_antichain(self):

@@ -189,6 +189,15 @@ class TestSemantics:
         _, _, clauses = parse_dimacs(path)
         assert clauses == [tuple(cl) for cl in encode_diameter2((1, 1, 2))[0]]
 
+    def test_one_shot_parts_write_the_same_file(self, tmp_path):
+        # the header used to re-read the parts, after the encoder had used
+        # them up, and named the graph K()
+        listed, iterated = tmp_path / "listed.cnf", tmp_path / "iterated.cnf"
+        export_cnf([2, 2, 3], listed)
+        export_cnf(iter([2, 2, 3]), iterated)
+        assert listed.read_text().startswith("c diameter-2 orientation of K(2, 2, 3)\n")
+        assert iterated.read_bytes() == listed.read_bytes()
+
 
 def dpll(n_vars, clauses):
     """Minimal complete solver (unit propagation + chronological backtracking).

@@ -300,8 +300,10 @@ def transitive_closure_reaches_all(D) -> bool:
     (lambda: od.orient(three_cycle().topology, [5]), "arc 5 is not a pair of vertex ids$"),
     (lambda: od.orient(three_cycle().topology, None), "arcs must be iterable, got None$"),
     (lambda: od.induced_suborientation(three_cycle(), None), "keep set must be iterable, got None$"),
+    (lambda: od.decode_model((2, 2), 5), "true_vars must be iterable, got 5$"),
+    (lambda: od.decode_model((2, 2), None), "true_vars must be iterable, got None$"),
 ], ids=["parts-int", "parts-none", "decide-int", "cnf-none", "arc-triple", "arc-int",
-        "arcs-none", "keep-none"])
+        "arcs-none", "keep-none", "model-int", "model-none"])
 def test_malformed_argument_is_a_graph_error(call, message):
     with pytest.raises(GraphError, match=message):
         call()

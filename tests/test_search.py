@@ -729,25 +729,29 @@ class TestFrames:
     def _check(self, shape, bits):
         profiles, cover_pairs, routers = _reference_frame(shape, bits)
         m, bedges = sum(shape), _block_edges(shape)
-        # at q = 0 every count passes, so the frame routes every cover pair
+        # at q = 0 every count passes, so the frame routes every cover pair,
+        # and a routed frame splits its profiles into width chains
         frame = _BlockFrame(m, bedges, bits, 0)
+        routed, width = all(routers), _width(tuple(profiles))
         assert frame.profiles == profiles, (shape, bits)
         assert frame.codes == sum(1 << pr for pr in profiles)
         assert frame.cover_pairs == cover_pairs, (shape, bits)
         assert frame.routers == routers, (shape, bits)
-        assert frame.feasible == all(routers)
+        assert frame.feasible == routed
+        assert len(frame.chains) == (width if routed else 0), (shape, bits)
         counts = _chain_counts(frame)
-        # the frame routes only past the chain counts, and stops at the
-        # first test that fails
-        for q in sorted({min(counts), len(profiles)}):
+        # the frame routes only past the chain counts, runs the matching only
+        # past routing, and stops at the first test that fails
+        for q in sorted({min(counts), width, width + 1, len(profiles)}):
             frame = _BlockFrame(m, bedges, bits, q)
             chained = min(counts) >= q
-            assert frame.feasible == (chained and all(routers)), (shape, bits, q)
+            assert frame.feasible == (chained and routed and width >= q), (shape, bits, q)
             assert (frame.cover_pairs, frame.routers) == (
                 (cover_pairs, routers) if chained else ([], [])), (shape, bits, q)
+            assert len(frame.chains) == (width if chained and routed else 0), (shape, bits, q)
         frame = _BlockFrame(m, bedges, bits, len(profiles) + 1)
-        assert (frame.profiles, frame.cover_pairs, frame.routers, frame.feasible) == (
-            profiles, [], [], False), (shape, bits)
+        assert (frame.profiles, frame.cover_pairs, frame.routers, frame.chains,
+                frame.feasible) == (profiles, [], [], [], False), (shape, bits)
 
 
 def _root_truth(shape, bits):
@@ -764,8 +768,8 @@ class TestRootTests:
     Bit c of the live set is exactly "code c's feasible profiles meet at
     least q chains in each symmetric chain decomposition", and every code
     whose frame passes all its root tests is live; the frame alone tests
-    routing.  Each code is checked at each of its three counts and at each
-    count + 1.
+    routing and the Dilworth width.  Each code is checked at each of its
+    three counts and at each count + 1, a sampled code at its width too.
     """
 
     @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
@@ -787,12 +791,13 @@ class TestRootTests:
         rng = random.Random(f"root tests {shape}")
         for bits in rng.sample(range(1 << len(bedges)), count):
             counts, routed = _root_truth(shape, bits)
-            for q in sorted({n + k for n in counts for k in (0, 1)}):
+            width = _width(tuple(_BlockFrame(m, bedges, bits, 0).profiles))
+            for q in sorted({n + k for n in (*counts, width) for k in (0, 1)}):
                 is_live = bool(live(q) >> bits & 1)
                 feasible = _BlockFrame(m, bedges, bits, q).feasible
                 assert is_live == (min(counts[1:]) >= q), (bits, q)
                 assert is_live or not feasible, (bits, q)
-                assert feasible == (routed and min(counts) >= q), (bits, q)
+                assert feasible == (routed and min(counts) >= q and width >= q), (bits, q)
 
     def test_frames_close_what_the_pass_lets_through(self):
         # the pass leaves routing to the frame: at (3,3), q = 3, it lets 492
@@ -891,6 +896,21 @@ class TestKernel:
             assert set(found) <= set(frame.profiles)
             assert _is_antichain(found)
             assert _covers(found, cover_pairs)
+
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (2, 2, 2)], ids=str)
+    def test_only_a_searched_block_costs_a_node(self, shape):
+        # every root exit is the frame's, so the kernel takes a node exactly
+        # when the frame passes, and its None means a searched block
+        m, bedges = sum(shape), _block_edges(shape)
+        for bits in range(1 << len(bedges)):
+            profiles = _BlockFrame(m, bedges, bits, 0).profiles
+            width = _width(tuple(profiles))
+            for q in sorted({width, width + 1, len(profiles)}):
+                frame = _BlockFrame(m, bedges, bits, q)
+                budget = _Budget(SearchConfig(), time.monotonic())
+                _antichain_cover(frame, q, budget)
+                assert (budget.nodes == 0) == (not frame.feasible), (bits, q)
 
 
 class TestChainPartition:
