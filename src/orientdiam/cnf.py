@@ -20,9 +20,18 @@ K(2,2) has no labeling with both parts' rows sorted.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
-from .graphcore import Orientation, OrientdiamError, _listed, _out_masks, make_complete_multipartite
+from .graphcore import (
+    GraphError,
+    Orientation,
+    OrientdiamError,
+    _is_int,
+    _listed,
+    _out_masks,
+    make_complete_multipartite,
+)
 
 
 # well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
@@ -160,10 +169,15 @@ def export_cnf(parts, out_path) -> CnfStats:
 def decode_model(parts, true_vars) -> Orientation:
     """Rebuild the orientation described by a satisfying assignment.
 
-    true_vars is any collection of the variable indices assigned true; only
+    true_vars is any collection of the integer variable indices assigned
+    true; only
     the edge variables matter, read as the bits of an edge code.
     """
     topology = make_complete_multipartite(parts)
-    truthy = set(_listed(true_vars, "true_vars"))
+    truthy = _listed(true_vars, "true_vars")
+    if not all(map(_is_int, truthy)):
+        raise GraphError(
+            f"true_vars must hold integer variable indices, got {reprlib.repr(true_vars)}")
+    truthy = set(truthy)
     code = sum(1 << i for i in range(topology.n_edges) if i + 1 in truthy)
     return Orientation(topology, tuple(_out_masks(topology.n_vertices, topology.edges(), code)))

@@ -50,8 +50,12 @@ miss both the chosen profiles and the candidates.  Each block costs one
 node, whichever test closes it, and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal.  They do not depend
-on q, so each block shape's list is cached per process, and a later decide
-of the shape at any q floods no orbits.  The orbits are flooded
+on q, and nor does any root test but its comparison with q, so each block
+shape's list is cached per process with one reading per representative: its
+feasible profiles, then its two chain counts, then its cover pairs, routers
+and chains, each stage filled the first time some q passes the stage
+before.  A later decide of the shape at any q floods no orbits and rebuilds
+no reading; its frames only compare readings with q.  The orbits are flooded
 over the quotient by the block's largest part: its vertices' code bits
 towards the rest of the block, sorted, stand for all their relabelings, so
 the flood visits multisets of those keys instead of every code.  Each such
@@ -63,9 +67,10 @@ symmetric-chain counts run bit-sliced in one pass over all codes (8 KiB
 sets at the 16-edge cap), as in the oracles below: pr is ruled out at a iff
 every edge between a and the other side of pr runs into pr, an AND over
 those arcs, and a chain is met under the codes that leave one of its
-profiles feasible.  Every live code gets a frame, which runs all its root
-tests, routing included; a block is charged by its position in explored
-order, so a code the counts close costs its one block node with no frame.
+profiles feasible.  Every live code gets a frame on a fresh reading, kept
+by nothing, which runs all its root tests, routing included; a block is
+charged by its position in explored order, so a code the counts close costs
+its one block node with no frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -271,29 +276,28 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
     return tuple(tables), tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
 
 
-class _BlockFrame:
-    """Everything the per-block profile search for q profiles needs, precomputed,
-    and every root test.
+class _Reading:
+    """Every root test of one block but its comparisons with q, filled in
+    stages, each once some q needs it.
 
     bout and the infeasible profiles are read from the block shape's one
     cached table, m lookups, one per vertex on the code masked to its edge
-    slots.  codes holds the feasible profile codes, one bit each
-    (the kernel reads inclusion among them from the superset table), profiles
-    lists them in ascending order, routers[i], codes & var[b] & ~var[a],
-    those that route cover pair i, (a, b): the ones without a that hold b,
-    and chains a minimum chain partition of the feasible profiles.
-    The block is feasible iff it has at least q feasible profiles, they meet
-    at least q chains of each symmetric chain decomposition (an antichain
-    meets a chain at most once), every cover pair has a router, and chains
-    holds at least q chains (Dilworth's theorem).  The tests run in that
-    order and stop at the first that fails; cover pairs are listed only past
-    the chain counts, chains only past routing, and both stay empty otherwise.
+    slots.  codes holds the feasible profile codes, one bit each (the kernel
+    reads inclusion among them from the superset table), and profiles lists
+    them in ascending order.  met[k], once counted, is the number of chains
+    the profiles meet in the plain (k = 0) or the mirrored symmetric chain
+    decomposition.  route() lists cover_pairs, the ordered pairs outside L
+    that the block alone leaves unsatisfied, and routers[i], codes & var[b]
+    & ~var[a], the profiles that route pair i, (a, b): the ones without a
+    that hold b; routed says every pair has one, and only then does chains
+    hold a minimum chain partition of the profiles (empty otherwise).
     """
 
-    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
+    __slots__ = ("bout", "codes", "profiles", "members", "met",
+                 "cover_pairs", "routers", "routed", "chains")
 
-    def __init__(self, m: int, bedges: tuple, bits: int, q: int):
-        tables, members = _vertex_tables(m, bedges)
+    def __init__(self, m: int, bedges: tuple, bits: int):
+        tables, self.members = _vertex_tables(m, bedges)
         self.bout = bout = []
         infeasible = 0
         for mask, table in tables:
@@ -301,16 +305,24 @@ class _BlockFrame:
             bout.append(out)
             infeasible |= ruled
         self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
-        self.profiles = profiles = list(_bit_members(codes))
-        self.cover_pairs, self.routers = pairs, routers = [], []
-        self.chains = []
-        self.feasible = len(profiles) >= q and all(
-            len({chain_of[pr] for pr in profiles}) >= q
-            for chain_of in (_symmetric_chains(m), _symmetric_chains(m, True)))
-        if not self.feasible:
+        self.profiles = list(_bit_members(codes))
+        self.met = [None, None]
+        self.routers = None  # until route()
+
+    def chains_met(self, mirrored: bool) -> int:
+        met = self.met[mirrored]
+        if met is None:
+            m = len(self.bout)
+            chain_of = _symmetric_chains(m, True) if mirrored else _symmetric_chains(m)
+            met = self.met[mirrored] = len({chain_of[pr] for pr in self.profiles})
+        return met
+
+    def route(self):
+        if self.routers is not None:
             return
-        full, var = len(members) - 1, _slice_variables(m)
-        # ordered pairs outside L that the block alone does not satisfy
+        bout, codes, members = self.bout, self.codes, self.members
+        full, var = len(members) - 1, _slice_variables(len(bout))
+        pairs, routers = [], []
         for a, out in enumerate(bout):
             reach = out | 1 << a
             for b in members[out]:
@@ -318,10 +330,38 @@ class _BlockFrame:
             for b in members[full & ~reach]:
                 pairs.append((a, b))
                 routers.append(codes & var[b] & ~var[a])
-        self.feasible = all(routers)
+        self.routed = all(routers)
+        self.chains = _chain_partition(codes, len(bout)) if self.routed else []
+        # routers last: a route() cut short leaves the reading unrouted
+        self.cover_pairs, self.routers = pairs, routers
+
+
+class _BlockFrame:
+    """A block's reading tested at q: everything the per-block profile search
+    for q profiles needs, and the outcome of every root test.
+
+    The block is feasible iff it has at least q feasible profiles, they meet
+    at least q chains of each symmetric chain decomposition (an antichain
+    meets a chain at most once), every cover pair has a router, and chains
+    holds at least q chains (Dilworth's theorem).  The tests run in that
+    order and stop at the first that fails, so a reading is filled only as
+    far as some q has tested it; cover pairs and routers are listed only past
+    the chain counts, chains only past routing, and all three stay empty
+    otherwise.
+    """
+
+    __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
+
+    def __init__(self, reading: _Reading, q: int):
+        self.bout, self.codes, self.profiles = reading.bout, reading.codes, reading.profiles
+        self.cover_pairs, self.routers, self.chains = [], [], []
+        self.feasible = (len(self.profiles) >= q and reading.chains_met(False) >= q
+                         and reading.chains_met(True) >= q)
         if self.feasible:
-            self.chains = _chain_partition(codes, m)
-            self.feasible = len(self.chains) >= q
+            reading.route()
+            self.cover_pairs, self.routers, self.chains = (
+                reading.cover_pairs, reading.routers, reading.chains)
+            self.feasible = reading.routed and len(self.chains) >= q
 
 
 class _Budget:
@@ -562,19 +602,48 @@ def _block_representatives(rest_parts, bedges):
     return reps
 
 
-@functools.cache
-def _block_plan(rest_parts: tuple, bedges: tuple) -> tuple[int, ...]:
-    """_block_representatives of a block shape, computed once per process:
-    the orbits do not depend on q, so every decide of the shape shares them."""
-    return tuple(_block_representatives(list(rest_parts), bedges))
+class _Plan:
+    """A block shape's orbit representatives in explored order, the canonical
+    case of each (none unless the shape has a size-3 anchor), and the reading
+    of each, built the first time a decide reaches it."""
+
+    __slots__ = ("m", "bedges", "reps", "cases", "readings")
+
+    def __init__(self, rest_parts: tuple, bedges: tuple):
+        self.m, self.bedges = sum(rest_parts), bedges
+        self.reps = tuple(_block_representatives(list(rest_parts), bedges))
+        case = _case_reader(rest_parts, bedges)
+        packed = list(map(case, self.reps)) if case else []
+        canonical = {x: _canonical_case(x, self.m - 3) for x in set(packed)}
+        self.cases = tuple(map(canonical.get, packed))
+        self.readings = [None] * len(self.reps)
+
+    def blocks(self):
+        """(position, reading) of every representative, in explored order."""
+        readings = self.readings
+        for i, reading in enumerate(readings):
+            if reading is None:
+                reading = readings[i] = _Reading(self.m, self.bedges, self.reps[i])
+            yield i, reading
 
 
 @functools.cache
-def _case_reader(bedges: tuple, anchor: range):
-    """A function from block code to the out-degrees of the three anchors,
+def _block_plan(rest_parts: tuple, bedges: tuple) -> _Plan:
+    """The _Plan of a block shape, one per process: the orbits and every
+    reading are independent of q, so every decide of the shape shares them."""
+    return _Plan(rest_parts, bedges)
+
+
+@functools.cache
+def _case_reader(rest_parts: tuple, bedges: tuple):
+    """None unless the block is two parts, one of size 3; else a function from
+    block code to the out-degrees of the three anchors, the first size-3 part,
     packed a byte each: setting edge i's bit moves an out-arc from its high
     end to its low end, so it is a table sum over the low and the high bits."""
-    unit = {x: 1 << 8 * k for k, x in enumerate(anchor)}
+    if len(rest_parts) != 2 or 3 not in rest_parts:
+        return None
+    unit = {x: 1 << 8 * k for k, x in enumerate(
+        range(3) if rest_parts[0] == 3 else range(rest_parts[0], sum(rest_parts)))}
     half = len(bedges) // 2
     low, high = [0], [sum(unit.get(b, 0) for a, b in bedges)]
     for i, (a, b) in enumerate(bedges):
@@ -583,13 +652,18 @@ def _case_reader(bedges: tuple, anchor: range):
     return lambda code: low[code & (1 << half) - 1] + high[code >> half]
 
 
+def _canonical_case(packed: int, p: int) -> tuple[int, int, int]:
+    """canonicalize_case of anchor out-degrees packed as _case_reader packs them."""
+    return canonicalize_case((packed & 255, packed >> 8 & 255, packed >> 16), p)
+
+
 def _live_codes(m: int, bedges: tuple, q: int) -> int:
     """Bit c: code c's feasible profiles meet at least q chains of each
     symmetric chain decomposition, bit-sliced over every block code.  Every
-    code whose _BlockFrame(m, bedges, c, q) is feasible is live, and a live
-    code has at least q feasible profiles, one per chain met; routing is left
-    to the frame, and the other codes close unframed.  Edge i runs low ->
-    high under var[i].  A chain is met under the codes that leave one of its
+    code whose frame at q is feasible is live, and a live code has at least
+    q feasible profiles, one per chain met; routing is left to the frame,
+    and the other codes close unframed.  Edge i runs low -> high under
+    var[i].  A chain is met under the codes that leave one of its
     profiles feasible."""
     full, var = (1 << (1 << len(bedges))) - 1, _slice_variables(len(bedges))
     rules = []  # per a: its neighbours and the ANDs of its arcs in and out, by set of them
@@ -646,7 +720,7 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     sizes = topology.parts
     big = max(range(len(sizes)), key=lambda i: (sizes[i], i))
     q = sizes[big]
-    rest_parts = [sizes[i] for i in range(len(sizes)) if i != big]
+    rest_parts = tuple(sizes[i] for i in range(len(sizes)) if i != big)
     m = sum(rest_parts)
     if m > MAX_BLOCK_VERTICES:
         raise TooLarge(
@@ -659,13 +733,15 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
             f"parts besides the largest induce {len(bedges)} edges, cap is {MAX_BLOCK_EDGES}"
         )
 
-    # reps: the block codes in explored order; blocks: (position, code) per frame
-    if cfg.symmetry_breaking:
-        reps = _block_plan(tuple(rest_parts), bedges)
-        blocks = enumerate(reps)
+    # total: the block codes in explored order; blocks: (position, reading) per frame
+    symmetric = cfg.symmetry_breaking
+    if symmetric:
+        plan = _block_plan(rest_parts, bedges)
+        total, blocks = len(plan.reps), plan.blocks()
     else:
-        reps = range(1 << len(bedges))
-        blocks = ((c, c) for c in _bit_members(_live_codes(m, bedges, q)))
+        total = 1 << len(bedges)
+        live = _bit_members(_live_codes(m, bedges, q))
+        blocks = ((c, _Reading(m, bedges, c)) for c in live)
     budget = _Budget(cfg, start)
     blocks_explored = 0
     witness = None
@@ -673,11 +749,11 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     # reads the clock: per framed block, with the closed codes before it, the
     # first right after orbit enumeration (or its cached result) or the root
     # pass, and, past the last frame, one for the closed codes after it
-    for i, bits in blocks:
+    for i, reading in blocks:
         blocks_explored += budget.blocks(i + 1 - blocks_explored)
         if budget.exhausted:
             break
-        frame = _BlockFrame(m, bedges, bits, q)
+        frame = _BlockFrame(reading, q)
         chosen = _antichain_cover(frame, q, budget)
         if budget.exhausted:
             break
@@ -687,14 +763,15 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
                 raise SearchError("internal error: candidate witness failed re-validation")
             break
     else:
-        blocks_explored += budget.blocks(len(reps) - blocks_explored)
+        blocks_explored += budget.blocks(total - blocks_explored)
 
     # the case (i,j,k): out-degrees of the size-3 anchor part into the other part
-    cases: set[tuple[int, int, int]] = set()
-    if len(rest_parts) == 2 and 3 in rest_parts:
-        case = _case_reader(bedges, range(3) if rest_parts[0] == 3 else range(rest_parts[0], m))
-        cases = {canonicalize_case((c & 255, c >> 8 & 255, c >> 16), m - 3)
-                 for c in set(map(case, reps[:blocks_explored]))}
+    if symmetric:
+        cases = set(plan.cases[:blocks_explored])
+    else:
+        case = _case_reader(rest_parts, bedges)
+        packed = set(map(case, range(blocks_explored))) if case else ()
+        cases = {_canonical_case(c, m - 3) for c in packed}
     stats = SearchStats(
         nodes=budget.nodes,
         max_depth=budget.max_depth,

@@ -190,6 +190,16 @@ class TestCaseSignature:
             for ijk in itertools.product(range(p + 1), repeat=3):
                 assert canonicalize_case(ijk, p) in classes
 
+    def test_p_past_the_block_cap_is_refused_before_enumerating(self, monkeypatch):
+        # (p + 1)^3 triples, and claims asks for p = m - 3 of an in-cap block only
+        calls = []
+        monkeypatch.setattr(od.analysis, "canonicalize_case", lambda *args: calls.append(args))
+        with pytest.raises(PTooLarge, match=f"p={MAX_BLOCK_VERTICES}, got {MAX_BLOCK_VERTICES + 1}$"):
+            od.canonical_case_classes(MAX_BLOCK_VERTICES + 1)
+        assert calls == []
+        od.canonical_case_classes(MAX_BLOCK_VERTICES)  # the cap itself is served
+        assert len(calls) == (MAX_BLOCK_VERTICES + 1) ** 3
+
     # -1 used to give no classes and True those of p = 1; 2.5 and "3" a bare TypeError
     @pytest.mark.parametrize("p", [-1, 0, True, 2.5, "3", None])
     def test_p_must_be_a_positive_int(self, p):

@@ -288,8 +288,9 @@ def transitive_closure_reaches_all(D) -> bool:
     return all(all(row) for row in reach)
 
 
-# a non-iterable argument, or an arc that is not a pair, used to escape as a
-# bare TypeError or ValueError instead of an error of the package
+# a non-iterable argument, an arc that is not a pair, or a model holding an
+# unhashable entry, used to escape as a bare TypeError or ValueError instead
+# of an error of the package
 @pytest.mark.parametrize("call,message", [
     (lambda: od.make_complete_multipartite(7), "part sizes must be iterable, got 7$"),
     (lambda: od.make_complete_multipartite(None), "part sizes must be iterable, got None$"),
@@ -302,8 +303,12 @@ def transitive_closure_reaches_all(D) -> bool:
     (lambda: od.induced_suborientation(three_cycle(), None), "keep set must be iterable, got None$"),
     (lambda: od.decode_model((2, 2), 5), "true_vars must be iterable, got 5$"),
     (lambda: od.decode_model((2, 2), None), "true_vars must be iterable, got None$"),
+    (lambda: od.decode_model((2, 2), [[1]]),
+     r"true_vars must hold integer variable indices, got \[\[1\]\]$"),
+    (lambda: od.decode_model((2, 2), [{1}]),
+     r"true_vars must hold integer variable indices, got \[\{1\}\]$"),
 ], ids=["parts-int", "parts-none", "decide-int", "cnf-none", "arc-triple", "arc-int",
-        "arcs-none", "keep-none", "model-int", "model-none"])
+        "arcs-none", "keep-none", "model-int", "model-none", "model-list", "model-set"])
 def test_malformed_argument_is_a_graph_error(call, message):
     with pytest.raises(GraphError, match=message):
         call()

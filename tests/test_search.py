@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from orientdiam.search import (
     _block_representatives,
     _BlockFrame,
     _Budget,
+    _Reading,
     _chain_partition,
     _symmetric_chains,
 )
@@ -157,6 +159,12 @@ _K222_FIRST_THREE = [
 ]
 
 
+def _frame(m, bedges, bits, q):
+    """The frame of block code bits at q on a fresh reading, as a
+    symmetry-off decide builds it."""
+    return _BlockFrame(_Reading(m, bedges, bits), q)
+
+
 @st.composite
 def block_frames(draw):
     """The kernel's input (frame, q) for a random orientation of a small block,
@@ -171,14 +179,14 @@ def block_frames(draw):
     bedges = _block_edges(rest_parts)
     bits = draw(st.integers(0, (1 << len(bedges)) - 1))
     m = sum(rest_parts)
-    every = _BlockFrame(m, bedges, bits, 0)
+    every = _frame(m, bedges, bits, 0)
     width = _width(tuple(every.profiles))
     edge = [q for q in (width, width + 1) if math.comb(len(every.profiles), q) <= COMBINATION_CAP]
     if edge and draw(st.booleans()):
         q = draw(st.sampled_from(edge))
     else:
         q = draw(st.integers(1, 4))
-    return _BlockFrame(m, bedges, bits, q), q, every.cover_pairs
+    return _frame(m, bedges, bits, q), q, every.cover_pairs
 
 
 def _block_edges(rest_parts):
@@ -236,7 +244,7 @@ def _per_block_decide(parts, cfg):
         if not budget.blocks(1):
             break
         explored += 1
-        frame = _BlockFrame(m, bedges, bits, q)
+        frame = _frame(m, bedges, bits, q)
         if anchor:
             raw_cases.add(tuple(frame.bout[x].bit_count() for x in anchor))
         chosen = _antichain_cover(frame, q, budget)
@@ -731,7 +739,7 @@ class TestFrames:
         m, bedges = sum(shape), _block_edges(shape)
         # at q = 0 every count passes, so the frame routes every cover pair,
         # and a routed frame splits its profiles into width chains
-        frame = _BlockFrame(m, bedges, bits, 0)
+        frame = _frame(m, bedges, bits, 0)
         routed, width = all(routers), _width(tuple(profiles))
         assert frame.profiles == profiles, (shape, bits)
         assert frame.codes == sum(1 << pr for pr in profiles)
@@ -743,13 +751,13 @@ class TestFrames:
         # the frame routes only past the chain counts, runs the matching only
         # past routing, and stops at the first test that fails
         for q in sorted({min(counts), width, width + 1, len(profiles)}):
-            frame = _BlockFrame(m, bedges, bits, q)
+            frame = _frame(m, bedges, bits, q)
             chained = min(counts) >= q
             assert frame.feasible == (chained and routed and width >= q), (shape, bits, q)
             assert (frame.cover_pairs, frame.routers) == (
                 (cover_pairs, routers) if chained else ([], [])), (shape, bits, q)
             assert len(frame.chains) == (width if chained and routed else 0), (shape, bits, q)
-        frame = _BlockFrame(m, bedges, bits, len(profiles) + 1)
+        frame = _frame(m, bedges, bits, len(profiles) + 1)
         assert (frame.profiles, frame.cover_pairs, frame.routers, frame.chains,
                 frame.feasible) == (profiles, [], [], [], False), (shape, bits)
 
@@ -758,7 +766,7 @@ def _root_truth(shape, bits):
     """The three counts that a block's root tests compare with q (its feasible
     profiles, and the chains they meet in each symmetric chain decomposition),
     and whether every cover pair has a router."""
-    frame = _BlockFrame(sum(shape), _block_edges(shape), bits, 0)
+    frame = _frame(sum(shape), _block_edges(shape), bits, 0)
     return (len(frame.profiles), *_chain_counts(frame)), frame.feasible
 
 
@@ -782,7 +790,7 @@ class TestRootTests:
             assert live == [bits for bits, (counts, _) in enumerate(truth)
                             if min(counts[1:]) >= q], q
             assert set(live) >= {bits for bits in range(len(truth))
-                                 if _BlockFrame(m, bedges, bits, q).feasible}, q
+                                 if _frame(m, bedges, bits, q).feasible}, q
 
     @pytest.mark.parametrize("shape,count", FRAME_SAMPLES, ids=str)
     def test_sampled_codes_match_frames(self, shape, count):
@@ -791,10 +799,10 @@ class TestRootTests:
         rng = random.Random(f"root tests {shape}")
         for bits in rng.sample(range(1 << len(bedges)), count):
             counts, routed = _root_truth(shape, bits)
-            width = _width(tuple(_BlockFrame(m, bedges, bits, 0).profiles))
+            width = _width(tuple(_frame(m, bedges, bits, 0).profiles))
             for q in sorted({n + k for n in (*counts, width) for k in (0, 1)}):
                 is_live = bool(live(q) >> bits & 1)
-                feasible = _BlockFrame(m, bedges, bits, q).feasible
+                feasible = _frame(m, bedges, bits, q).feasible
                 assert is_live == (min(counts[1:]) >= q), (bits, q)
                 assert is_live or not feasible, (bits, q)
                 assert feasible == (routed and min(counts) >= q and width >= q), (bits, q)
@@ -804,7 +812,7 @@ class TestRootTests:
         # codes through, and their frames pass 444
         m, bedges = 6, _block_edges((3, 3))
         live = list(_bit_members(search._live_codes(m, bedges, 3)))
-        feasible = [bits for bits in live if _BlockFrame(m, bedges, bits, 3).feasible]
+        feasible = [bits for bits in live if _frame(m, bedges, bits, 3).feasible]
         assert (len(live), len(feasible)) == (492, 444)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -842,9 +850,11 @@ class TestBlockPlan:
     def test_plan_is_the_flood_computed_once(self, shape):
         bedges = _block_edges(shape)
         search._block_plan.cache_clear()
-        reps = search._block_plan(shape, bedges)
-        assert reps == tuple(_block_representatives(list(shape), bedges))
-        assert search._block_plan(shape, bedges) is reps
+        plan = search._block_plan(shape, bedges)
+        assert plan.reps == tuple(_block_representatives(list(shape), bedges))
+        assert search._block_plan(shape, bedges) is plan
+        # no reading is built before a decide reaches its representative
+        assert plan.readings == [None] * len(plan.reps)
 
     @pytest.mark.parametrize("parts,qs,threshold", [((3, 4), range(4, 13), 12),
                                                     ((4, 4), range(25, 36), 35)], ids=str)
@@ -864,6 +874,46 @@ class TestBlockPlan:
             search._block_plan.cache_clear()
             for q in order:
                 assert decide(q) == fresh[q], (name, q)
+
+    @pytest.mark.parametrize("parts,qs", [((3, 4), (12, 11, 4, 12)), ((4, 4), (35, 26, 34)),
+                                          ((2, 2, 3), (20, 19, 3))], ids=str)
+    def test_readings_live_on_reached_representatives_only(self, parts, qs):
+        # one reading per representative some decide reached, however many q
+        # reach it; a symmetry-off decide builds its readings fresh and keeps none
+        bedges = _block_edges(parts)
+        search._block_plan.cache_clear()
+        reached = 0
+        for q in qs:
+            reached = max(reached, od.decide_diameter2((*parts, q)).stats.blocks_explored)
+        plan = search._block_plan(parts, bedges)
+        assert len(plan.readings) == len(plan.reps)
+        assert [r is not None for r in plan.readings] == [i < reached for i in range(len(plan.reps))]
+        del plan
+        search._block_plan.cache_clear()
+        od.decide_diameter2((*parts, qs[0]), SearchConfig(symmetry_breaking=False))
+        assert search._block_plan.cache_info().currsize == 0
+        gc.collect()
+        assert not any(type(obj) is _Reading for obj in gc.get_objects())
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2, 3)], ids=str)
+    def test_staged_reading_frames_like_a_fresh_one(self, shape):
+        # each reading is first tested at a q above its profile count, which
+        # fills no stage past the profiles; then at the q values around its
+        # bound and its width, each against a frame on a fresh reading
+        m, bedges = sum(shape), _block_edges(shape)
+        search._block_plan.cache_clear()
+        plan = search._block_plan(shape, bedges)
+        for bits, (_, reading) in zip(plan.reps, plan.blocks()):
+            profiles = reading.profiles
+            assert not _BlockFrame(reading, len(profiles) + 1).feasible
+            assert (reading.met, reading.routers) == ([None, None], None), bits
+            bound = min(len(profiles), *_chain_counts(_frame(m, bedges, bits, 0)))
+            width = _width(tuple(profiles))
+            for q in (bound + 1, bound, width + 1, width, 0):
+                staged, fresh = _BlockFrame(reading, q), _frame(m, bedges, bits, q)
+                assert (staged.profiles, staged.cover_pairs, staged.routers, len(staged.chains),
+                        staged.feasible) == (fresh.profiles, fresh.cover_pairs, fresh.routers,
+                                             len(fresh.chains), fresh.feasible), (bits, q)
 
     @pytest.mark.parametrize("budget,cases", [(7, _K3520_CASES_7), (50, _K3520_CASES_50)])
     def test_node_budget_stops_cold_and_warm_plans_alike(self, budget, cases):
@@ -904,10 +954,10 @@ class TestKernel:
         # when the frame passes, and its None means a searched block
         m, bedges = sum(shape), _block_edges(shape)
         for bits in range(1 << len(bedges)):
-            profiles = _BlockFrame(m, bedges, bits, 0).profiles
+            profiles = _frame(m, bedges, bits, 0).profiles
             width = _width(tuple(profiles))
             for q in sorted({width, width + 1, len(profiles)}):
-                frame = _BlockFrame(m, bedges, bits, q)
+                frame = _frame(m, bedges, bits, q)
                 budget = _Budget(SearchConfig(), time.monotonic())
                 _antichain_cover(frame, q, budget)
                 assert (budget.nodes == 0) == (not frame.feasible), (bits, q)
@@ -938,7 +988,7 @@ class TestChainPartition:
         # matching still ends minimum
         m, bedges = sum(shape), _block_edges(shape)
         for bits in range(1 << len(bedges)):
-            frame = _BlockFrame(m, bedges, bits, 0)
+            frame = _frame(m, bedges, bits, 0)
             width = _width(tuple(frame.profiles))
             assert min(_chain_counts(frame)) >= width, bits
             assert len(_chain_partition(frame.codes, m)) == width, bits
