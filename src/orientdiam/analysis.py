@@ -210,18 +210,19 @@ def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:
 def max_antichain(p: int) -> tuple[int, tuple[frozenset[int], ...]]:
     """Largest antichain over subsets of a p-set, with a proof of its size.
 
-    The width is the number of chains in the symmetric chain decomposition
-    of all 2^p codes, the one each search frame seeds its matching with.  The
-    witness is the middle layer, which meets every one of those chains once;
-    an antichain and a chain partition of equal size prove each other
-    optimal, so it is returned only after that check.  Capped at
-    MAX_BLOCK_VERTICES, the largest code width the kernel serves.
+    The width is the number of chains in the plain symmetric chain
+    decomposition of all 2^p codes, the first of the two whose chains met
+    make a search block's chain bound, and the one each search frame seeds
+    its matching with.  The witness is the middle layer, which meets every
+    one of those chains once; an antichain and a chain partition of equal
+    size prove each other optimal, so it is returned only after that check.
+    Capped at MAX_BLOCK_VERTICES, the largest code width the kernel serves.
     """
     if not (_is_int(p) and p >= 1):
         raise AnalysisError(f"need an integer p >= 1, got {reprlib.repr(p)}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"antichain width capped at p={MAX_BLOCK_VERTICES}, got {p}")
-    width = max(_symmetric_chains(p)) + 1  # chains are numbered 0, 1, ...
+    width = max(_symmetric_chains(p)[0]) + 1  # chains are numbered 0, 1, ...
     layer = [c for c in range(1 << p) if c.bit_count() == p // 2]
     if len(layer) != width:  # never expected to fire
         raise AnalysisError(

@@ -165,16 +165,17 @@ def verify_claims(family: str, q_range=None, cfg: SearchConfig | None = None,
     p = _TABLES[family]
     last_built, builder = paper_families()[p]
     lo, hi = q_range if q_range is not None else (p, last_built + 1)
-    lo = max(lo, p)  # the classification starts at q = p
-    if lo > hi:
+    first = max(lo, p)  # the classification starts at q = p
+    given = f"q range {lo}..{hi} of family {family}, whose q starts at {p},"
+    if first > hi:
         # an empty table would pass vacuously
-        raise BadRange(f"q range {lo}..{hi} of family {family} selects no claims")
+        raise BadRange(f"{given} selects no claims")
     if 3 + p + hi > MAX_VERTICES:
-        raise BadRange(f"q range {lo}..{hi} of family {family} reaches K(3,{p},{hi}) with"
+        raise BadRange(f"{given} reaches K(3,{p},{hi}) with"
                        f" {3 + p + hi} vertices, past the cap of {MAX_VERTICES} vertices")
     records = []
     emitted: list[str] = []
-    for q in range(lo, hi + 1):
+    for q in range(first, hi + 1):
         claim_id = f"{family}-q{q}"
         if q <= last_built:
             record = _claim(claim_id, family, q, 2, "construct",

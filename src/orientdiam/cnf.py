@@ -160,7 +160,7 @@ def export_cnf(parts, out_path) -> CnfStats:
         f"p cnf {stats.variables} {stats.clauses}",
     ]
     for clause in clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return stats

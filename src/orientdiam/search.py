@@ -35,24 +35,25 @@ one such integer: the antichain is a clique of the incomparability graph,
 so a child's candidates are the parent's ANDed with the later profiles
 incomparable to the one just chosen.  An antichain meets a chain at most
 once, so a block's frame runs every root test, in this order: at least q
-feasible profiles, at least q chains met in the symmetric chain
-decomposition of all m-bit codes and in its mirror on bit-reversed codes,
-a router for every cover pair, and at least q chains in the fewest that
-split the feasible profiles under inclusion, by a maximum matching of
-profiles to strict supersets read from the superset table (Dilworth's
-theorem by Fulkerson's construction), seeded with the links along the
-symmetric chains.  The kernel searches only the blocks that pass all
-four, so its None means a searched block.  A node is pruned when fewer of
-the frame's chains meet its candidates than profiles are still needed (the
-colouring bound of bit-parallel max-clique, read on the incomparability
-graph, whose colour classes are chains), or when some cover pair's routers
-miss both the chosen profiles and the candidates.  Each block costs one
-node, whichever test closes it, and each kernel search node one more.
+feasible profiles, a chain bound of at least q (the fewest chains that the
+profiles meet in the symmetric chain decomposition of all m-bit codes or
+in its mirror on bit-reversed codes), a router for every cover pair, and
+at least q chains in the fewest that split the feasible profiles under
+inclusion, by a maximum matching of profiles to strict supersets read from
+the superset table (Dilworth's theorem by Fulkerson's construction),
+seeded with the links along the symmetric chains.  The kernel searches
+only the blocks that pass all four, so its None means a searched block.
+A node is pruned when fewer of the frame's chains meet its candidates than
+profiles are still needed (the colouring bound of bit-parallel
+max-clique, read on the incomparability graph, whose colour classes are
+chains), or when some cover pair's routers miss both the chosen profiles
+and the candidates.  Each block costs one node, whichever test closes it,
+and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
 part-internal relabelings and global arc reversal.  They do not depend
 on q, and nor does any root test but its comparison with q, so each block
 shape's list is cached per process with one reading per representative: its
-feasible profiles, then its two chain counts, then its cover pairs, routers
+feasible profiles, then its chain bound, then its cover pairs, routers
 and chains, each stage filled the first time some q passes the stage
 before.  A later decide of the shape at any q floods no orbits and rebuilds
 no reading; its frames only compare readings with q.  The orbits are flooded
@@ -62,15 +63,15 @@ the flood visits multisets of those keys instead of every code.  Each such
 state is one int, the rest bits plus a count per key, on which every
 generator is an XOR and delta swaps; the states are swept in ascending code
 order, so the first state of each orbit the sweep meets holds its least code.
-With symmetry breaking off every code is a block, and the frame's two
-symmetric-chain counts run bit-sliced in one pass over all codes (8 KiB
-sets at the 16-edge cap), as in the oracles below: pr is ruled out at a iff
-every edge between a and the other side of pr runs into pr, an AND over
-those arcs, and a chain is met under the codes that leave one of its
-profiles feasible.  Every live code gets a frame on a fresh reading, kept
-by nothing, which runs all its root tests, routing included; a block is
-charged by its position in explored order, so a code the counts close costs
-its one block node with no frame.
+With symmetry breaking off every code is a block, and the frame's chain
+bound runs bit-sliced, counting both decompositions in one pass over all
+codes (8 KiB sets at the 16-edge cap), as in the oracles below: pr is
+ruled out at a iff every edge between a and the other side of pr runs into
+pr, an AND over those arcs, and a chain is met under the codes that leave
+one of its profiles feasible.  Every live code gets a frame on a fresh
+reading, kept by nothing, which runs all its root tests, routing
+included; a block is charged by its position in explored order, so a code
+the bound closes costs its one block node with no frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -216,8 +217,9 @@ def _supersets(m: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _symmetric_chains(m: int, mirrored: bool = False) -> tuple[int, ...]:
-    """The chain of every m-bit code in the symmetric chain decomposition.
+def _symmetric_chains(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The chain of every m-bit code in two symmetric chain decompositions,
+    plain and mirrored.
 
     Read bit i as "(" when set and ")" when clear, and match brackets.  The
     unmatched bits read ")...)(...(", and setting the last unmatched ")"
@@ -227,14 +229,11 @@ def _symmetric_chains(m: int, mirrored: bool = False) -> tuple[int, ...]:
     keyed by its least member, the code with its unmatched set bits cleared,
     and chains are numbered in ascending key order: C(m, m // 2) in all.
     Reversing the bit order is an automorphism of the codes under inclusion,
-    so mirrored, the chains of every code's bit reversal, is a second such
-    decomposition.
+    so mirrored, the plain chain of every code's bit reversal, is a second
+    such decomposition.
     """
-    if mirrored:
-        chain_of = _symmetric_chains(m)
-        return tuple(chain_of[int(f"{c:0{m}b}"[::-1], 2)] for c in range(1 << m))
     index: dict[int, int] = {}
-    chain_of = []
+    plain = []
     for c in range(1 << m):
         opened = 0  # set bits still waiting for a clear bit above them
         for i in range(m):
@@ -242,8 +241,9 @@ def _symmetric_chains(m: int, mirrored: bool = False) -> tuple[int, ...]:
                 opened |= 1 << i
             elif opened:
                 opened ^= 1 << opened.bit_length() - 1
-        chain_of.append(index.setdefault(c & ~opened, len(index)))
-    return tuple(chain_of)
+        plain.append(index.setdefault(c & ~opened, len(index)))
+    mirrored = [plain[int(f"{c:0{m}b}"[::-1], 2)] for c in range(1 << m)]
+    return tuple(plain), tuple(mirrored)
 
 
 @functools.cache
@@ -284,16 +284,17 @@ class _Reading:
     cached table, m lookups, one per vertex on the code masked to its edge
     slots.  codes holds the feasible profile codes, one bit each (the kernel
     reads inclusion among them from the superset table), and profiles lists
-    them in ascending order.  met[k], once counted, is the number of chains
-    the profiles meet in the plain (k = 0) or the mirrored symmetric chain
-    decomposition.  route() lists cover_pairs, the ordered pairs outside L
-    that the block alone leaves unsatisfied, and routers[i], codes & var[b]
-    & ~var[a], the profiles that route pair i, (a, b): the ones without a
-    that hold b; routed says every pair has one, and only then does chains
-    hold a minimum chain partition of the profiles (empty otherwise).
+    them in ascending order.  bound, once counted, is the chain bound: the
+    fewest chains that the profiles meet in either symmetric chain
+    decomposition, so no antichain of them is larger.  route() lists
+    cover_pairs, the ordered pairs outside L that the block alone leaves
+    unsatisfied, and routers[i], codes & var[b] & ~var[a], the profiles that
+    route pair i, (a, b): the ones without a that hold b; routed says every
+    pair has one, and only then does chains hold a minimum chain partition
+    of the profiles (empty otherwise).
     """
 
-    __slots__ = ("bout", "codes", "profiles", "members", "met",
+    __slots__ = ("bout", "codes", "profiles", "members", "bound",
                  "cover_pairs", "routers", "routed", "chains")
 
     def __init__(self, m: int, bedges: tuple, bits: int):
@@ -306,16 +307,13 @@ class _Reading:
             infeasible |= ruled
         self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
         self.profiles = list(_bit_members(codes))
-        self.met = [None, None]
-        self.routers = None  # until route()
+        self.bound = self.routers = None  # until chain_bound(), route()
 
-    def chains_met(self, mirrored: bool) -> int:
-        met = self.met[mirrored]
-        if met is None:
-            m = len(self.bout)
-            chain_of = _symmetric_chains(m, True) if mirrored else _symmetric_chains(m)
-            met = self.met[mirrored] = len({chain_of[pr] for pr in self.profiles})
-        return met
+    def chain_bound(self) -> int:
+        if self.bound is None:
+            self.bound = min(len({chain_of[pr] for pr in self.profiles})
+                             for chain_of in _symmetric_chains(len(self.bout)))
+        return self.bound
 
     def route(self):
         if self.routers is not None:
@@ -340,14 +338,13 @@ class _BlockFrame:
     """A block's reading tested at q: everything the per-block profile search
     for q profiles needs, and the outcome of every root test.
 
-    The block is feasible iff it has at least q feasible profiles, they meet
-    at least q chains of each symmetric chain decomposition (an antichain
-    meets a chain at most once), every cover pair has a router, and chains
-    holds at least q chains (Dilworth's theorem).  The tests run in that
-    order and stop at the first that fails, so a reading is filled only as
-    far as some q has tested it; cover pairs and routers are listed only past
-    the chain counts, chains only past routing, and all three stay empty
-    otherwise.
+    The block is feasible iff it has at least q feasible profiles, its chain
+    bound is at least q (an antichain meets a chain at most once), every
+    cover pair has a router, and chains holds at least q chains (Dilworth's
+    theorem).  The tests run in that order and stop at the first that fails,
+    so a reading is filled only as far as some q has tested it; cover pairs
+    and routers are listed only past the chain bound, chains only past
+    routing, and all three stay empty otherwise.
     """
 
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
@@ -355,8 +352,7 @@ class _BlockFrame:
     def __init__(self, reading: _Reading, q: int):
         self.bout, self.codes, self.profiles = reading.bout, reading.codes, reading.profiles
         self.cover_pairs, self.routers, self.chains = [], [], []
-        self.feasible = (len(self.profiles) >= q and reading.chains_met(False) >= q
-                         and reading.chains_met(True) >= q)
+        self.feasible = len(self.profiles) >= q and reading.chain_bound() >= q
         if self.feasible:
             reading.route()
             self.cover_pairs, self.routers, self.chains = (
@@ -409,7 +405,7 @@ def _chain_partition(codes: int, m: int) -> list[int]:
     unmatched; a search that fails leaves the matching as it was, so the
     supersets it visited stay visited until the next augmentation.
     """
-    symmetric = _symmetric_chains(m)
+    symmetric = _symmetric_chains(m)[0]
     sup = _supersets(m)
     pred = {}  # pred[j]: the profile matched to its superset j, or -1
     top: dict[int, int] = {}  # symmetric chain -> its largest profile so far
@@ -658,12 +654,11 @@ def _canonical_case(packed: int, p: int) -> tuple[int, int, int]:
 
 
 def _live_codes(m: int, bedges: tuple, q: int) -> int:
-    """Bit c: code c's feasible profiles meet at least q chains of each
-    symmetric chain decomposition, bit-sliced over every block code.  Every
-    code whose frame at q is feasible is live, and a live code has at least
-    q feasible profiles, one per chain met; routing is left to the frame,
-    and the other codes close unframed.  Edge i runs low -> high under
-    var[i].  A chain is met under the codes that leave one of its
+    """Bit c: code c's chain bound is at least q, bit-sliced over every block
+    code.  Every code whose frame at q is feasible is live, and a live code
+    has at least q feasible profiles, one per chain met; routing is left to
+    the frame, and the other codes close unframed.  Edge i runs low -> high
+    under var[i].  A chain is met under the codes that leave one of its
     profiles feasible."""
     full, var = (1 << (1 << len(bedges))) - 1, _slice_variables(len(bedges))
     rules = []  # per a: its neighbours and the ANDs of its arcs in and out, by set of them
@@ -673,7 +668,7 @@ def _live_codes(m: int, bedges: tuple, q: int) -> int:
                 for i, (x, y) in enumerate(bedges) if a in (x, y)]
         rules.append((a, sum(1 << b for b, _ in into), _ands(full, into),
                       _ands(full, [(b, full ^ codes) for b, codes in into])))
-    chains = _symmetric_chains(m), _symmetric_chains(m, True)
+    chains = _symmetric_chains(m)
     met = [[0] * math.comb(m, m // 2) for _ in chains]  # met[k][i]: codes meeting chain i
     for pr in range(1 << m):
         ruled = 0

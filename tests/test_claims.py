@@ -81,6 +81,18 @@ class TestFamilies:
         report = verify_claims("33q", q_range=(1, 4))
         assert [r.q for r in report.records] == [3, 4]
 
+    # the message names the range as given, not clamped to the family's first q
+    @pytest.mark.parametrize("q_range,message", [
+        ((1, 2), "q range 1..2 of family 33q, whose q starts at 3, selects no claims"),
+        ((9, 3), "q range 9..3 of family 33q, whose q starts at 3, selects no claims"),
+        ((1, 5000), "q range 1..5000 of family 33q, whose q starts at 3, reaches K(3,3,5000)"
+                    " with 5006 vertices, past the cap of 4096 vertices"),
+    ], ids=["1..2", "9..3", "1..5000"])
+    def test_refused_q_range_is_reported_as_given(self, q_range, message):
+        with pytest.raises(BadRange) as refused:
+            verify_claims("33q", q_range=q_range)
+        assert str(refused.value) == message
+
 
 class TestExitCodes:
     def test_unknown_budget_gives_exit_3_and_emits_cnf(self, tmp_path):

@@ -599,5 +599,6 @@ class TestVerifyClaims:
         # 1..2 lies wholly below the family's first q, so it selects nothing too
         code, out, err = run(capsys, "verify-claims", "--family", "33q", "--q-range", q_range)
         assert code == 2
-        assert err.startswith("error:")
+        assert err == (f"error: BadRange: q range {q_range} of family 33q, whose q starts at 3,"
+                       " selects no claims\n")
         assert out == ""

@@ -219,9 +219,8 @@ def _covers(chosen, cover_pairs) -> bool:
 
 def _chain_counts(frame) -> tuple[int, int]:
     """The chains that a frame's profiles meet in each symmetric chain decomposition."""
-    m = len(frame.bout)
-    return tuple(len({_symmetric_chains(m, mirrored)[pr] for pr in frame.profiles})
-                 for mirrored in (False, True))
+    return tuple(len({chain_of[pr] for pr in frame.profiles})
+                 for chain_of in _symmetric_chains(len(frame.bout)))
 
 
 def _per_block_decide(parts, cfg):
@@ -482,7 +481,7 @@ class TestDecide:
         (3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 4), (3, 4, 9), (3, 4, 11),
         (3, 4, 12), (2, 2, 3, 8), (2, 2, 3, 19), (1, 3, 3, 3), (2, 3, 6)])
     def test_symmetry_off_matches_the_per_block_loop(self, parts, node_budget):
-        # the chain counts run bit-sliced in one pass over all codes and close
+        # the chain bound runs bit-sliced in one pass over all codes and closes
         # runs of blocks in one budget step; that must change no count
         cfg = SearchConfig(node_budget=node_budget, symmetry_breaking=False)
         outcome = od.decide_diameter2(parts, cfg)
@@ -747,12 +746,12 @@ class TestFrames:
         assert frame.routers == routers, (shape, bits)
         assert frame.feasible == routed
         assert len(frame.chains) == (width if routed else 0), (shape, bits)
-        counts = _chain_counts(frame)
-        # the frame routes only past the chain counts, runs the matching only
+        bound = min(_chain_counts(frame))
+        # the frame routes only past the chain bound, runs the matching only
         # past routing, and stops at the first test that fails
-        for q in sorted({min(counts), width, width + 1, len(profiles)}):
+        for q in sorted({bound, width, width + 1, len(profiles)}):
             frame = _frame(m, bedges, bits, q)
-            chained = min(counts) >= q
+            chained = bound >= q
             assert frame.feasible == (chained and routed and width >= q), (shape, bits, q)
             assert (frame.cover_pairs, frame.routers) == (
                 (cover_pairs, routers) if chained else ([], [])), (shape, bits, q)
@@ -763,32 +762,37 @@ class TestFrames:
 
 
 def _root_truth(shape, bits):
-    """The three counts that a block's root tests compare with q (its feasible
-    profiles, and the chains they meet in each symmetric chain decomposition),
-    and whether every cover pair has a router."""
-    frame = _frame(sum(shape), _block_edges(shape), bits, 0)
-    return (len(frame.profiles), *_chain_counts(frame)), frame.feasible
+    """The two counts that a block's root tests compare with q (its feasible
+    profiles, and its reading's chain bound, checked against the fewest
+    chains they meet in either symmetric chain decomposition), and whether
+    every cover pair has a router."""
+    reading = _Reading(sum(shape), _block_edges(shape), bits)
+    frame = _BlockFrame(reading, 0)
+    bound = reading.chain_bound()
+    assert bound == min(_chain_counts(frame)), (shape, bits)
+    return (len(frame.profiles), bound), frame.feasible
 
 
 class TestRootTests:
-    """The bit-sliced symmetric-chain counts against one _BlockFrame per code and q.
+    """The bit-sliced chain bound against one _BlockFrame per code and q.
 
-    Bit c of the live set is exactly "code c's feasible profiles meet at
-    least q chains in each symmetric chain decomposition", and every code
-    whose frame passes all its root tests is live; the frame alone tests
-    routing and the Dilworth width.  Each code is checked at each of its
-    three counts and at each count + 1, a sampled code at its width too.
+    Bit c of the live set is exactly "code c's chain bound is at least q",
+    and every code whose frame passes all its root tests is live; the frame
+    alone tests routing and the Dilworth width.  Every code is checked at
+    every q from 0 to one past the shape's largest profile count; a sampled
+    code at its profile count, each decomposition's chain count and its
+    width, and at each + 1.
     """
 
     @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=str)
     def test_every_code_matches_frames(self, shape):
         m, bedges = sum(shape), _block_edges(shape)
         truth = [_root_truth(shape, bits) for bits in range(1 << len(bedges))]
-        # and at q = 0, where every code is live
-        for q in sorted({0} | {n + k for counts, _ in truth for n in counts for k in (0, 1)}):
+        # from q = 0, where every code is live, to past every profile count
+        for q in range(max(counts[0] for counts, _ in truth) + 2):
             live = list(_bit_members(search._live_codes(m, bedges, q)))
-            assert live == [bits for bits, (counts, _) in enumerate(truth)
-                            if min(counts[1:]) >= q], q
+            assert live == [bits for bits, ((_, bound), _) in enumerate(truth)
+                            if bound >= q], q
             assert set(live) >= {bits for bits in range(len(truth))
                                  if _frame(m, bedges, bits, q).feasible}, q
 
@@ -798,14 +802,16 @@ class TestRootTests:
         live = functools.cache(lambda q: search._live_codes(m, bedges, q))  # once per q
         rng = random.Random(f"root tests {shape}")
         for bits in rng.sample(range(1 << len(bedges)), count):
-            counts, routed = _root_truth(shape, bits)
-            width = _width(tuple(_frame(m, bedges, bits, 0).profiles))
-            for q in sorted({n + k for n in (*counts, width) for k in (0, 1)}):
+            (n_profiles, bound), routed = _root_truth(shape, bits)
+            frame = _frame(m, bedges, bits, 0)
+            width = _width(tuple(frame.profiles))
+            for q in sorted({n + k for n in (n_profiles, *_chain_counts(frame), width)
+                             for k in (0, 1)}):
                 is_live = bool(live(q) >> bits & 1)
                 feasible = _frame(m, bedges, bits, q).feasible
-                assert is_live == (min(counts[1:]) >= q), (bits, q)
+                assert is_live == (bound >= q), (bits, q)
                 assert is_live or not feasible, (bits, q)
-                assert feasible == (routed and min(counts) >= q and width >= q), (bits, q)
+                assert feasible == (routed and min(n_profiles, bound, width) >= q), (bits, q)
 
     def test_frames_close_what_the_pass_lets_through(self):
         # the pass leaves routing to the frame: at (3,3), q = 3, it lets 492
@@ -906,7 +912,7 @@ class TestBlockPlan:
         for bits, (_, reading) in zip(plan.reps, plan.blocks()):
             profiles = reading.profiles
             assert not _BlockFrame(reading, len(profiles) + 1).feasible
-            assert (reading.met, reading.routers) == ([None, None], None), bits
+            assert (reading.bound, reading.routers) == (None, None), bits
             bound = min(len(profiles), *_chain_counts(_frame(m, bedges, bits, 0)))
             width = _width(tuple(profiles))
             for q in (bound + 1, bound, width + 1, width, 0):
@@ -914,6 +920,22 @@ class TestBlockPlan:
                 assert (staged.profiles, staged.cover_pairs, staged.routers, len(staged.chains),
                         staged.feasible) == (fresh.profiles, fresh.cover_pairs, fresh.routers,
                                              len(fresh.chains), fresh.feasible), (bits, q)
+            assert reading.bound == bound, bits
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2, 3)], ids=str)
+    def test_chain_bound_stage_leaves_a_reading_unrouted(self, shape):
+        # a q past the chain bound but within the profile count fills the
+        # bound and nothing after it: routing waits for a q the bound passes
+        m, bedges = sum(shape), _block_edges(shape)
+        staged = 0
+        for bits in search._block_plan(shape, bedges).reps:
+            reading = _Reading(m, bedges, bits)
+            bound = reading.chain_bound()
+            for q in range(bound + 1, len(reading.profiles) + 1):
+                assert not _BlockFrame(reading, q).feasible, (bits, q)
+                assert (reading.bound, reading.routers) == (bound, None), (bits, q)
+                staged += 1
+        assert staged  # some representative has a bound below its profile count
 
     @pytest.mark.parametrize("budget,cases", [(7, _K3520_CASES_7), (50, _K3520_CASES_50)])
     def test_node_budget_stops_cold_and_warm_plans_alike(self, budget, cases):
@@ -997,13 +1019,14 @@ class TestChainPartition:
 class TestSymmetricChains:
     @pytest.mark.parametrize("m", range(1, MAX_BLOCK_VERTICES + 1))
     def test_decomposition(self, m):
-        self._check(m, _symmetric_chains(m))
+        self._check(m, _symmetric_chains(m)[0])
 
     @pytest.mark.parametrize("m", range(1, MAX_BLOCK_VERTICES + 1))
     def test_mirrored_decomposition(self, m):
-        chains = self._check(m, _symmetric_chains(m, True))
+        plain, mirrored = _symmetric_chains(m)
+        chains = self._check(m, mirrored)
         if m > 1:  # a second partition, not the first renumbered
-            assert set(map(tuple, chains)) != set(map(tuple, self._check(m, _symmetric_chains(m))))
+            assert set(map(tuple, chains)) != set(map(tuple, self._check(m, plain)))
 
     @staticmethod
     def _check(m, chain_of):
