@@ -20,6 +20,7 @@ K(2,2) has no labeling with both parts' rows sorted.
 
 from __future__ import annotations
 
+import os
 import reprlib
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ MAX_CNF_CLAUSES = 500_000
 
 
 class TooManyClauses(OrientdiamError):
+    pass
+
+
+class BadOutPath(OrientdiamError):
     pass
 
 
@@ -151,6 +156,8 @@ def _add_lex_leq(clauses, n_vars, row_a, row_b) -> int:
 
 def export_cnf(parts, out_path) -> CnfStats:
     """Write the DIMACS file; returns variable and clause counts."""
+    if not isinstance(out_path, (str, os.PathLike)):  # open() takes an int as a file descriptor
+        raise BadOutPath(f"out_path must be a str or os.PathLike path, got {out_path!r}")
     sizes = make_complete_multipartite(parts).parts  # parts may be a one-shot iterable
     clauses, stats = encode_diameter2(sizes)
     lines = [

@@ -50,13 +50,14 @@ chains), or when some cover pair's routers miss both the chosen profiles
 and the candidates.  Each block costs one node, whichever test closes it,
 and each kernel search node one more.
 Blocks run in ascending code order over the least code of each orbit under
-part-internal relabelings and global arc reversal.  They do not depend
-on q, and nor does any root test but its comparison with q, so each block
-shape's list is cached per process with one reading per representative: its
-feasible profiles, then its chain bound, then its cover pairs, routers
-and chains, each stage filled the first time some q passes the stage
-before.  A later decide of the shape at any q floods no orbits and rebuilds
-no reading; its frames only compare readings with q.  The orbits are flooded
+part-internal relabelings and global arc reversal.  They do not depend on q,
+and nor does any root test but its comparison with q, so each block shape's
+list is cached per process with one reading per representative, an empty
+shell over the shape's table and the block's code.  Frames alone fill it:
+the feasible profiles, then the chain bound, then the cover pairs, routers
+and chains, each stage the first time some q passes the stage before.  A
+later decide of the shape at any q floods no orbits and refills no reading;
+its frames only compare readings with q.  The orbits are flooded
 over the quotient by the block's largest part: its vertices' code bits
 towards the rest of the block, sorted, stand for all their relabelings, so
 the flood visits multisets of those keys instead of every code.  Each such
@@ -69,9 +70,9 @@ codes (8 KiB sets at the 16-edge cap), as in the oracles below: pr is
 ruled out at a iff every edge between a and the other side of pr runs into
 pr, an AND over those arcs, and a chain is met under the codes that leave
 one of its profiles feasible.  Every live code gets a frame on a fresh
-reading, kept by nothing, which runs all its root tests, routing
-included; a block is charged by its position in explored order, so a code
-the bound closes costs its one block node with no frame.
+shell over the table, kept by nothing, which runs all its root tests,
+routing included; a block is charged by its position in explored order, so
+a code the bound closes costs its one block node with no frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -248,10 +249,10 @@ def _symmetric_chains(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @functools.cache
 def _vertex_tables(m: int, bedges: tuple) -> tuple:
-    """Per block shape: tables[a], the mask of a's edge slots and, for every
-    code masked to them, a's out-mask and the profiles that the two rules of
-    the module docstring rule out at a (sum over a of 2^deg(a) entries); and
-    members[mask], the vertices of an m-bit mask in ascending order."""
+    """Per block shape, per vertex a: the mask of a's edge slots and a's
+    table, which maps every code masked to them to a's out-mask and the
+    profiles that the two rules of the module docstring rule out at a (sum
+    over a of 2^deg(a) entries)."""
     full = (1 << (1 << m)) - 1
     sup = _supersets(m)
     # none[s]: the codes holding no vertex of s
@@ -273,41 +274,42 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
             out = nbrs ^ ins
             table[mask ^ low ^ s] = out, sup[1 << a | out] | none[1 << a | ins]
         tables.append((mask, table))
-    return tuple(tables), tuple(tuple(_bit_members(mask)) for mask in range(1 << m))
+    return tuple(tables)
 
 
 class _Reading:
-    """Every root test of one block but its comparisons with q, filled in
-    stages, each once some q needs it.
-
-    bout and the infeasible profiles are read from the block shape's one
-    cached table, m lookups, one per vertex on the code masked to its edge
-    slots.  codes holds the feasible profile codes, one bit each (the kernel
-    reads inclusion among them from the superset table), and profiles lists
-    them in ascending order.  bound, once counted, is the chain bound: the
-    fewest chains that the profiles meet in either symmetric chain
-    decomposition, so no antichain of them is larger.  route() lists
-    cover_pairs, the ordered pairs outside L that the block alone leaves
-    unsatisfied, and routers[i], codes & var[b] & ~var[a], the profiles that
-    route pair i, (a, b): the ones without a that hold b; routed says every
-    pair has one, and only then does chains hold a minimum chain partition
-    of the profiles (empty otherwise).
+    """Every root test of one block but its comparisons with q: a shell over
+    the shape's _vertex_tables and the block's code that only frames fill, in
+    stages, each once some q needs it; profiles, bound and routers stay None
+    until then.  read() looks bout and the infeasible profiles up, one per
+    vertex on the code masked to its edge slots.  codes holds the feasible
+    profile codes, one bit each (the kernel reads inclusion among them from
+    the superset table), and profiles lists them in ascending order.  bound
+    is the chain bound: the fewest chains that the profiles meet in either
+    symmetric chain decomposition, so no antichain of them is larger.
+    route() lists cover_pairs, the ordered pairs outside L that the block
+    alone leaves unsatisfied, and routers[i], codes & var[b] & ~var[a], the
+    profiles that route pair i, (a, b): the ones without a that hold b;
+    routed says every pair has one, and only then does chains hold a minimum
+    chain partition of the profiles (empty otherwise).
     """
 
-    __slots__ = ("bout", "codes", "profiles", "members", "bound",
+    __slots__ = ("tables", "bits", "bout", "codes", "profiles", "bound",
                  "cover_pairs", "routers", "routed", "chains")
 
-    def __init__(self, m: int, bedges: tuple, bits: int):
-        tables, self.members = _vertex_tables(m, bedges)
+    def __init__(self, tables: tuple, bits: int):
+        self.tables, self.bits = tables, bits
+        self.profiles = self.bound = self.routers = None  # until read(), chain_bound(), route()
+
+    def read(self):
         self.bout = bout = []
         infeasible = 0
-        for mask, table in tables:
-            out, ruled = table[bits & mask]
+        for mask, table in self.tables:
+            out, ruled = table[self.bits & mask]
             bout.append(out)
             infeasible |= ruled
-        self.codes = codes = ~infeasible & (1 << (1 << m)) - 1
+        self.codes = codes = ~infeasible & (1 << (1 << len(bout))) - 1
         self.profiles = list(_bit_members(codes))
-        self.bound = self.routers = None  # until chain_bound(), route()
 
     def chain_bound(self) -> int:
         if self.bound is None:
@@ -316,16 +318,14 @@ class _Reading:
         return self.bound
 
     def route(self):
-        if self.routers is not None:
-            return
-        bout, codes, members = self.bout, self.codes, self.members
-        full, var = len(members) - 1, _slice_variables(len(bout))
+        bout, codes = self.bout, self.codes
+        full, var = (1 << len(bout)) - 1, _slice_variables(len(bout))
         pairs, routers = [], []
         for a, out in enumerate(bout):
             reach = out | 1 << a
-            for b in members[out]:
+            for b in _bit_members(out):
                 reach |= bout[b]
-            for b in members[full & ~reach]:
+            for b in _bit_members(full & ~reach):
                 pairs.append((a, b))
                 routers.append(codes & var[b] & ~var[a])
         self.routed = all(routers)
@@ -341,20 +341,23 @@ class _BlockFrame:
     The block is feasible iff it has at least q feasible profiles, its chain
     bound is at least q (an antichain meets a chain at most once), every
     cover pair has a router, and chains holds at least q chains (Dilworth's
-    theorem).  The tests run in that order and stop at the first that fails,
-    so a reading is filled only as far as some q has tested it; cover pairs
-    and routers are listed only past the chain bound, chains only past
-    routing, and all three stay empty otherwise.
+    theorem).  The tests run in that order, stop at the first that fails and
+    fill each stage of the reading that they reach and no frame has filled;
+    cover pairs and routers are listed only past the chain bound, chains
+    only past routing, and all three stay empty otherwise.
     """
 
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
 
     def __init__(self, reading: _Reading, q: int):
+        if reading.profiles is None:
+            reading.read()
         self.bout, self.codes, self.profiles = reading.bout, reading.codes, reading.profiles
         self.cover_pairs, self.routers, self.chains = [], [], []
         self.feasible = len(self.profiles) >= q and reading.chain_bound() >= q
         if self.feasible:
-            reading.route()
+            if reading.routers is None:
+                reading.route()
             self.cover_pairs, self.routers, self.chains = (
                 reading.cover_pairs, reading.routers, reading.chains)
             self.feasible = reading.routed and len(self.chains) >= q
@@ -600,34 +603,25 @@ def _block_representatives(rest_parts, bedges):
 
 class _Plan:
     """A block shape's orbit representatives in explored order, the canonical
-    case of each (none unless the shape has a size-3 anchor), and the reading
-    of each, built the first time a decide reaches it."""
+    case of each (none unless the shape has a size-3 anchor), and a reading
+    shell of each over the shape's vertex tables, left for frames to fill.
+    _block_plan keeps one per shape and process: nothing in it depends on q,
+    so every decide of the shape shares it."""
 
-    __slots__ = ("m", "bedges", "reps", "cases", "readings")
+    __slots__ = ("reps", "cases", "readings")
 
     def __init__(self, rest_parts: tuple, bedges: tuple):
-        self.m, self.bedges = sum(rest_parts), bedges
+        m = sum(rest_parts)
         self.reps = tuple(_block_representatives(list(rest_parts), bedges))
         case = _case_reader(rest_parts, bedges)
         packed = list(map(case, self.reps)) if case else []
-        canonical = {x: _canonical_case(x, self.m - 3) for x in set(packed)}
+        canonical = {x: _canonical_case(x, m - 3) for x in set(packed)}
         self.cases = tuple(map(canonical.get, packed))
-        self.readings = [None] * len(self.reps)
-
-    def blocks(self):
-        """(position, reading) of every representative, in explored order."""
-        readings = self.readings
-        for i, reading in enumerate(readings):
-            if reading is None:
-                reading = readings[i] = _Reading(self.m, self.bedges, self.reps[i])
-            yield i, reading
+        tables = _vertex_tables(m, bedges)
+        self.readings = [_Reading(tables, bits) for bits in self.reps]
 
 
-@functools.cache
-def _block_plan(rest_parts: tuple, bedges: tuple) -> _Plan:
-    """The _Plan of a block shape, one per process: the orbits and every
-    reading are independent of q, so every decide of the shape shares them."""
-    return _Plan(rest_parts, bedges)
+_block_plan = functools.cache(_Plan)
 
 
 @functools.cache
@@ -732,11 +726,10 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     symmetric = cfg.symmetry_breaking
     if symmetric:
         plan = _block_plan(rest_parts, bedges)
-        total, blocks = len(plan.reps), plan.blocks()
+        total, blocks = len(plan.reps), enumerate(plan.readings)
     else:
-        total = 1 << len(bedges)
-        live = _bit_members(_live_codes(m, bedges, q))
-        blocks = ((c, _Reading(m, bedges, c)) for c in live)
+        total, tables = 1 << len(bedges), _vertex_tables(m, bedges)
+        blocks = ((c, _Reading(tables, c)) for c in _bit_members(_live_codes(m, bedges, q)))
     budget = _Budget(cfg, start)
     blocks_explored = 0
     witness = None

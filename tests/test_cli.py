@@ -245,7 +245,7 @@ def test_every_error_class_has_the_root():
         defined |= {obj for obj in vars(module).values() if isinstance(obj, type)
                     and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
     assert sorted(cls.__name__ for cls in defined if not issubclass(cls, OrientdiamError)) == []
-    assert len(defined - {OrientdiamError}) == 27
+    assert len(defined - {OrientdiamError}) == 28
 
 
 def test_new_error_class_is_exit_2(capsys, monkeypatch):

@@ -9,10 +9,13 @@ an exact model count.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import orientdiam as od
-from orientdiam.cnf import _add_lex_leq, _path_count, encode_diameter2, export_cnf, decode_model
+from orientdiam.cnf import (
+    BadOutPath, _add_lex_leq, _path_count, decode_model, encode_diameter2, export_cnf)
 
 
 def parse_dimacs(path):
@@ -197,6 +200,19 @@ class TestSemantics:
         export_cnf(iter([2, 2, 3]), iterated)
         assert listed.read_text().startswith("c diameter-2 orientation of K(2, 2, 3)\n")
         assert iterated.read_bytes() == listed.read_bytes()
+
+    @pytest.mark.parametrize("out_path", [None, 1, True, 5], ids=repr)
+    def test_export_refuses_what_is_not_a_path(self, out_path):
+        # open() takes an int as a file descriptor: 1 and True used to write
+        # the file to stdout and close it, and None raised a bare TypeError
+        saved = os.dup(1)
+        try:
+            with pytest.raises(BadOutPath, match=f"os.PathLike path, got {out_path!r}$"):
+                export_cnf((2, 2), out_path)
+            os.fstat(1)  # stdout is still open
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
 
 
 def dpll(n_vars, clauses):

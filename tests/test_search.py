@@ -162,7 +162,7 @@ _K222_FIRST_THREE = [
 def _frame(m, bedges, bits, q):
     """The frame of block code bits at q on a fresh reading, as a
     symmetry-off decide builds it."""
-    return _BlockFrame(_Reading(m, bedges, bits), q)
+    return _BlockFrame(_Reading(search._vertex_tables(m, bedges), bits), q)
 
 
 @st.composite
@@ -766,7 +766,7 @@ def _root_truth(shape, bits):
     profiles, and its reading's chain bound, checked against the fewest
     chains they meet in either symmetric chain decomposition), and whether
     every cover pair has a router."""
-    reading = _Reading(sum(shape), _block_edges(shape), bits)
+    reading = _Reading(search._vertex_tables(sum(shape), _block_edges(shape)), bits)
     frame = _BlockFrame(reading, 0)
     bound = reading.chain_bound()
     assert bound == min(_chain_counts(frame)), (shape, bits)
@@ -859,8 +859,9 @@ class TestBlockPlan:
         plan = search._block_plan(shape, bedges)
         assert plan.reps == tuple(_block_representatives(list(shape), bedges))
         assert search._block_plan(shape, bedges) is plan
-        # no reading is built before a decide reaches its representative
-        assert plan.readings == [None] * len(plan.reps)
+        # no reading is read before a decide reaches its representative
+        assert len(plan.readings) == len(plan.reps)
+        assert all(reading.profiles is None for reading in plan.readings)
 
     @pytest.mark.parametrize("parts,qs,threshold", [((3, 4), range(4, 13), 12),
                                                     ((4, 4), range(25, 36), 35)], ids=str)
@@ -893,7 +894,8 @@ class TestBlockPlan:
             reached = max(reached, od.decide_diameter2((*parts, q)).stats.blocks_explored)
         plan = search._block_plan(parts, bedges)
         assert len(plan.readings) == len(plan.reps)
-        assert [r is not None for r in plan.readings] == [i < reached for i in range(len(plan.reps))]
+        assert [r.profiles is not None for r in plan.readings] == [
+            i < reached for i in range(len(plan.reps))]
         del plan
         search._block_plan.cache_clear()
         od.decide_diameter2((*parts, qs[0]), SearchConfig(symmetry_breaking=False))
@@ -909,7 +911,8 @@ class TestBlockPlan:
         m, bedges = sum(shape), _block_edges(shape)
         search._block_plan.cache_clear()
         plan = search._block_plan(shape, bedges)
-        for bits, (_, reading) in zip(plan.reps, plan.blocks()):
+        for bits, reading in zip(plan.reps, plan.readings):
+            assert not _BlockFrame(reading, (1 << m) + 1).feasible  # above every profile count
             profiles = reading.profiles
             assert not _BlockFrame(reading, len(profiles) + 1).feasible
             assert (reading.bound, reading.routers) == (None, None), bits
@@ -925,17 +928,58 @@ class TestBlockPlan:
     @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2, 3)], ids=str)
     def test_chain_bound_stage_leaves_a_reading_unrouted(self, shape):
         # a q past the chain bound but within the profile count fills the
-        # bound and nothing after it: routing waits for a q the bound passes
+        # bound and nothing after it: routing waits for a q the bound passes.
+        # The q run down, so the first of them is the frame that counts it
         m, bedges = sum(shape), _block_edges(shape)
         staged = 0
-        for bits in search._block_plan(shape, bedges).reps:
-            reading = _Reading(m, bedges, bits)
-            bound = reading.chain_bound()
-            for q in range(bound + 1, len(reading.profiles) + 1):
+        search._block_plan.cache_clear()
+        plan = search._block_plan(shape, bedges)
+        for bits, reading in zip(plan.reps, plan.readings):
+            assert not _BlockFrame(reading, (1 << m) + 1).feasible  # reads the profiles alone
+            bound = min(_chain_counts(_frame(m, bedges, bits, 0)))
+            for q in range(len(reading.profiles), bound, -1):
                 assert not _BlockFrame(reading, q).feasible, (bits, q)
                 assert (reading.bound, reading.routers) == (bound, None), (bits, q)
                 staged += 1
         assert staged  # some representative has a bound below its profile count
+
+    def test_no_reading_is_filled_outside_a_frame(self, monkeypatch):
+        # every reading is built empty, and its stages change only while a
+        # frame is being built: each reading's stages are compared, as it
+        # enters a frame and at the end, with what its last frame left
+        reading_class, frame_class = search._Reading, search._BlockFrame
+        framing = False
+        left = {}  # id(reading) -> (reading, which of its stages are filled)
+
+        def stages(reading):
+            return tuple(x is not None for x in (reading.profiles, reading.bound, reading.routers))
+
+        def build_reading(*args):
+            built = reading_class(*args)
+            assert framing or stages(built) == (False, False, False)
+            left[id(built)] = built, stages(built)
+            return built
+
+        def build_frame(reading, q):
+            nonlocal framing
+            assert stages(reading) == left[id(reading)][1]
+            framing = True
+            try:
+                return frame_class(reading, q)
+            finally:
+                framing = False
+                left[id(reading)] = reading, stages(reading)
+
+        monkeypatch.setattr(search, "_Reading", build_reading)
+        monkeypatch.setattr(search, "_BlockFrame", build_frame)
+        for parts in ((3, 4, 11), (3, 4, 12), (2, 2, 3, 19), (4, 4, 35)):
+            for symmetric in (True, False):
+                search._block_plan.cache_clear()
+                cfg = SearchConfig(symmetry_breaking=symmetric)
+                for _ in range(2):  # cold, then warm
+                    od.decide_diameter2(parts, cfg)
+        assert all(stages(built) == filled for built, filled in left.values())
+        assert any(filled[0] for _, filled in left.values())
 
     @pytest.mark.parametrize("budget,cases", [(7, _K3520_CASES_7), (50, _K3520_CASES_50)])
     def test_node_budget_stops_cold_and_warm_plans_alike(self, budget, cases):
