@@ -144,7 +144,7 @@ def resolve_anchor(parts, anchor_part: int | None) -> int:
         )
     if parts[anchor_part] != 3:
         raise AnchorNotSize3(
-            f"anchor part {anchor_part + 1} has size {parts[anchor_part]}, need 3"
+            f"anchor part index {anchor_part} has size {parts[anchor_part]}, need 3"
         )
     return anchor_part
 

@@ -8,7 +8,10 @@ defined by three Tseitin clauses as the conjunction (u -> w) and (w -> v),
 with w ranging over the common neighbors of u and v.  Variables are numbered
 in one pass: edges (lexicographic edge order), then path variables grouped by
 ordered pair, then lexicographic symmetry-breaking prefixes.  Clauses come in
-the same order, all covering clauses after all path clauses.
+the same order, all covering clauses after all path clauses.  Every arc
+literal is read from one n x n table built from the edge list, and the
+common neighbors of each ordered pair of parts are listed once.  The DIMACS
+writer formats each clause with a %-template cached per clause length.
 
 Symmetry breaking orders the arc-rows of consecutive vertices inside the
 largest part only.  Rows of a single part mention no edges inside that part,
@@ -35,7 +38,7 @@ from .graphcore import (
 )
 
 
-# well above K(3,7,70), about 188k; K(30,30,30) needs about 974k
+# well above K(3,7,70), about 188k; K(30,30,30) needs about 964k
 MAX_CNF_CLAUSES = 500_000
 
 
@@ -81,46 +84,41 @@ def encode_diameter2(parts):
     if needed > MAX_CNF_CLAUSES:
         raise TooManyClauses(f"K{topology.parts} needs {needed} covering and path clauses,"
                              f" cap is {MAX_CNF_CLAUSES}")
-    edge_var = {e: i for i, e in enumerate(topology.edges(), 1)}
-
-    def arc_lit(u, v) -> int:
-        # literal asserting the arc u -> v
-        if u < v:
-            return edge_var[(u, v)]
-        return -edge_var[(v, u)]
-
-    part_of = topology.part_of
-    n_vars = n_edge_vars = len(edge_var)
+    # lit[u][v] asserts the arc u -> v: edge variable i for sorted edge i - 1
+    # low -> high, its negation high -> low, and 0 inside a part
+    lit = [[0] * n for _ in range(n)]
+    edges = topology.edges()
+    for i, (u, v) in enumerate(edges, 1):
+        lit[u][v], lit[v][u] = i, -i
+    sizes, part_of = topology.parts, topology.part_of
+    # the common neighbors of a vertex of part p and one of part r
+    shared = [[[w for w in range(n) if part_of[w] != p and part_of[w] != r]
+               for r in range(len(sizes))] for p in range(len(sizes))]
+    n_vars = n_edge_vars = len(edges)
     clauses = []
     covers = []
     for u in range(n):
+        lu, witnesses = lit[u], shared[part_of[u]]
         for v in range(n):
             if u == v:
                 continue
-            cover = []
-            for w in range(n):
-                if part_of[w] in (part_of[u], part_of[v]):
-                    continue  # not a common neighbor
+            first_var = n_vars + 1
+            for w in witnesses[part_of[v]]:
                 n_vars += 1
-                a, first, second = n_vars, arc_lit(u, w), arc_lit(w, v)
-                clauses.append((-a, first))
-                clauses.append((-a, second))
-                clauses.append((a, -first, -second))
-                cover.append(a)
-            if topology.adjacent(u, v):
-                cover.append(arc_lit(u, v))
-            covers.append(tuple(cover))
+                first, second = lu[w], lit[w][v]
+                clauses += ((-n_vars, first), (-n_vars, second), (n_vars, -first, -second))
+            cover = tuple(range(first_var, n_vars + 1))
+            covers.append(cover + (lu[v],) if lu[v] else cover)
     clauses += covers
     n_path_vars = n_vars - n_edge_vars
 
     # lex-order the rows of the largest part (ties resolved to the last one)
-    sizes = topology.parts
     big = max(range(len(sizes)), key=lambda i: (sizes[i], i))
     columns = [w for w in range(n) if part_of[w] != big]
     members = list(topology.part_vertices(big))
     for zu, zv in zip(members, members[1:]):
-        n_vars = _add_lex_leq(clauses, n_vars, [arc_lit(zu, c) for c in columns],
-                              [arc_lit(zv, c) for c in columns])
+        n_vars = _add_lex_leq(clauses, n_vars, [lit[zu][c] for c in columns],
+                              [lit[zv][c] for c in columns])
 
     stats = CnfStats(
         variables=n_vars,
@@ -160,16 +158,15 @@ def export_cnf(parts, out_path) -> CnfStats:
         raise BadOutPath(f"out_path must be a str or os.PathLike path, got {out_path!r}")
     sizes = make_complete_multipartite(parts).parts  # parts may be a one-shot iterable
     clauses, stats = encode_diameter2(sizes)
-    lines = [
-        f"c diameter-2 orientation of K{sizes}",
-        "c edge variables first (lex edge order, true = low index -> high index),",
-        "c then two-step path variables grouped by ordered pair, then lex-ordering prefixes",
-        f"p cnf {stats.variables} {stats.clauses}",
-    ]
-    for clause in clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
+    header = (f"c diameter-2 orientation of K{sizes}\n"
+              "c edge variables first (lex edge order, true = low index -> high index),\n"
+              "c then two-step path variables grouped by ordered pair, then lex-ordering prefixes\n"
+              f"p cnf {stats.variables} {stats.clauses}\n")
+    # one %-template per clause length; the empty clause is the line " 0"
+    templates = {k: " ".join(["%d"] * k) + " 0\n" for k in set(map(len, clauses))}
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.write("".join([templates[len(clause)] % clause for clause in clauses]))
     return stats
 
 

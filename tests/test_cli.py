@@ -398,6 +398,15 @@ class TestAnalyze:
         # part 2's out-degrees into part 1; part 1's into part 2 are (1, 1, 2)
         assert doc["case_signature"]["raw"] == [1, 2, 2]
 
+    def test_anchor_of_wrong_size_is_named_by_its_index(self, capsys, tmp_path):
+        # --anchor, the out-of-range message and the JSON anchor are 0-based,
+        # so this message names the part the same way
+        path = tmp_path / "d4.json"
+        run(capsys, "construct", "--parts", "3,3,4", "--out", str(path))
+        code, out, err = run(capsys, "analyze", "--file", str(path), "--anchor", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: AnchorNotSize3: anchor part index 2 has size 4, need 3\n"
+
     @pytest.mark.parametrize("parts,anchor", [((3, 4, 11), 0), ((4, 3, 11), 1), ((11, 3, 4), 1)])
     def test_default_anchor_is_first_size_three_part(self, capsys, tmp_path, parts, anchor):
         outcome = od.decide_diameter2(parts)

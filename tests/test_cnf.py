@@ -187,10 +187,18 @@ class TestSemantics:
             assert decode_model(parts, [*true_vars, *aux, 0, 10**6]).arcs() == expected
 
     def test_export_matches_encoded_clauses(self, tmp_path):
+        # the frozen encodings' shapes and K(3,3,7): the empty clauses of (5,),
+        # one-column lex rows, and 13-, 15- and 16-literal lex clauses of
+        # (3,4,12), so every clause length the writer keeps a template for
         path = tmp_path / "x.cnf"
-        export_cnf((1, 1, 2), path)
-        _, _, clauses = parse_dimacs(path)
-        assert clauses == [tuple(cl) for cl in encode_diameter2((1, 1, 2))[0]]
+        for parts in (5,), (1, 4), (2, 2, 2), (1, 2, 3, 4), (3, 4, 12), (3, 3, 7):
+            export_cnf(parts, path)
+            _, _, clauses = parse_dimacs(path)
+            encoded = encode_diameter2(parts)[0]
+            assert clauses == [tuple(cl) for cl in encoded], parts
+            # byte for byte, against a formatter that writes each literal by str()
+            body = path.read_text(encoding="utf-8").split("\n", 4)[4]
+            assert body == "".join(" ".join(map(str, cl)) + " 0\n" for cl in encoded), parts
 
     def test_one_shot_parts_write_the_same_file(self, tmp_path):
         # the header used to re-read the parts, after the encoder had used

@@ -131,6 +131,8 @@ DIGESTS = {
         "c007098d8e4f92e83f6e500150a30b9c2c237f5f2163cc7c75c5c6b8eb8e8e4d",
     ("export-cnf", "3,3,7"):
         "1bcabfc369ddbe8698023d0357c41a2ecc964935e4885cd7108b2527868ada78",
+    ("export-cnf", "3,4,12"):
+        "decf7647f90e14f361a06022dfbfd64eec62743f0a1b575e8df2e094d1dbf358",
     ("enumerate", "2,2,2"):
         "52b86b74bd3c94cc5d055dabcb4177f78f2399df47037f3d891d397b7d9e5c9a",
 }
