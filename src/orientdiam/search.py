@@ -37,12 +37,15 @@ incomparable to the one just chosen.  An antichain meets a chain at most
 once, so a block's frame runs every root test, in this order: at least q
 feasible profiles, a chain bound of at least q (the fewest chains that the
 profiles meet in the symmetric chain decomposition of all m-bit codes or
-in its mirror on bit-reversed codes), a router for every cover pair, and
-at least q chains in the fewest that split the feasible profiles under
-inclusion, by a maximum matching of profiles to strict supersets read from
-the superset table (Dilworth's theorem by Fulkerson's construction),
-seeded with the links along the symmetric chains.  The kernel searches
-only the blocks that pass all four, so its None means a searched block.
+in its mirror on bit-reversed codes), at least q chains in the fewest that
+split the feasible profiles under inclusion, and a router for every cover
+pair.  The width test is a maximum matching of profiles to strict supersets
+read from the superset table (Dilworth's theorem by Fulkerson's
+construction), seeded with the links along the symmetric chains; each
+augmentation joins two chains, so the matching stops at the first partition
+into fewer than q, and a block it closes lists no cover pair.  The kernel
+searches only the blocks that pass all four, so its None means a searched
+block.
 A node is pruned when fewer of the frame's chains meet its candidates than
 profiles are still needed (the colouring bound of bit-parallel
 max-clique, read on the incomparability graph, whose colour classes are
@@ -54,10 +57,12 @@ part-internal relabelings and global arc reversal.  They do not depend on q,
 and nor does any root test but its comparison with q, so each block shape's
 list is cached per process with one reading per representative, an empty
 shell over the shape's table and the block's code.  Frames alone fill it:
-the feasible profiles, then the chain bound, then the cover pairs, routers
-and chains, each stage the first time some q passes the stage before.  A
-later decide of the shape at any q floods no orbits and refills no reading;
-its frames only compare readings with q.  The orbits are flooded
+the feasible profiles, then the chain bound, then the chains (or the q a
+matching stopped at), then the cover pairs and routers, each stage the
+first time some q passes the stage before.  A later decide of the shape at
+any q floods no orbits and refills no stage; its frames compare readings
+with q, and run again only a matching that stopped above their q.  The
+orbits are flooded
 over the quotient by the block's largest part: its vertices' code bits
 towards the rest of the block, sorted, stand for all their relabelings, so
 the flood visits multisets of those keys instead of every code.  Each such
@@ -70,9 +75,10 @@ codes (8 KiB sets at the 16-edge cap), as in the oracles below: pr is
 ruled out at a iff every edge between a and the other side of pr runs into
 pr, an AND over those arcs, and a chain is met under the codes that leave
 one of its profiles feasible.  Every live code gets a frame on a fresh
-shell over the table, kept by nothing, which runs all its root tests,
-routing included; a block is charged by its position in explored order, so
-a code the bound closes costs its one block node with no frame.
+shell over the table, kept by nothing, which runs all its root tests: the
+width first, then routing for a code the width passes; a block is charged
+by its position in explored order, so a code the bound closes costs its one
+block node with no frame.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -280,26 +286,29 @@ def _vertex_tables(m: int, bedges: tuple) -> tuple:
 class _Reading:
     """Every root test of one block but its comparisons with q: a shell over
     the shape's _vertex_tables and the block's code that only frames fill, in
-    stages, each once some q needs it; profiles, bound and routers stay None
-    until then.  read() looks bout and the infeasible profiles up, one per
-    vertex on the code masked to its edge slots.  codes holds the feasible
-    profile codes, one bit each (the kernel reads inclusion among them from
-    the superset table), and profiles lists them in ascending order.  bound
-    is the chain bound: the fewest chains that the profiles meet in either
-    symmetric chain decomposition, so no antichain of them is larger.
-    route() lists cover_pairs, the ordered pairs outside L that the block
-    alone leaves unsatisfied, and routers[i], codes & var[b] & ~var[a], the
-    profiles that route pair i, (a, b): the ones without a that hold b;
-    routed says every pair has one, and only then does chains hold a minimum
-    chain partition of the profiles (empty otherwise).
+    stages, each once some q needs it; profiles, bound, stop, chains and
+    routers stay None until then.  read() looks bout and the infeasible
+    profiles up, one per vertex on the code masked to its edge slots.  codes
+    holds the feasible profile codes, one bit each (the kernel reads
+    inclusion among them from the superset table), and profiles lists them in
+    ascending order.  bound is the chain bound: the fewest chains that the
+    profiles meet in either symmetric chain decomposition, so no antichain of
+    them is larger.  width_at_least(q) runs the matching with its stop at q:
+    stop is the least q at which a matching stopped, so the width is below
+    every q from it up, and chains holds a minimum chain partition of the
+    profiles once a matching ran to its end.  route() lists cover_pairs, the
+    ordered pairs outside L that the block alone leaves unsatisfied, and
+    routers[i], codes & var[b] & ~var[a], the profiles that route pair i,
+    (a, b): the ones without a that hold b; routed says every pair has one.
     """
 
-    __slots__ = ("tables", "bits", "bout", "codes", "profiles", "bound",
-                 "cover_pairs", "routers", "routed", "chains")
+    __slots__ = ("tables", "bits", "bout", "codes", "profiles", "bound", "stop",
+                 "chains", "cover_pairs", "routers", "routed")
 
     def __init__(self, tables: tuple, bits: int):
         self.tables, self.bits = tables, bits
-        self.profiles = self.bound = self.routers = None  # until read(), chain_bound(), route()
+        # until read(), chain_bound(), width_at_least() and route()
+        self.profiles = self.bound = self.stop = self.chains = self.routers = None
 
     def read(self):
         self.bout = bout = []
@@ -317,6 +326,13 @@ class _Reading:
                              for chain_of in _symmetric_chains(len(self.bout)))
         return self.bound
 
+    def width_at_least(self, q: int) -> bool:
+        if self.chains is None and (self.stop is None or q < self.stop):
+            self.chains = _chain_partition(self.codes, len(self.bout), q)
+            if self.chains is None:
+                self.stop = q
+        return self.chains is not None and len(self.chains) >= q
+
     def route(self):
         bout, codes = self.bout, self.codes
         full, var = (1 << len(bout)) - 1, _slice_variables(len(bout))
@@ -329,7 +345,6 @@ class _Reading:
                 pairs.append((a, b))
                 routers.append(codes & var[b] & ~var[a])
         self.routed = all(routers)
-        self.chains = _chain_partition(codes, len(bout)) if self.routed else []
         # routers last: a route() cut short leaves the reading unrouted
         self.cover_pairs, self.routers = pairs, routers
 
@@ -339,12 +354,12 @@ class _BlockFrame:
     for q profiles needs, and the outcome of every root test.
 
     The block is feasible iff it has at least q feasible profiles, its chain
-    bound is at least q (an antichain meets a chain at most once), every
-    cover pair has a router, and chains holds at least q chains (Dilworth's
-    theorem).  The tests run in that order, stop at the first that fails and
-    fill each stage of the reading that they reach and no frame has filled;
-    cover pairs and routers are listed only past the chain bound, chains
-    only past routing, and all three stay empty otherwise.
+    bound is at least q (an antichain meets a chain at most once), its
+    profiles split into no fewer than q chains (Dilworth's theorem), and
+    every cover pair has a router.  The tests run in that order, stop at the
+    first that fails and fill each stage of the reading that they reach and
+    no frame has filled; chains, cover pairs and routers are listed only past
+    the width test, and all three stay empty otherwise.
     """
 
     __slots__ = ("bout", "codes", "profiles", "cover_pairs", "routers", "chains", "feasible")
@@ -354,13 +369,14 @@ class _BlockFrame:
             reading.read()
         self.bout, self.codes, self.profiles = reading.bout, reading.codes, reading.profiles
         self.cover_pairs, self.routers, self.chains = [], [], []
-        self.feasible = len(self.profiles) >= q and reading.chain_bound() >= q
+        self.feasible = (len(self.profiles) >= q and reading.chain_bound() >= q
+                         and reading.width_at_least(q))
         if self.feasible:
             if reading.routers is None:
                 reading.route()
             self.cover_pairs, self.routers, self.chains = (
                 reading.cover_pairs, reading.routers, reading.chains)
-            self.feasible = reading.routed and len(self.chains) >= q
+            self.feasible = reading.routed
 
 
 class _Budget:
@@ -396,8 +412,9 @@ class _Budget:
         return fit
 
 
-def _chain_partition(codes: int, m: int) -> list[int]:
-    """A minimum chain partition under strict inclusion, one bit per code.
+def _chain_partition(codes: int, m: int, q: int = 0) -> list[int] | None:
+    """A minimum chain partition under strict inclusion, one bit per code, or
+    None once a partition into fewer than q chains turns up.
 
     The profiles are the members of codes, one bit per m-bit code.  A maximum
     matching of each profile to a strict superset in codes, read from the
@@ -406,7 +423,10 @@ def _chain_partition(codes: int, m: int) -> list[int]:
     from the symmetric chains: each profile is matched to the next profile on
     its chain.  Kuhn's augmenting paths then run from the profiles left
     unmatched; a search that fails leaves the matching as it was, so the
-    supersets it visited stay visited until the next augmentation.
+    supersets it visited stay visited until the next augmentation.  Each
+    augmentation joins two chains, and the run stops as soon as fewer than q
+    are left, so None says no q profiles are pairwise incomparable; a run
+    that reaches its end returns the same list at every q.
     """
     symmetric = _symmetric_chains(m)[0]
     sup = _supersets(m)
@@ -415,6 +435,9 @@ def _chain_partition(codes: int, m: int) -> list[int]:
     for pr in _bit_members(codes):
         pred[pr] = top.get(symmetric[pr], -1)
         top[symmetric[pr]] = pr
+    count = len(top)  # the chains the matching so far links the profiles into
+    if count < q:
+        return None
     seen = 0
     for root in sorted(top.values()):
         path = [root]
@@ -434,6 +457,9 @@ def _chain_partition(codes: int, m: int) -> list[int]:
                 for i, k in zip(path, via):
                     pred[k] = i
                 seen = 0
+                count -= 1
+                if count < q:
+                    return None
                 break
             path.append(pred[j])
     # pred[j] < j, so one ascending pass puts every profile on its chain

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
@@ -95,6 +96,23 @@ _NODE_PINS = [
     ((3, 5, 19), True, Verdict.EXISTS, 61),
     ((4, 4, 35), True, Verdict.NONE, 173),
     ((4, 4, 35), False, Verdict.NONE, 65_536),
+]
+
+# (parts, symmetry breaking, matchings stopped at the width): refutations,
+# each within the 16-edge cap in both modes
+_WIDTH_EXITS = [
+    ((3, 3, 7), True, 0),
+    ((3, 3, 7), False, 6),
+    ((3, 4, 12), True, 0),
+    ((3, 4, 12), False, 82),
+    ((3, 5, 20), True, 6),
+    ((3, 5, 20), False, 850),
+    ((4, 4, 35), True, 0),
+    ((4, 4, 35), False, 0),
+    ((2, 2, 3, 20), True, 42),
+    ((2, 2, 3, 20), False, 856),
+    ((1, 3, 3, 18), True, 9),
+    ((1, 3, 3, 18), False, 348),
 ]
 
 # the brute-force kernel check enumerates C(|profiles|, q) subsets; a q drawn
@@ -304,6 +322,35 @@ class TestDecide:
             rest = parts[:-1]
             blocks = _burnside_orbits(rest) if symmetry else 1 << len(_block_edges(rest))
             assert nodes == outcome.stats.blocks_explored == blocks
+
+    @pytest.mark.parametrize("parts,symmetric,stopped", _WIDTH_EXITS, ids=str)
+    def test_refutations_close_every_block_before_routing(self, monkeypatch, parts, symmetric,
+                                                          stopped):
+        # every block of a refutation closes at a count or at the width, so
+        # no reading is routed and every matching stops early; a warm decide
+        # reads the stops back and runs none
+        chain_partition, route = search._chain_partition, search._Reading.route
+        runs = collections.Counter()
+
+        def counted_partition(codes, m, q=0):
+            chains = chain_partition(codes, m, q)
+            runs["stopped" if chains is None else "ended"] += 1
+            return chains
+
+        def counted_route(reading):
+            runs["routed"] += 1
+            route(reading)
+
+        monkeypatch.setattr(search, "_chain_partition", counted_partition)
+        monkeypatch.setattr(search._Reading, "route", counted_route)
+        search._block_plan.cache_clear()
+        cfg = SearchConfig(symmetry_breaking=symmetric)
+        assert od.decide_diameter2(parts, cfg).verdict is Verdict.NONE
+        assert runs == collections.Counter(stopped=stopped)
+        if symmetric:
+            runs.clear()
+            assert od.decide_diameter2(parts, cfg).verdict is Verdict.NONE
+            assert not runs
 
     def test_k4435_visits_one_block_per_orbit(self):
         # a None run explores every representative, so exactly the orbits of [4,4]
@@ -736,8 +783,9 @@ class TestFrames:
     def _check(self, shape, bits):
         profiles, cover_pairs, routers = _reference_frame(shape, bits)
         m, bedges = sum(shape), _block_edges(shape)
-        # at q = 0 every count passes, so the frame routes every cover pair,
-        # and a routed frame splits its profiles into width chains
+        tables = search._vertex_tables(m, bedges)
+        # at q = 0 every count passes, so the frame splits its profiles into
+        # width chains and routes every cover pair
         frame = _frame(m, bedges, bits, 0)
         routed, width = all(routers), _width(tuple(profiles))
         assert frame.profiles == profiles, (shape, bits)
@@ -745,17 +793,22 @@ class TestFrames:
         assert frame.cover_pairs == cover_pairs, (shape, bits)
         assert frame.routers == routers, (shape, bits)
         assert frame.feasible == routed
-        assert len(frame.chains) == (width if routed else 0), (shape, bits)
+        assert len(frame.chains) == width, (shape, bits)
         bound = min(_chain_counts(frame))
-        # the frame routes only past the chain bound, runs the matching only
-        # past routing, and stops at the first test that fails
-        for q in sorted({bound, width, width + 1, len(profiles)}):
-            frame = _frame(m, bedges, bits, q)
-            chained = bound >= q
-            assert frame.feasible == (chained and routed and width >= q), (shape, bits, q)
+        # the frame runs the matching only past the chain bound, routes only
+        # past the width, and stops at the first test that fails; a matching
+        # that finds the width below q stops at q and lists no chains
+        for q in sorted({bound, bound + 1, width, width + 1, len(profiles)}):
+            reading = _Reading(tables, bits)
+            frame = _BlockFrame(reading, q)
+            chained, wide = bound >= q, width >= q
+            assert frame.feasible == (wide and routed), (shape, bits, q)
+            assert (reading.chains is not None, reading.stop) == (
+                wide, q if chained and not wide else None), (shape, bits, q)
+            assert len(frame.chains) == (width if wide else 0), (shape, bits, q)
             assert (frame.cover_pairs, frame.routers) == (
-                (cover_pairs, routers) if chained else ([], [])), (shape, bits, q)
-            assert len(frame.chains) == (width if chained and routed else 0), (shape, bits, q)
+                (cover_pairs, routers) if wide else ([], [])), (shape, bits, q)
+            assert (reading.routers is not None) == wide, (shape, bits, q)
         frame = _frame(m, bedges, bits, len(profiles) + 1)
         assert (frame.profiles, frame.cover_pairs, frame.routers, frame.chains,
                 frame.feasible) == (profiles, [], [], [], False), (shape, bits)
@@ -904,26 +957,50 @@ class TestBlockPlan:
         assert not any(type(obj) is _Reading for obj in gc.get_objects())
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2, 3)], ids=str)
-    def test_staged_reading_frames_like_a_fresh_one(self, shape):
+    def test_staged_reading_frames_like_a_fresh_one(self, shape, monkeypatch):
         # each reading is first tested at a q above its profile count, which
         # fills no stage past the profiles; then at the q values around its
-        # bound and its width, each against a frame on a fresh reading
+        # bound and its width, each against a frame on a fresh reading.  A
+        # matching that stopped at q runs again at a lower q only, and none
+        # runs once one has reached its end
         m, bedges = sum(shape), _block_edges(shape)
+        chain_partition, runs = search._chain_partition, []
+
+        def counted(codes, m, q=0):
+            runs.append(q)
+            return chain_partition(codes, m, q)
+
+        monkeypatch.setattr(search, "_chain_partition", counted)
         search._block_plan.cache_clear()
         plan = search._block_plan(shape, bedges)
+        stopped = 0
         for bits, reading in zip(plan.reps, plan.readings):
             assert not _BlockFrame(reading, (1 << m) + 1).feasible  # above every profile count
             profiles = reading.profiles
             assert not _BlockFrame(reading, len(profiles) + 1).feasible
-            assert (reading.bound, reading.routers) == (None, None), bits
+            assert (reading.bound, reading.stop, reading.chains, reading.routers) == (
+                None, None, None, None), bits
             bound = min(len(profiles), *_chain_counts(_frame(m, bedges, bits, 0)))
             width = _width(tuple(profiles))
-            for q in (bound + 1, bound, width + 1, width, 0):
-                staged, fresh = _BlockFrame(reading, q), _frame(m, bedges, bits, q)
+            least, ended = None, False  # what the reading should hold after each frame
+            for q in (bound + 1, bound, width + 1, *range(bound, width, -1), width, 0):
+                fresh = _frame(m, bedges, bits, q)
+                runs.clear()
+                staged = _BlockFrame(reading, q)
                 assert (staged.profiles, staged.cover_pairs, staged.routers, len(staged.chains),
                         staged.feasible) == (fresh.profiles, fresh.cover_pairs, fresh.routers,
                                              len(fresh.chains), fresh.feasible), (bits, q)
+                rerun = q <= bound and not ended and (least is None or q < least)
+                assert runs == [q] * rerun, (bits, q, least)
+                if rerun and width >= q:
+                    ended = True
+                elif rerun:
+                    least = q
+                assert (reading.stop, reading.chains is not None) == (least, ended), (bits, q)
             assert reading.bound == bound, bits
+            assert len(reading.chains) == width, bits
+            stopped += least is not None
+        assert stopped  # some representative's width is below its bound
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (2, 2, 3)], ids=str)
     def test_chain_bound_stage_leaves_a_reading_unrouted(self, shape):
@@ -952,11 +1029,13 @@ class TestBlockPlan:
         left = {}  # id(reading) -> (reading, which of its stages are filled)
 
         def stages(reading):
-            return tuple(x is not None for x in (reading.profiles, reading.bound, reading.routers))
+            # the stop is the least q a matching stopped at, so a lower one is a change
+            return (reading.stop, *(x is not None for x in (
+                reading.profiles, reading.bound, reading.chains, reading.routers)))
 
         def build_reading(*args):
             built = reading_class(*args)
-            assert framing or stages(built) == (False, False, False)
+            assert framing or stages(built) == (None, False, False, False, False)
             left[id(built)] = built, stages(built)
             return built
 
@@ -979,7 +1058,8 @@ class TestBlockPlan:
                 for _ in range(2):  # cold, then warm
                     od.decide_diameter2(parts, cfg)
         assert all(stages(built) == filled for built, filled in left.values())
-        assert any(filled[0] for _, filled in left.values())
+        assert any(filled[1] for _, filled in left.values())
+        assert any(filled[0] is not None for _, filled in left.values())
 
     @pytest.mark.parametrize("budget,cases", [(7, _K3520_CASES_7), (50, _K3520_CASES_50)])
     def test_node_budget_stops_cold_and_warm_plans_alike(self, budget, cases):
@@ -1045,6 +1125,21 @@ class TestChainPartition:
             assert not any(_is_antichain(pair) for pair in itertools.combinations(members, 2))
         # Dilworth: no partition into chains is smaller than the width
         assert len(chains) == _width(tuple(frame.profiles))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stops_exactly_below_the_width(self, m):
+        # at every q from 0 to one past the profile count, a run with its
+        # stop at q says None iff the width is below q, and else returns the
+        # partition that a run without a stop returns
+        rng = random.Random(f"stop {m}")
+        for _ in range(8):
+            profiles = sorted(rng.sample(range(1 << m), rng.randrange(min(1 << m, 40) + 1)))
+            codes = sum(1 << pr for pr in profiles)
+            whole, width = _chain_partition(codes, m), _width(tuple(profiles))
+            assert len(whole) == width, profiles
+            for q in range(len(profiles) + 2):
+                got = _chain_partition(codes, m, q)
+                assert got == (None if width < q else whole), (profiles, q)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=str)
     def test_root_count_bounds_the_width(self, shape):
