@@ -163,12 +163,14 @@ def case_signature(D: Orientation, anchor_part: int | None = None) -> CaseSignat
 
 def canonical_case_classes(p: int) -> tuple[tuple[int, int, int], ...]:
     """All canonical (i,j,k) classes over {0..p}^3, sorted; p is an int >= 1,
-    capped at MAX_BLOCK_VERTICES like the block whose cases they classify."""
+    capped at MAX_BLOCK_VERTICES like the block whose cases they classify.
+    canonicalize_case sorts first, so the sorted triples reach every class."""
     if not (_is_int(p) and p >= 1):
         raise AnalysisError(f"need an integer p >= 1, got {reprlib.repr(p)}")
     if p > MAX_BLOCK_VERTICES:
         raise PTooLarge(f"case classes capped at p={MAX_BLOCK_VERTICES}, got {p}")
-    classes = {canonicalize_case(ijk, p) for ijk in itertools.product(range(p + 1), repeat=3)}
+    triples = itertools.combinations_with_replacement(range(p + 1), 3)
+    classes = {canonicalize_case(ijk, p) for ijk in triples}
     return tuple(sorted(classes))
 
 

@@ -7,8 +7,10 @@ every arc between the anchor triple and the large part, a handful of
 a choice open (the direction of a 4-cycle, say), it makes a fixed
 canonical choice and records it in a completion log.  A restriction is a
 recipe row of the same p less some vertices of its large part; the log
-names them.  Every construct function measures the diameter of what it
-built and refuses to return an orientation that misses its promise.
+names them.  It keeps the recipe's arcs between the vertices left,
+renumbered in order, so a row of either kind is oriented once and measured
+once.  Every construct function measures the diameter of what it built and
+refuses to return an orientation that misses its promise.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .graphcore import (
     OrientdiamError,
     _is_int,
     diameter,
-    induced_suborientation,
     make_complete_multipartite,
     orient,
 )
@@ -161,12 +162,15 @@ def _build(p: int, q) -> tuple[Orientation, tuple[str, ...]]:
             f"K(3,{p},q) construction defined for {min(qs)} <= q <= {max(qs)}, got {q!r}")
     if callable(row):
         arcs, log = row()
-        D = orient(make_complete_multipartite([3, p, q]), arcs)
     else:
+        # the recipe's arcs between kept vertices, each kept vertex renumbered
+        # by its rank; only the large part loses vertices, so the parts stay
         top, deleted = row
-        D_top, log = _build(p, top)
-        D = induced_suborientation(D_top, [v for v in range(3 + p + top) if v not in deleted])
+        arcs, log = _ROWS[p, top]()
+        rank = {v: i for i, v in enumerate(v for v in range(3 + p + top) if v not in deleted)}
+        arcs = [(rank[u], rank[v]) for u, v in arcs if u in rank and v in rank]
         log = (*log, f"q={q}: restriction of the q={top} orientation, deleted vertices {deleted}")
+    D = orient(make_complete_multipartite([3, p, q]), arcs)
     return _verified(D, 2, f"K(3,{p},{q})"), log
 
 

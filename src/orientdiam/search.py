@@ -75,10 +75,13 @@ codes (8 KiB sets at the 16-edge cap), as in the oracles below: pr is
 ruled out at a iff every edge between a and the other side of pr runs into
 pr, an AND over those arcs, and a chain is met under the codes that leave
 one of its profiles feasible.  Every live code gets a frame on a fresh
-shell over the table, kept by nothing, which runs all its root tests: the
-width first, then routing for a code the width passes; a block is charged
-by its position in explored order, so a code the bound closes costs its one
-block node with no frame.
+shell over the table, kept by nothing, whose bound is the q the pass has
+proved, so no frame recounts it; the frame runs the rest of the root tests:
+the width first, then routing for a code the width passes.  A block is
+charged by its position in explored order, so a code the bound closes costs
+its one block node with no frame.  The explored codes are a prefix of all
+codes, so their cases come from the two halves of the case table at once:
+every low half with each complete high row, then the rest of the last row.
 The verdict is sound both ways: Exists re-validates its witness with the
 exact diameter routine, and None means every block orientation was
 enumerated or is the image of an enumerated one.  With a size-3 part outside
@@ -293,7 +296,10 @@ class _Reading:
     inclusion among them from the superset table), and profiles lists them in
     ascending order.  bound is the chain bound: the fewest chains that the
     profiles meet in either symmetric chain decomposition, so no antichain of
-    them is larger.  width_at_least(q) runs the matching with its stop at q:
+    them is larger.  chain_bound() counts it; a reading built with a bound,
+    the q that a bit-sliced pass has proved the chain bound reaches, holds
+    that floor instead and is never counted.  width_at_least(q) runs the
+    matching with its stop at q:
     stop is the least q at which a matching stopped, so the width is below
     every q from it up, and chains holds a minimum chain partition of the
     profiles once a matching ran to its end.  route() lists cover_pairs, the
@@ -305,10 +311,10 @@ class _Reading:
     __slots__ = ("tables", "bits", "bout", "codes", "profiles", "bound", "stop",
                  "chains", "cover_pairs", "routers", "routed")
 
-    def __init__(self, tables: tuple, bits: int):
-        self.tables, self.bits = tables, bits
-        # until read(), chain_bound(), width_at_least() and route()
-        self.profiles = self.bound = self.stop = self.chains = self.routers = None
+    def __init__(self, tables: tuple, bits: int, bound: int | None = None):
+        self.tables, self.bits, self.bound = tables, bits, bound
+        # until read(), width_at_least() and route()
+        self.profiles = self.stop = self.chains = self.routers = None
 
     def read(self):
         self.bout = bout = []
@@ -321,9 +327,8 @@ class _Reading:
         self.profiles = list(_bit_members(codes))
 
     def chain_bound(self) -> int:
-        if self.bound is None:
-            self.bound = min(len({chain_of[pr] for pr in self.profiles})
-                             for chain_of in _symmetric_chains(len(self.bout)))
+        self.bound = min(len({chain_of[pr] for pr in self.profiles})
+                         for chain_of in _symmetric_chains(len(self.bout)))
         return self.bound
 
     def width_at_least(self, q: int) -> bool:
@@ -369,7 +374,9 @@ class _BlockFrame:
             reading.read()
         self.bout, self.codes, self.profiles = reading.bout, reading.codes, reading.profiles
         self.cover_pairs, self.routers, self.chains = [], [], []
-        self.feasible = (len(self.profiles) >= q and reading.chain_bound() >= q
+        bound = reading.bound
+        self.feasible = (len(self.profiles) >= q
+                         and (reading.chain_bound() if bound is None else bound) >= q
                          and reading.width_at_least(q))
         if self.feasible:
             if reading.routers is None:
@@ -639,8 +646,11 @@ class _Plan:
     def __init__(self, rest_parts: tuple, bedges: tuple):
         m = sum(rest_parts)
         self.reps = tuple(_block_representatives(list(rest_parts), bedges))
-        case = _case_reader(rest_parts, bedges)
-        packed = list(map(case, self.reps)) if case else []
+        halves = _case_reader(rest_parts, bedges)
+        packed = []
+        if halves:
+            split, low, high = halves
+            packed = [low[c & (1 << split) - 1] + high[c >> split] for c in self.reps]
         canonical = {x: _canonical_case(x, m - 3) for x in set(packed)}
         self.cases = tuple(map(canonical.get, packed))
         tables = _vertex_tables(m, bedges)
@@ -652,20 +662,33 @@ _block_plan = functools.cache(_Plan)
 
 @functools.cache
 def _case_reader(rest_parts: tuple, bedges: tuple):
-    """None unless the block is two parts, one of size 3; else a function from
-    block code to the out-degrees of the three anchors, the first size-3 part,
-    packed a byte each: setting edge i's bit moves an out-arc from its high
-    end to its low end, so it is a table sum over the low and the high bits."""
+    """None unless the block is two parts, one of size 3; else how to read a
+    block code's case, the out-degrees of the three anchors (the first size-3
+    part) packed a byte each: setting edge i's bit moves an out-arc from its
+    high end to its low end, so a code's case is low[its low split bits] +
+    high[the rest], and (split, low, high) is returned."""
     if len(rest_parts) != 2 or 3 not in rest_parts:
         return None
     unit = {x: 1 << 8 * k for k, x in enumerate(
         range(3) if rest_parts[0] == 3 else range(rest_parts[0], sum(rest_parts)))}
-    half = len(bedges) // 2
+    split = len(bedges) // 2
     low, high = [0], [sum(unit.get(b, 0) for a, b in bedges)]
     for i, (a, b) in enumerate(bedges):
-        step, sums = unit.get(a, 0) - unit.get(b, 0), high if i >= half else low
+        step, sums = unit.get(a, 0) - unit.get(b, 0), high if i >= split else low
         sums += [s + step for s in sums]
-    return lambda code: low[code & (1 << half) - 1] + high[code >> half]
+    return split, low, high
+
+
+def _cases_below(halves, n: int) -> set[int]:
+    """The packed cases of block codes 0 .. n - 1 from _case_reader's halves:
+    each low entry plus the high entry of every row below n, then the row
+    that n cuts short."""
+    split, low, high = halves
+    rows, rest = divmod(n, 1 << split)
+    lows = set(low)
+    cases = {x + y for y in set(high[:rows]) for x in lows}
+    cases.update(x + high[rows] for x in low[:rest])
+    return cases
 
 
 def _canonical_case(packed: int, p: int) -> tuple[int, int, int]:
@@ -754,8 +777,9 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
         plan = _block_plan(rest_parts, bedges)
         total, blocks = len(plan.reps), enumerate(plan.readings)
     else:
+        # a live code's chain bound is proved at least q, so no frame recounts it
         total, tables = 1 << len(bedges), _vertex_tables(m, bedges)
-        blocks = ((c, _Reading(tables, c)) for c in _bit_members(_live_codes(m, bedges, q)))
+        blocks = ((c, _Reading(tables, c, q)) for c in _bit_members(_live_codes(m, bedges, q)))
     budget = _Budget(cfg, start)
     blocks_explored = 0
     witness = None
@@ -783,8 +807,8 @@ def decide_diameter2(parts, cfg: SearchConfig | None = None) -> SearchOutcome:
     if symmetric:
         cases = set(plan.cases[:blocks_explored])
     else:
-        case = _case_reader(rest_parts, bedges)
-        packed = set(map(case, range(blocks_explored))) if case else ()
+        halves = _case_reader(rest_parts, bedges)
+        packed = _cases_below(halves, blocks_explored) if halves else ()
         cases = {_canonical_case(c, m - 3) for c in packed}
     stats = SearchStats(
         nodes=budget.nodes,

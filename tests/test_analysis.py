@@ -185,20 +185,21 @@ class TestCaseSignature:
         assert len(od.canonical_case_classes(4)) == 19
 
     def test_classes_partition_the_cube(self):
-        for p in (3, 4):
-            classes = set(od.canonical_case_classes(p))
-            for ijk in itertools.product(range(p + 1), repeat=3):
-                assert canonicalize_case(ijk, p) in classes
+        # the classes come from the sorted triples; every triple of the cube
+        # must land in one of them, and each of them be some triple's class
+        for p in range(1, MAX_BLOCK_VERTICES + 1):
+            cube = {canonicalize_case(ijk, p) for ijk in itertools.product(range(p + 1), repeat=3)}
+            assert set(od.canonical_case_classes(p)) == cube, p
 
     def test_p_past_the_block_cap_is_refused_before_enumerating(self, monkeypatch):
-        # (p + 1)^3 triples, and claims asks for p = m - 3 of an in-cap block only
+        # C(p + 3, 3) sorted triples, and claims asks for p = m - 3 of an in-cap block only
         calls = []
         monkeypatch.setattr(od.analysis, "canonicalize_case", lambda *args: calls.append(args))
         with pytest.raises(PTooLarge, match=f"p={MAX_BLOCK_VERTICES}, got {MAX_BLOCK_VERTICES + 1}$"):
             od.canonical_case_classes(MAX_BLOCK_VERTICES + 1)
         assert calls == []
         od.canonical_case_classes(MAX_BLOCK_VERTICES)  # the cap itself is served
-        assert len(calls) == (MAX_BLOCK_VERTICES + 1) ** 3
+        assert len(calls) == comb(MAX_BLOCK_VERTICES + 3, 3)
 
     # -1 used to give no classes and True those of p = 1; 2.5 and "3" a bare TypeError
     @pytest.mark.parametrize("p", [-1, 0, True, 2.5, "3", None])

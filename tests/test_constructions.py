@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 import orientdiam as od
-from orientdiam import constructions
+from orientdiam import constructions, graphcore
 from orientdiam.constructions import (
     ConstructionError,
     NTooSmall,
@@ -99,6 +101,29 @@ def test_restriction_row_is_induced_by_its_recipe(p, q):
     shared = {a for a in build(top)[0].arcs() if a[0] in parent and a[1] in parent}
     assert lifted == shared
     assert log[-1] == f"q={q}: restriction of the q={top} orientation, deleted vertices {deleted}"
+
+
+@pytest.mark.parametrize("p,q", _RESTRICTIONS)
+def test_restriction_row_is_oriented_and_measured_once(monkeypatch, p, q):
+    # the row takes its recipe's arcs, not its recipe's orientation, so
+    # nothing is built, measured or re-indexed twice
+    calls = collections.Counter()
+
+    def counted(name, call):
+        def wrapper(*args):
+            calls[name] += 1
+            return call(*args)
+        return wrapper
+
+    for name in ("orient", "diameter"):
+        monkeypatch.setattr(constructions, name, counted(name, getattr(constructions, name)))
+    for module in (graphcore, constructions):
+        monkeypatch.setattr(module, "induced_suborientation",
+                            counted("induced_suborientation", graphcore.induced_suborientation),
+                            raising=False)
+    D, _ = paper_families()[p][1](q)
+    assert D.topology.parts == (3, p, q)
+    assert calls == collections.Counter(orient=1, diameter=1)
 
 
 @pytest.mark.parametrize("build", [build_33q, build_34q])

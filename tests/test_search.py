@@ -328,8 +328,12 @@ class TestDecide:
                                                           stopped):
         # every block of a refutation closes at a count or at the width, so
         # no reading is routed and every matching stops early; a warm decide
-        # reads the stops back and runs none
+        # reads the stops back and runs none.  A chain bound is counted once
+        # per reading: with symmetry on, once for each reading that holds one
+        # after the cold decide; with it off, never, since the bit-sliced
+        # pass has proved it for every framed code
         chain_partition, route = search._chain_partition, search._Reading.route
+        chain_bound = search._Reading.chain_bound
         runs = collections.Counter()
 
         def counted_partition(codes, m, q=0):
@@ -341,12 +345,23 @@ class TestDecide:
             runs["routed"] += 1
             route(reading)
 
+        def counted_bound(reading):
+            runs["bounded"] += 1
+            return chain_bound(reading)
+
         monkeypatch.setattr(search, "_chain_partition", counted_partition)
         monkeypatch.setattr(search._Reading, "route", counted_route)
+        monkeypatch.setattr(search._Reading, "chain_bound", counted_bound)
         search._block_plan.cache_clear()
         cfg = SearchConfig(symmetry_breaking=symmetric)
         assert od.decide_diameter2(parts, cfg).verdict is Verdict.NONE
-        assert runs == collections.Counter(stopped=stopped)
+        bounded = 0
+        if symmetric:
+            rest = parts[:-1]
+            plan = search._block_plan(rest, _block_edges(rest))
+            bounded = sum(reading.bound is not None for reading in plan.readings)
+            assert bounded
+        assert runs == collections.Counter(stopped=stopped, bounded=bounded)
         if symmetric:
             runs.clear()
             assert od.decide_diameter2(parts, cfg).verdict is Verdict.NONE
@@ -1021,9 +1036,11 @@ class TestBlockPlan:
         assert staged  # some representative has a bound below its profile count
 
     def test_no_reading_is_filled_outside_a_frame(self, monkeypatch):
-        # every reading is built empty, and its stages change only while a
-        # frame is being built: each reading's stages are compared, as it
-        # enters a frame and at the end, with what its last frame left
+        # every reading is built empty, but for the bound a symmetry-off
+        # reading is built with, proved by the bit-sliced pass; its stages
+        # change only while a frame is being built: each reading's stages are
+        # compared, as it enters a frame and at the end, with what its last
+        # frame left
         reading_class, frame_class = search._Reading, search._BlockFrame
         framing = False
         left = {}  # id(reading) -> (reading, which of its stages are filled)
@@ -1033,9 +1050,10 @@ class TestBlockPlan:
             return (reading.stop, *(x is not None for x in (
                 reading.profiles, reading.bound, reading.chains, reading.routers)))
 
-        def build_reading(*args):
-            built = reading_class(*args)
-            assert framing or stages(built) == (None, False, False, False, False)
+        def build_reading(tables, bits, bound=None):
+            built = reading_class(tables, bits, bound)
+            proved = bound is not None
+            assert framing or stages(built) == (None, False, proved, False, False)
             left[id(built)] = built, stages(built)
             return built
 
@@ -1071,6 +1089,23 @@ class TestBlockPlan:
             assert outcome.verdict is Verdict.UNKNOWN
             assert outcome.stats.nodes == outcome.stats.blocks_explored == budget
             assert outcome.stats.cases_enumerated == cases
+
+    @pytest.mark.parametrize("shape,ns", [
+        ((3, 3), range((1 << 9) + 1)), ((3, 4), range((1 << 12) + 1)),
+        ((3, 5), sorted({1 << 15, *random.Random(5).sample(range(1 << 15), 50)}))],
+        ids=["3,3", "3,4", "3,5"])
+    def test_case_halves_read_every_prefix(self, shape, ns):
+        # the packed cases of codes 0 .. n - 1, summed from the two half
+        # tables, against each code's own anchor out-degrees, a byte each
+        bedges = _block_edges(shape)
+        halves = search._case_reader(shape, bedges)
+        seen, below = set(), 0
+        for n in ns:
+            for code in range(below, n):
+                out = od.graphcore._out_masks(sum(shape), bedges, code)
+                seen.add(sum(out[x].bit_count() << 8 * x for x in range(3)))
+            below = n
+            assert search._cases_below(halves, n) == seen, (shape, n)
 
 
 class TestKernel:
