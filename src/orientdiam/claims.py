@@ -18,13 +18,12 @@ import reprlib
 import time
 from dataclasses import asdict, dataclass
 
-from .analysis import canonical_case_classes
-from .cnf import TooManyClauses, export_cnf
+from . import search
 from .constructions import paper_families
 from .graphcore import (
     INFINITE, MAX_VERTICES, OrientdiamError, _is_int, diameter, make_complete_multipartite,
 )
-from .search import SearchConfig, Verdict, _config, brute_force_min_diameter, decide_diameter2
+from .search import SearchConfig, Verdict, _config, brute_force_min_diameter
 
 # family -> p, for K(3, p, q)
 _TABLES = {f"3{p}q": p for p in paper_families()}
@@ -117,8 +116,13 @@ def _measured(d):
 
 def _refute(p, q, cfg, cnf_dir, emitted):
     """Observe f(K(3,p,q)) through decide_diameter2; an Unknown emits its CNF."""
+    from .analysis import canonical_case_classes  # loaded only when a refutation runs
+    from .cnf import TooManyClauses, export_cnf
+
     parts = (3, p, q)
-    outcome = decide_diameter2(parts, cfg)
+    # read from search at each call: a binding taken when this module loaded
+    # would keep any wrapper installed around the function at that moment
+    outcome = search.decide_diameter2(parts, cfg)
     if outcome.verdict is Verdict.EXISTS:
         return 2, False
     if outcome.verdict is Verdict.NONE:

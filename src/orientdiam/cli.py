@@ -11,6 +11,11 @@ for construct.  decide, enumerate and export-cnf each have one fixed output.
 
 Exit codes: 0 success / all claims pass, 1 failed claim, 2 usage or data
 error, 3 a claim ended Unknown (budget).
+
+Only graphcore and search load with this module.  Each command imports the
+module it uses (constructions, analysis, cnf or claims) when it runs, and
+the parser reads the family names from claims, so a one-shot run compiles
+no module its command does not need.
 """
 
 from __future__ import annotations
@@ -23,18 +28,6 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .analysis import (
-    AnalysisError,
-    DiameterNotTwo,
-    SIGN_LABELS,
-    case_signature,
-    resolve_anchor,
-    sign_condition_violations,
-    sign_partition,
-)
-from .claims import FAMILIES, verify_claims
-from .cnf import export_cnf
-from .constructions import complete_graph_orientation, middle_layer_bipartite, paper_families
 from .graphcore import (
     INFINITE,
     OrientdiamError,
@@ -114,6 +107,8 @@ def _report_distance(fmt: str, parts, key: str, d) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import complete_graph_orientation, middle_layer_bipartite, paper_families
+
     parts = _parse_parts(args.parts)
     log = ()
     if args.scheme == "paper":
@@ -140,6 +135,11 @@ def cmd_diameter(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import (
+        SIGN_LABELS, AnalysisError, DiameterNotTwo, case_signature, resolve_anchor,
+        sign_condition_violations, sign_partition,
+    )
+
     D = _read_orientation(args.file)
     anchor = resolve_anchor(D.topology.parts, args.anchor)
     partitions = sign_partition(D, anchor)
@@ -226,6 +226,8 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_export_cnf(args) -> int:
+    from .cnf import export_cnf
+
     parts = _parse_parts(args.parts)
     stats = export_cnf(parts, args.out)
     print(
@@ -237,6 +239,8 @@ def cmd_export_cnf(args) -> int:
 
 
 def cmd_verify_claims(args) -> int:
+    from .claims import verify_claims
+
     q_range = None
     if args.q_range:
         try:
@@ -264,6 +268,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser, built on its first call; main and the tests share it."""
+    from .claims import FAMILIES
+
     parser = _Parser(
         prog="orientdiam",
         description="construct, verify and search diameter-2 orientations of complete multipartite graphs",

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from orientdiam import claims
+from orientdiam import claims, search
 from orientdiam.analysis import canonical_case_classes
 from orientdiam.claims import BadFamily, BadRange, verify_claims
 from orientdiam.search import (
@@ -69,7 +69,7 @@ class TestFamilies:
             decided.append(parts)
             return SearchOutcome(Verdict.UNKNOWN, None, SearchStats(1, 0, 0.0, 1))
 
-        monkeypatch.setattr(claims, "decide_diameter2", recording)
+        monkeypatch.setattr(search, "decide_diameter2", recording)
         with pytest.raises(BadRange, match="4097 vertices, past the cap of 4096 vertices"):
             verify_claims("34q", q_range=(12, 4090))
         assert decided == []
@@ -130,7 +130,7 @@ class TestExitCodes:
         def stub(parts, cfg=None):
             return SearchOutcome(Verdict.EXISTS, None, SearchStats(1, 0, 0.0, 1))
 
-        monkeypatch.setattr(claims, "decide_diameter2", stub)
+        monkeypatch.setattr(search, "decide_diameter2", stub)
         report = verify_claims("33q", q_range=(7, 7))
         (record,) = report.records
         assert record.observed == 2 and not record.passed and not record.unknown
@@ -160,7 +160,7 @@ class TestRecordInvariants:
             outcomes[parts] = outcome = decide_diameter2(parts, cfg)
             return outcome
 
-        monkeypatch.setattr(claims, "decide_diameter2", recording)
+        monkeypatch.setattr(search, "decide_diameter2", recording)
         for family, p in (("33q", 3), ("34q", 4), ("baselines", None)):
             for r in verify_claims(family).records:
                 assert r.passed == (r.observed == r.expected)
@@ -177,7 +177,7 @@ class TestRecordInvariants:
             def stub(parts, cfg=None):
                 return SearchOutcome(Verdict.NONE, None, SearchStats(0, 0, 0.0, 0, cases))
 
-            monkeypatch.setattr(claims, "decide_diameter2", stub)
+            monkeypatch.setattr(search, "decide_diameter2", stub)
             report = verify_claims(family, q_range=(q, q))
             (record,) = report.records
             assert record.passed is passed
