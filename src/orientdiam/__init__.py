@@ -21,7 +21,6 @@ from .graphcore import (
     Orientation,
     diameter,
     has_diameter_at_most_2,
-    induced_suborientation,
     make_complete_multipartite,
     orient,
 )
@@ -48,7 +47,7 @@ _LAZY = {name: module for module, names in {
 
 __all__ = sorted([
     "INFINITE", "GraphTopology", "Orientation", "diameter", "has_diameter_at_most_2",
-    "induced_suborientation", "make_complete_multipartite", "orient",
+    "make_complete_multipartite", "orient",
     "SearchConfig", "SearchOutcome", "SearchStats", "Verdict", "brute_force_min_diameter",
     "decide_diameter2", "enumerate_diameter2",
     *_LAZY,

@@ -14,18 +14,17 @@ error, 3 a claim ended Unknown (budget).
 
 Only graphcore and search load with this module.  Each command imports the
 module it uses (constructions, analysis, cnf or claims) when it runs, and
-the parser reads the family names from claims, so a one-shot run compiles
-no module its command does not need.
+argparse loads when the parser is first built, so a one-shot run compiles
+no module its command does not need.  The --family choices are a literal
+copy of claims.FAMILIES, which a test holds equal.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .graphcore import (
@@ -47,6 +46,9 @@ from .search import (
 )
 
 USAGE_ERROR = 2
+
+# claims.FAMILIES, copied so that building the parser does not load claims
+FAMILIES = ("33q", "34q", "baselines")
 
 
 class CliError(OrientdiamError):
@@ -203,7 +205,7 @@ def cmd_decide(args) -> int:
         "parts": list(parts),
         "verdict": outcome.verdict.value,
         "witness": None if outcome.witness is None else to_json_dict(outcome.witness),
-        "stats": {**asdict(outcome.stats), "wall_time": round(outcome.stats.wall_time, 4)},
+        "stats": {**outcome.stats._asdict(), "wall_time": round(outcome.stats.wall_time, 4)},
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -258,17 +260,16 @@ def cmd_verify_claims(args) -> int:
     return report.exit_code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as CliError, so main prints them as its one error line."""
-
-    def error(self, message):
-        raise CliError(message)
-
-
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The one parser, built on its first call; main and the tests share it."""
-    from .claims import FAMILIES
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises usage errors as CliError, so main prints them as its one error line."""
+
+        def error(self, message):
+            raise CliError(message)
 
     parser = _Parser(
         prog="orientdiam",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 INFINITE = math.inf
 
@@ -60,10 +60,6 @@ class MissingEdge(GraphError):
     pass
 
 
-class EmptyKeep(GraphError):
-    pass
-
-
 class TooManyVertices(GraphError):
     pass
 
@@ -83,12 +79,14 @@ class ParseError(GraphError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class GraphTopology:
-    """A complete multipartite graph given by its part sizes."""
+class GraphTopology(namedtuple("GraphTopology", "parts part_of")):
+    """A complete multipartite graph given by its part sizes.
 
-    parts: tuple[int, ...]
-    part_of: tuple[int, ...] = field(compare=False)
+    part_of[v] is the index of v's part.  It is a function of parts, so it
+    adds nothing to equality or hashing.
+    """
+
+    __slots__ = ()
 
     @property
     def n_vertices(self) -> int:
@@ -157,8 +155,7 @@ def _out_masks(n: int, edges, bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(namedtuple("Orientation", "topology out_adj")):
     """An orientation of a complete multipartite graph.
 
     out_adj[u] is the bitmask of decided out-neighbors of u.  v is an
@@ -166,8 +163,7 @@ class Orientation:
     immutable and safe to share across threads.
     """
 
-    topology: GraphTopology
-    out_adj: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n_vertices(self) -> int:
@@ -281,37 +277,6 @@ def has_diameter_at_most_2(D: Orientation) -> bool:
             if not (ou & ins[v]):
                 return False
     return True
-
-
-def induced_suborientation(D: Orientation, keep) -> Orientation:
-    """Restrict D to a vertex set, dropping empty parts and re-indexing.
-
-    The surviving parts keep their relative order, and new vertex i is the
-    i-th smallest kept vertex.
-    """
-    keep = _listed(keep, "keep set")
-    if not all(_is_int(v) for v in keep):
-        raise GraphError(f"keep set {reprlib.repr(keep)} has a vertex id that is not an integer")
-    keep = sorted(set(keep))
-    if not keep:
-        raise EmptyKeep("cannot induce on the empty vertex set")
-    n = D.n_vertices
-    if keep[0] < 0 or keep[-1] >= n:
-        raise VertexOutOfRange(f"keep set {keep} out of range for {n} vertices")
-    po = D.topology.part_of
-    new_parts = []
-    for pi in range(len(D.topology.parts)):
-        c = sum(1 for v in keep if po[v] == pi)
-        if c:
-            new_parts.append(c)
-    sub = make_complete_multipartite(new_parts)
-    remap = {v: i for i, v in enumerate(keep)}
-    out = [0] * len(keep)
-    for v in keep:
-        for w in _bit_members(D.out_adj[v]):
-            if w in remap:
-                out[remap[v]] |= 1 << remap[w]
-    return Orientation(topology=sub, out_adj=tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,7 @@ import functools
 import itertools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,20 +167,11 @@ class SearchConfig:
                 f"symmetry_breaking must be True or False, got {self.symmetry_breaking!r}")
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    max_depth: int
-    wall_time: float
-    blocks_explored: int
-    cases_enumerated: tuple[tuple[int, int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    verdict: Verdict
-    witness: Orientation | None
-    stats: SearchStats
+# per-call records are named tuples: fields by name and by position,
+# _asdict() for a dict, and no per-class exec when the module loads
+SearchStats = namedtuple("SearchStats", "nodes max_depth wall_time blocks_explored cases_enumerated",
+                         defaults=((),))
+SearchOutcome = namedtuple("SearchOutcome", "verdict witness stats")
 
 
 def _config(cfg) -> SearchConfig:

@@ -19,7 +19,7 @@ from orientdiam import analysis, cli
 from orientdiam.claims import FAMILIES
 from orientdiam.cli import build_parser, main
 from orientdiam.graphcore import MAX_VERTICES, GraphTopology, OrientdiamError
-from orientdiam.search import SearchConfig, SearchError
+from orientdiam.search import SearchConfig, SearchError, SearchStats
 
 
 def run(capsys, *argv):
@@ -245,7 +245,7 @@ def test_every_error_class_has_the_root():
         defined |= {obj for obj in vars(module).values() if isinstance(obj, type)
                     and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
     assert sorted(cls.__name__ for cls in defined if not issubclass(cls, OrientdiamError)) == []
-    assert len(defined - {OrientdiamError}) == 28
+    assert len(defined - {OrientdiamError}) == 27
 
 
 def test_new_error_class_is_exit_2(capsys, monkeypatch):
@@ -298,6 +298,13 @@ def test_option_surface_is_pinned():
     assert sum(map(len, found.values())) == 27
     assert [f.name for f in dataclasses.fields(SearchConfig)] == [
         "node_budget", "time_budget", "symmetry_breaking"]
+
+
+def test_family_choices_are_the_claims_families():
+    # cli keeps its own copy, so that building the parser does not load claims
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["verify-claims"]._actions if a.dest == "family")
+    assert cli.FAMILIES == family.choices == FAMILIES
 
 
 # Options a subcommand does not honour are rejected, not silently ignored.
@@ -473,6 +480,12 @@ class TestDecide:
         doc = json.loads(out)
         assert doc["verdict"] == "none"
         assert len(doc["stats"]["cases_enumerated"]) == 10
+
+    def test_stats_keys_are_the_search_stats_fields(self, capsys):
+        _, out, _ = run(capsys, "decide", "--parts", "3,3,7")
+        assert SearchStats._fields == (
+            "nodes", "max_depth", "wall_time", "blocks_explored", "cases_enumerated")
+        assert tuple(json.loads(out)["stats"]) == SearchStats._fields
 
     @pytest.mark.parametrize("seconds", ["nan", "inf"])
     def test_non_finite_budget_is_exit_2(self, capsys, seconds):

@@ -7,7 +7,7 @@ import collections
 import pytest
 
 import orientdiam as od
-from orientdiam import constructions, graphcore
+from orientdiam import constructions
 from orientdiam.constructions import (
     ConstructionError,
     NTooSmall,
@@ -117,10 +117,6 @@ def test_restriction_row_is_oriented_and_measured_once(monkeypatch, p, q):
 
     for name in ("orient", "diameter"):
         monkeypatch.setattr(constructions, name, counted(name, getattr(constructions, name)))
-    for module in (graphcore, constructions):
-        monkeypatch.setattr(module, "induced_suborientation",
-                            counted("induced_suborientation", graphcore.induced_suborientation),
-                            raising=False)
     D, _ = paper_families()[p][1](q)
     assert D.topology.parts == (3, p, q)
     assert calls == collections.Counter(orient=1, diameter=1)

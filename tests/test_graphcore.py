@@ -10,7 +10,6 @@ import orientdiam as od
 from orientdiam.graphcore import (
     MAX_VERTICES,
     DoubleOrientation,
-    EmptyKeep,
     EmptyParts,
     GraphError,
     GraphTopology,
@@ -202,9 +201,13 @@ class TestOrient:
             od.orient(topo, [(0, 0), (0, 1), (1, 2), (2, 0)])
 
     def test_out_of_range(self):
+        # an error the CLI and callers catch as OrientdiamError, and still an IndexError
         topo = od.make_complete_multipartite([1, 1, 1])
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as caught:
             od.orient(topo, [(0, 5), (1, 2), (2, 0)])
+        assert type(caught.value) is VertexOutOfRange
+        assert isinstance(caught.value, OrientdiamError)
+        assert str(caught.value) == "arc (0,5) out of range for 3 vertices"
 
     # int() would read 0.9 as 0 and "1" as 1, and accept an arc nobody gave
     @pytest.mark.parametrize("arc", [(0.9, 1.2), ("1", "0"), (True, 0), (0, 1.0)], ids=repr)
@@ -300,7 +303,6 @@ def transitive_closure_reaches_all(D) -> bool:
      r"arc \(0, 2, 1\) is not a pair of vertex ids$"),
     (lambda: od.orient(three_cycle().topology, [5]), "arc 5 is not a pair of vertex ids$"),
     (lambda: od.orient(three_cycle().topology, None), "arcs must be iterable, got None$"),
-    (lambda: od.induced_suborientation(three_cycle(), None), "keep set must be iterable, got None$"),
     (lambda: od.decode_model((2, 2), 5), "true_vars must be iterable, got 5$"),
     (lambda: od.decode_model((2, 2), None), "true_vars must be iterable, got None$"),
     (lambda: od.decode_model((2, 2), [[1]]),
@@ -308,7 +310,7 @@ def transitive_closure_reaches_all(D) -> bool:
     (lambda: od.decode_model((2, 2), [{1}]),
      r"true_vars must hold integer variable indices, got \[\{1\}\]$"),
 ], ids=["parts-int", "parts-none", "decide-int", "cnf-none", "arc-triple", "arc-int",
-        "arcs-none", "keep-none", "model-int", "model-none", "model-list", "model-set"])
+        "arcs-none", "model-int", "model-none", "model-list", "model-set"])
 def test_malformed_argument_is_a_graph_error(call, message):
     with pytest.raises(GraphError, match=message):
         call()
@@ -372,75 +374,6 @@ class TestProperties:
         bound = data.draw(st.integers(1, n + 1))
         worst = max(distance(D, u, v) for u in range(n) for v in range(n))
         assert _diameter_below(D.out_adj, bound) == (worst if worst < bound else None)
-
-
-class TestInduced:
-    def test_d6_restriction_to_last_two_parts(self):
-        D6 = od.construct_33q(6)
-        sub = od.induced_suborientation(D6, range(3, 12))
-        assert sub.topology.parts == (3, 6)
-        # new vertex i is old vertex i + 3
-        assert sub.arcs() == [(u - 3, v - 3) for u, v in D6.arcs() if u >= 3 and v >= 3]
-
-    def test_single_vertex(self):
-        sub = od.induced_suborientation(three_cycle(), [1])
-        assert sub.topology.parts == (1,)
-        assert sub.arcs() == []
-
-    def test_d6_four_cycle_block(self):
-        # y2, y3 with the two +-- vertices form a directed 4-cycle
-        D6 = od.construct_33q(6)
-        classes = od.sign_partition(D6, 0)[2]
-        keep = [4, 5, *classes["+--"]]
-        sub = od.induced_suborientation(D6, keep)
-        assert sub.topology.parts == (2, 2)
-        assert all(mask.bit_count() == 1 for mask in sub.out_adj)
-        assert od.diameter(sub) != od.INFINITE
-
-    def test_empty_keep(self):
-        with pytest.raises(EmptyKeep):
-            od.induced_suborientation(three_cycle(), [])
-
-    # 1.0 would fail as a tuple index with a bare TypeError, or merge into 1
-    @pytest.mark.parametrize("keep", [[0, 1.0, 2], [0, 1, 1.0], [0, "1"], [True]], ids=repr)
-    def test_non_integer_keep_rejected(self, keep):
-        with pytest.raises(GraphError, match="has a vertex id that is not an integer$"):
-            od.induced_suborientation(three_cycle(), keep)
-
-    def test_out_of_range_has_the_package_root(self):
-        # both vertex range checks raise an error the CLI and callers catch
-        # as OrientdiamError, and that is still an IndexError
-        D = three_cycle()
-        calls = [
-            (lambda: od.orient(D.topology, [(0, 5), (1, 2), (2, 0)]),
-             "arc (0,5) out of range for 3 vertices"),
-            (lambda: od.induced_suborientation(D, [0, 3]),
-             "keep set [0, 3] out of range for 3 vertices"),
-        ]
-        for call, message in calls:
-            try:
-                call()
-            except OrientdiamError as exc:
-                assert type(exc) is VertexOutOfRange
-                assert isinstance(exc, IndexError)
-                assert str(exc) == message
-            else:
-                pytest.fail(f"no error for {message}")
-
-    @given(orientations(), st.integers(min_value=1))
-    @settings(deadline=None)
-    def test_restriction_preserves_arcs(self, D, selector):
-        mask = selector % ((1 << D.n_vertices) - 1) + 1  # nonempty subset
-        keep = [v for v in range(D.n_vertices) if (mask >> v) & 1]
-        sub = od.induced_suborientation(D, keep)
-        parent = keep  # new vertex i is the i-th smallest kept vertex
-        assert sum(sub.topology.parts) == len(keep)
-        for u, v in sub.arcs():
-            assert (D.out_adj[parent[u]] >> parent[v]) & 1
-        expected = sum(
-            1 for u in keep for v in keep if (D.out_adj[u] >> v) & 1
-        )
-        assert len(sub.arcs()) == expected
 
 
 class TestSerialization:

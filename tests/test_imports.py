@@ -58,7 +58,32 @@ def test_import_loads_only_graphcore_and_search():
     assert got["submodule"]  # a module the package has not loaded yet is an attribute too
     assert got["wrong"] == []
     assert got["star"] == sorted(od.__all__)
-    assert len(od.__all__) == 36
+    assert len(od.__all__) == 35
+
+
+ONE_SHOT = """
+import contextlib, io, json, sys
+from orientdiam import cli
+after_cli = "argparse" in sys.modules
+cli.build_parser()
+after_parser = "argparse" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["decide", "--parts", "3,3,7"])
+print(json.dumps({"argparse": [after_cli, after_parser], "code": code,
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "orientdiam")}))
+"""
+
+
+def test_argparse_loads_with_the_first_parser():
+    assert _fresh(ONE_SHOT)["argparse"] == [False, True]
+
+
+def test_decide_loads_neither_claims_nor_constructions():
+    # the --family choices are cli's own copy of claims.FAMILIES
+    got = _fresh(ONE_SHOT)
+    assert got["code"] == 0
+    assert got["modules"] == ["orientdiam", "orientdiam.cli", "orientdiam.graphcore",
+                              "orientdiam.search"]
 
 
 def test_dir_and_missing_names():

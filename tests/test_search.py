@@ -1274,6 +1274,33 @@ def test_oracles_refuse_anything_but_a_topology(oracle, topology):
         oracle(topology)
 
 
+def _records():
+    """Each of the four per-call records, built twice from equal values."""
+    def topology():
+        return od.make_complete_multipartite((1, 1, 1))
+
+    def orientation():
+        return od.orient(topology(), [(0, 1), (1, 2), (2, 0)])
+
+    def stats():
+        return od.SearchStats(18, 0, 0.0, 18, ((0, 0, 0),))
+
+    def outcome():
+        return od.SearchOutcome(Verdict.EXISTS, orientation(), stats())
+
+    return [topology, orientation, stats, outcome]
+
+
+@pytest.mark.parametrize("build", _records(), ids=lambda build: build.__name__)
+def test_records_are_immutable_values(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for name in (*a._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b and a != a._replace(**{a._fields[0]: None})
+
+
 class TestOracleRevalidation:
     """Every orientation an oracle returns is re-measured by the exact BFS."""
 
