@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import Orientation, OrientdiamError, _bit_members, _is_int, diameter
 from .search import MAX_BLOCK_VERTICES, _symmetric_chains, canonicalize_case
@@ -117,8 +117,7 @@ def sign_condition_violations(D: Orientation, anchor_part: int | None = None) ->
     return violations
 
 
-@dataclass(frozen=True)
-class CaseSignature:
+class CaseSignature(namedtuple("CaseSignature", "raw canonical")):
     """Out-degrees of the anchor triple into the case part, normalized.
 
     raw is (i, j, k) as read off the orientation; canonical is the
@@ -126,8 +125,7 @@ class CaseSignature:
     reversal (i, j, k) -> (p-i, p-j, p-k).
     """
 
-    raw: tuple[int, int, int]
-    canonical: tuple[int, int, int]
+    __slots__ = ()
 
 
 def resolve_anchor(parts, anchor_part: int | None) -> int:
@@ -178,13 +176,8 @@ def canonical_case_classes(p: int) -> tuple[tuple[int, int, int], ...]:
 # Antichain utilities.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AntichainReport:
-    """Out-neighborhood family of the big side of a bipartite orientation."""
-
-    family: tuple[frozenset[int], ...]
-    is_antichain: bool
-    violating_pair: tuple[int, int] | None
+# the out-neighborhood family of the big side of a bipartite orientation
+AntichainReport = namedtuple("AntichainReport", "family is_antichain violating_pair")
 
 
 def out_neighborhood_family(F: Orientation, big_side: int) -> AntichainReport:

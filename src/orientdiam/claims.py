@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import reprlib
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import search
 from .constructions import paper_families
@@ -46,26 +46,17 @@ class BadRange(OrientdiamError):
     pass
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    claim_id: str
-    family: str
-    q: int | None
-    expected: int
-    method: str  # construct | search | brute-force
-    observed: int | None
-    passed: bool
-    unknown: bool
-    wall_time: float
+# method is construct | search | brute-force; q is None on a baseline row
+class ClaimRecord(namedtuple("ClaimRecord", "claim_id family q expected method observed passed"
+                                            " unknown wall_time")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
+        return {**self._asdict(), "wall_time": round(self.wall_time, 3)}
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    records: tuple[ClaimRecord, ...]
-    cnf_emitted: tuple[str, ...] = ()
+class ClaimReport(namedtuple("ClaimReport", "records cnf_emitted", defaults=((),))):
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:

@@ -281,8 +281,9 @@ def build_parser():
     text_or_json.add_argument("--format", choices=("text", "json"), default="text")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget-seconds", type=_decimal, default=SearchConfig.time_budget)
-    budget.add_argument("--budget-nodes", type=_int, default=SearchConfig.node_budget)
+    defaults = SearchConfig._field_defaults
+    budget.add_argument("--budget-seconds", type=_decimal, default=defaults["time_budget"])
+    budget.add_argument("--budget-nodes", type=_int, default=defaults["node_budget"])
     budget.add_argument("--no-symmetry", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import (
     GraphError,
@@ -50,13 +50,7 @@ class BadOutPath(OrientdiamError):
     pass
 
 
-@dataclass(frozen=True)
-class CnfStats:
-    variables: int
-    clauses: int
-    edge_variables: int
-    path_variables: int
-    lex_variables: int
+CnfStats = namedtuple("CnfStats", "variables clauses edge_variables path_variables lex_variables")
 
 
 def _path_count(topology) -> int:

@@ -106,7 +106,6 @@ import itertools
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 from .graphcore import (
@@ -146,13 +145,14 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    node_budget: int = 1_000_000_000
-    time_budget: float = 600.0
-    symmetry_breaking: bool = True
+# records are named tuples: fields by name and by position, _asdict() for a
+# dict, and no per-class exec when the module loads
+class SearchConfig(namedtuple("SearchConfig", "node_budget time_budget symmetry_breaking",
+                              defaults=(1_000_000_000, 600.0, True))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # NaN fails every comparison, so it would never trip a budget; bool
         # is an int, so True would read as one node or one second
         nodes, seconds = self.node_budget, self.time_budget
@@ -165,10 +165,14 @@ class SearchConfig:
         if not isinstance(self.symmetry_breaking, bool):
             raise SearchError(
                 f"symmetry_breaking must be True or False, got {self.symmetry_breaking!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-# per-call records are named tuples: fields by name and by position,
-# _asdict() for a dict, and no per-class exec when the module loads
 SearchStats = namedtuple("SearchStats", "nodes max_depth wall_time blocks_explored cases_enumerated",
                          defaults=((),))
 SearchOutcome = namedtuple("SearchOutcome", "verdict witness stats")

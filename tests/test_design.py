@@ -32,12 +32,22 @@ def _identifiers(node) -> set[str]:
     return found
 
 
+# names that no src/ or bench/ statement reads, kept for library users
+KEPT = {
+    "constructions.construct_33q": "bench/layers.py wraps it by its string name",
+    "constructions.construct_34q": "bench/layers.py wraps it by its string name",
+    "analysis.out_neighborhood_family": "bench/layers.py wraps it by its string name",
+    "analysis.max_antichain": "bench/layers.py wraps it by its string name",
+    "cnf.decode_model": "reads an external SAT solver's model back, the other half of the CNF route",
+}
+
+
 def test_every_top_level_name_is_used():
-    # a name counts as used when some other top-level statement of src/,
-    # tests/ or bench/ reads it; its own definition, the import that
-    # re-exports it and its string in __all__ do not count
+    # a name counts as used when some other top-level statement of src/ or
+    # bench/ reads it; its own definition, the import that re-exports it,
+    # its string in __all__ and a read from tests/ do not count
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src", "tests", "bench")
+             for folder in ("src", "bench")
              for path in sorted((ROOT / folder).rglob("*.py"))}
     references = [(node, _identifiers(node)) for tree in trees.values() for node in tree.body]
     definitions = [(f"{path.stem}.{name}", name, node)
@@ -47,4 +57,6 @@ def test_every_top_level_name_is_used():
     assert len(definitions) > 100  # the package was found and parsed
     unused = [qualified for qualified, name, node in definitions
               if not any(name in ids for other, ids in references if other is not node)]
-    assert unused == []
+    assert [name for name in unused if name not in KEPT] == []
+    # an allow-listed name that gains a reader, or goes, leaves the list too
+    assert [name for name in KEPT if name not in unused] == []

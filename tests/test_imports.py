@@ -70,7 +70,8 @@ after_parser = "argparse" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["decide", "--parts", "3,3,7"])
 print(json.dumps({"argparse": [after_cli, after_parser], "code": code,
-                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "orientdiam")}))
+                  "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "orientdiam"),
+                  "stdlib": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
 """
 
 
@@ -79,11 +80,13 @@ def test_argparse_loads_with_the_first_parser():
 
 
 def test_decide_loads_neither_claims_nor_constructions():
-    # the --family choices are cli's own copy of claims.FAMILIES
+    # the --family choices are cli's own copy of claims.FAMILIES; every
+    # record is a named tuple, so nothing loads dataclasses and its inspect
     got = _fresh(ONE_SHOT)
     assert got["code"] == 0
     assert got["modules"] == ["orientdiam", "orientdiam.cli", "orientdiam.graphcore",
                               "orientdiam.search"]
+    assert got["stdlib"] == []
 
 
 def test_dir_and_missing_names():

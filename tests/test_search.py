@@ -439,6 +439,11 @@ class TestDecide:
             SearchConfig(node_budget=0)
         with pytest.raises(SearchError):
             SearchConfig(time_budget=-1.0)
+        # _replace builds through _make, which checks as the constructor does
+        with pytest.raises(SearchError, match="positive and finite"):
+            SearchConfig()._replace(node_budget=0)
+        with pytest.raises(SearchError, match="positive and finite"):
+            SearchConfig()._replace(time_budget=math.nan)
 
     # bool is an int, and a string or a float node count is no count at all
     @pytest.mark.parametrize("nodes", [True, 2.5, "5"])
@@ -1275,7 +1280,7 @@ def test_oracles_refuse_anything_but_a_topology(oracle, topology):
 
 
 def _records():
-    """Each of the four per-call records, built twice from equal values."""
+    """Each of the package's ten records, built twice from equal values."""
     def topology():
         return od.make_complete_multipartite((1, 1, 1))
 
@@ -1288,7 +1293,26 @@ def _records():
     def outcome():
         return od.SearchOutcome(Verdict.EXISTS, orientation(), stats())
 
-    return [topology, orientation, stats, outcome]
+    def config():
+        return SearchConfig(node_budget=5, time_budget=2.5, symmetry_breaking=False)
+
+    def signature():
+        return od.case_signature(od.construct_33q(3))
+
+    def antichain():
+        return od.out_neighborhood_family(od.middle_layer_bipartite(4, 6), 1)
+
+    def claim():
+        return od.ClaimRecord("33q-q3", "33q", 3, 2, "construct", 2, True, False, 0.5)
+
+    def report():
+        return od.ClaimReport((claim(),), ("k3_3_7.cnf",))
+
+    def cnf_stats():
+        return od.encode_diameter2((1, 1, 1))[1]
+
+    return [topology, orientation, stats, outcome, config, signature, antichain, claim, report,
+            cnf_stats]
 
 
 @pytest.mark.parametrize("build", _records(), ids=lambda build: build.__name__)
@@ -1298,7 +1322,8 @@ def test_records_are_immutable_values(build):
     for name in (*a._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
-    assert a == b and a != a._replace(**{a._fields[0]: None})
+    # 1 is a valid node budget, so SearchConfig's checking _replace accepts it
+    assert a == b and a != a._replace(**{a._fields[0]: 1})
 
 
 class TestOracleRevalidation:
